@@ -8,10 +8,11 @@ time is strictly below t.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappop, heappush
 
 INF = math.inf
 
@@ -44,25 +45,16 @@ class DirectedGraph:
                 raise StructuralError(f"arc ({tail},{head}) has nonpositive travel time {time}")
             seen.add((tail, head))
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Out-adjacency lists: adj[u] = [(v, t_uv), ...]."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.vertex_count)]
-        for tail, head, time in self.arcs:
-            adj[tail].append((head, time))
-        return adj
+    @cached_property
+    def out_arcs(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+        """out_arcs[u]: the graph's own (u, v, t) arc tuples leaving u, in arc order.
 
-    def in_adjacency(self) -> list[list[tuple[int, float]]]:
-        """In-adjacency lists: inadj[v] = [(u, t_uv), ...]."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.vertex_count)]
-        for tail, head, time in self.arcs:
-            adj[head].append((tail, time))
-        return adj
-
-    def arc_time(self, tail: int, head: int) -> float:
-        for t, h, time in self.arcs:
-            if t == tail and h == head:
-                return time
-        raise StructuralError(f"arc ({tail},{head}) does not exist")
+        Built on first use and kept: the graph is immutable.
+        """
+        out: list[list[tuple[int, int, float]]] = [[] for _ in range(self.vertex_count)]
+        for arc in self.arcs:
+            out[arc[0]].append(arc)
+        return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -87,8 +79,8 @@ class WspInstance:
             raise StructuralError(f"ignition vertex {self.ignition} out of range")
         if not self.horizon > 0:
             raise StructuralError("horizon must be positive")
-        if self.delay < 0:
-            raise StructuralError("delay must be nonnegative")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise StructuralError(f"delay must be finite and nonnegative, got {self.delay}")
         prev = 0.0
         for t, count in self.schedule:
             if not (0 < t <= self.horizon):
@@ -141,7 +133,7 @@ class Allocation:
         if len(set(vertices)) != len(vertices):
             raise StructuralError("a vertex is protected twice")
 
-    @property
+    @cached_property
     def protected(self) -> frozenset[int]:
         return frozenset(v for _, v in self.assignments)
 
@@ -168,6 +160,37 @@ class FireOutcome:
         return sum(1 for a in self.arrival if a < t)
 
 
+def _shortest_paths(graph: DirectedGraph, source: int, delays: dict[int, float]) -> list[float]:
+    """Heap Dijkstra from source over graph.out_arcs; +inf if unreachable.
+
+    An arc leaving a vertex u in delays costs (d + t) + delays[u], any
+    other arc d + t.  Callers rely on this exact summation order: the
+    horizon test is strict, so a last-bit change is observable.
+    """
+    out_arcs = graph.out_arcs
+    dist = [INF] * graph.vertex_count
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        if u not in delays:
+            for _, v, t in out_arcs[u]:
+                nd = d + t
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        else:
+            extra = delays[u]
+            for _, v, t in out_arcs[u]:
+                nd = d + t + extra
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+    return dist
+
+
 def compute_arrival_times(
     instance: WspInstance,
     alloc: Allocation = EMPTY_ALLOCATION,
@@ -184,63 +207,24 @@ def compute_arrival_times(
     for v in protected:
         if not (0 <= v < n):
             raise StructuralError(f"protected vertex {v} out of range")
-    if vertex_delays is not None and len(vertex_delays) != n:
+    if vertex_delays is None:
+        delays = dict.fromkeys(protected, instance.delay)
+    elif len(vertex_delays) != n:
         raise StructuralError("vertex delay vector length mismatch")
-
-    adj = instance.graph.adjacency()
-    dist = [INF] * n
-    dist[instance.ignition] = 0.0
-    heap = [(0.0, instance.ignition)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u in protected:
-            extra = vertex_delays[u] if vertex_delays is not None else instance.delay
-        else:
-            extra = 0.0
-        for v, t in adj[u]:
-            nd = d + t + extra
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return FireOutcome(tuple(dist))
+    else:
+        delays = {v: vertex_delays[v] for v in protected}
+    return FireOutcome(tuple(_shortest_paths(instance.graph, instance.ignition, delays)))
 
 
 def single_source_distances(graph: DirectedGraph, source: int) -> list[float]:
     """Plain shortest-path distances from source; +inf if unreachable."""
-    adj = graph.adjacency()
-    dist = [INF] * graph.vertex_count
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, t in adj[u]:
-            nd = d + t
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def burned_set(outcome: FireOutcome, t: float) -> set[int]:
-    return outcome.burned_set(t)
+    return _shortest_paths(graph, source, {})
 
 
 def objective(instance: WspInstance, alloc: Allocation = EMPTY_ALLOCATION) -> int:
     """Number of vertices burned before the horizon under the allocation."""
     outcome = compute_arrival_times(instance, alloc)
     return outcome.burned_count(instance.horizon)
-
-
-def effective_travel_time(instance: WspInstance, alloc: Allocation, tail: int, head: int) -> float:
-    """Arc travel time including the suppression delay on protected tails."""
-    t = instance.graph.arc_time(tail, head)
-    if tail in alloc.protected:
-        return t + instance.delay
-    return t
 
 
 @dataclass(frozen=True)
@@ -307,15 +291,29 @@ def instance_to_json(instance: WspInstance) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+def _json_int(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructuralError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> WspInstance:
+    from wsptools import INSTANCE_FORMAT_VERSION
+
     doc = json.loads(text)
+    version = _json_int(doc, "version")
+    if version != INSTANCE_FORMAT_VERSION:
+        raise StructuralError(
+            f"instance format version {version} is not supported (expected {INSTANCE_FORMAT_VERSION})"
+        )
     graph = DirectedGraph(
         vertex_count=doc["vertex_count"],
         arcs=tuple((a[0], a[1], float(a[2])) for a in doc["arcs"]),
     )
     return WspInstance(
         graph=graph,
-        ignition=doc["ignition"],
+        ignition=_json_int(doc, "ignition"),
         horizon=float(doc["horizon_min"]),
         delay=float(doc["delay_min"]),
         schedule=tuple((float(e["t_min"]), int(e["count"])) for e in doc["schedule"]),

@@ -12,12 +12,14 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from wsptools.core import (
     EMPTY_ALLOCATION,
     Allocation,
+    FireOutcome,
     WspInstance,
     compute_arrival_times,
 )
@@ -62,8 +64,9 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
     allocation) nor already protected.
     """
     rng = np.random.default_rng(seed)
+    empty_outcome = compute_arrival_times(instance, EMPTY_ALLOCATION)
     best_alloc = EMPTY_ALLOCATION
-    best_obj = _objective(instance, best_alloc)
+    best_obj = empty_outcome.burned_count(instance.horizon)
     start = time.monotonic()
     iterations = 0
     while True:
@@ -72,10 +75,9 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
         if budget.max_seconds is not None and time.monotonic() - start >= budget.max_seconds:
             break
         iterations += 1
-        alloc = EMPTY_ALLOCATION
+        alloc, outcome = EMPTY_ALLOCATION, empty_outcome
         resource = 0
         for release_time, count in instance.schedule:
-            outcome = compute_arrival_times(instance, alloc)
             candidates = [
                 v
                 for v in range(instance.graph.vertex_count)
@@ -92,34 +94,38 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
                 resource += 1
             resource += max(0, count - len(pairs))  # unplaceable resources stay unused
             alloc = alloc.extended(pairs)
-        obj = _objective(instance, alloc)
+            outcome = compute_arrival_times(instance, alloc)
+        obj = outcome.burned_count(instance.horizon)
         if obj < best_obj:
             best_obj = obj
             best_alloc = alloc
     return SolverResult(best_alloc, best_obj)
 
 
-def perimeter_candidates(instance: WspInstance, partial_alloc: Allocation, t: float) -> list[int]:
+def perimeter_candidates(
+    instance: WspInstance,
+    partial_alloc: Allocation,
+    t: float,
+    outcome: FireOutcome | None = None,
+) -> list[int]:
     """Feasible protection targets at release time t, fire-perimeter first.
 
     Returns the unburned, unprotected, non-ignition vertices ordered by
-    (has a burned in-neighbor, earlier arrival, lower id).
+    (has a burned in-neighbor, earlier arrival, lower id).  outcome, if
+    given, must be the arrival times under partial_alloc.
     """
-    outcome = compute_arrival_times(instance, partial_alloc)
-    burned = outcome.burned_set(t)
-    in_adj = instance.graph.in_adjacency()
+    if outcome is None:
+        outcome = compute_arrival_times(instance, partial_alloc)
+    arrival = outcome.arrival
+    out_arcs = instance.graph.out_arcs
+    near_fire = {head for u, a in enumerate(arrival) if a < t for _, head, _ in out_arcs[u]}
+    protected = partial_alloc.protected
     candidates = [
         v
         for v in range(instance.graph.vertex_count)
-        if outcome.arrival[v] >= t and v not in partial_alloc.protected and v != instance.ignition
+        if arrival[v] >= t and v not in protected and v != instance.ignition
     ]
-    candidates.sort(
-        key=lambda v: (
-            0 if any(u in burned for u, _ in in_adj[v]) else 1,
-            outcome.arrival[v],
-            v,
-        )
-    )
+    candidates.sort(key=lambda v: (0 if v in near_fire else 1, arrival[v], v))
     return candidates
 
 
@@ -137,49 +143,51 @@ def beam_search(
     fewer burned vertices at the next release time, then by the
     lexicographically smallest allocation.  beam_width and
     expansions_per_node may be math.inf for exhaustive behavior.
+
+    Every allocation is evaluated once, when it is created; a node
+    carries its rank key and fire outcome to the next level.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
     del seed  # beam search is deterministic; kept for a uniform solver signature
 
     release_times = instance.release_times()
+    resource_release = [t for t, count in instance.schedule for _ in range(count)]
 
-    def rank_key(alloc: Allocation):
+    def node(alloc: Allocation) -> tuple[tuple, Allocation, FireOutcome]:
         outcome = compute_arrival_times(instance, alloc)
         burned_h = outcome.burned_count(instance.horizon)
-        next_t = next((rt for rt in release_times if rt > 0 and rt > _max_assigned_time(alloc)), None)
+        assigned = max((resource_release[r] for r, _ in alloc.assignments), default=0.0)
+        next_t = next((rt for rt in release_times if rt > 0 and rt > assigned), None)
         burned_next = outcome.burned_count(next_t) if next_t is not None else burned_h
         key_alloc = tuple(sorted(v for _, v in alloc.assignments))
-        return (burned_h, burned_next, key_alloc)
+        return (burned_h, burned_next, key_alloc), alloc, outcome
 
-    def _max_assigned_time(alloc: Allocation) -> float:
-        times = [instance.resource_release_time(r) for r, _ in alloc.assignments]
-        return max(times) if times else 0.0
-
-    beam = [EMPTY_ALLOCATION]
+    beam = [node(EMPTY_ALLOCATION)]
     resource = 0
     for release_time, count in instance.schedule:
         children = []
-        for node in beam:
-            candidates = perimeter_candidates(instance, node, release_time)
+        for parent in beam:
+            _, alloc, outcome = parent
+            candidates = perimeter_candidates(instance, alloc, release_time, outcome)
             take = min(count, len(candidates))
             if take == 0:
-                children.append(node)
+                children.append(parent)
                 continue
             combos = itertools.combinations(candidates, take)
             if math.isfinite(expansions_per_node):
                 combos = itertools.islice(combos, int(expansions_per_node))
             for combo in combos:
                 pairs = [(resource + i, v) for i, v in enumerate(combo)]
-                children.append(node.extended(pairs))
+                children.append(node(alloc.extended(pairs)))
         resource += count
-        children.sort(key=rank_key)
+        children.sort(key=itemgetter(0))
         if math.isfinite(beam_width):
             children = children[: int(beam_width)]
         beam = children
 
-    best = min(beam, key=rank_key)
-    return SolverResult(best, _objective(instance, best))
+    key, best, _ = min(beam, key=itemgetter(0))
+    return SolverResult(best, key[0])
 
 
 @dataclass(frozen=True)

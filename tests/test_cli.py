@@ -105,6 +105,16 @@ class TestSolveAndEvaluate:
         assert report["violations"] == []
         assert report["objective"] == reported
 
+    def test_malformed_instance_file(self, small_instance, tmp_path, capsys):
+        doc = json.loads(small_instance.read_text())
+        doc["delay_min"] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
+                           "-i", str(bad), "-o", str(tmp_path / "s.json"))
+        assert code == 2
+        assert "delay" in err
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
                          "-i", str(tmp_path / "nope.json"), "-o", str(tmp_path / "s.json"))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,8 @@ from wsptools.core import (
     DirectedGraph,
     StructuralError,
     WspInstance,
-    burned_set,
     check_feasibility,
     compute_arrival_times,
-    effective_travel_time,
     instance_from_json,
     instance_to_json,
     objective,
@@ -127,13 +126,13 @@ class TestBurnedSet:
         graph = DirectedGraph(2, ((0, 1, 1.0),))
         instance = WspInstance(graph, 0, horizon=5.0, delay=0.0, schedule=())
         outcome = compute_arrival_times(instance)
-        assert burned_set(outcome, 0.0) == set()
+        assert outcome.burned_set(0.0) == set()
 
     def test_strict_inequality(self):
         from wsptools.core import FireOutcome
 
         outcome = FireOutcome((0.0, 1.0, 2.0, 3.0))
-        assert burned_set(outcome, 2.0) == {0, 1}
+        assert outcome.burned_set(2.0) == {0, 1}
 
     def test_count_matches_enumeration(self, rng):
         for _ in range(20):
@@ -141,7 +140,7 @@ class TestBurnedSet:
             outcome = compute_arrival_times(instance)
             t = instance.horizon
             expected = sum(1 for a in outcome.arrival if a < t)
-            assert len(burned_set(outcome, t)) == expected
+            assert len(outcome.burned_set(t)) == expected
 
 
 class TestObjective:
@@ -150,7 +149,7 @@ class TestObjective:
         assert check_feasibility(figure_instance, alloc) == []
         assert objective(figure_instance, alloc) == 6
         outcome = compute_arrival_times(figure_instance, alloc)
-        assert burned_set(outcome, 5.0) == {0, 1, 2, 3, 4, 6}
+        assert outcome.burned_set(5.0) == {0, 1, 2, 3, 4, 6}
 
     def test_ignition_always_burns(self, rng):
         for _ in range(10):
@@ -207,24 +206,38 @@ class TestFeasibility:
 
 
 class TestEffectiveTravelTime:
-    def test_unprotected(self, figure_instance):
-        assert effective_travel_time(figure_instance, EMPTY_ALLOCATION, 0, 1) == 1.0
+    """Arc lookups go through DirectedGraph.out_arcs; a protected tail adds
+    the delay to each of its out-arcs."""
 
-    def test_protected_adds_delay(self, figure_instance):
-        alloc = Allocation(((0, 4),))
-        assert effective_travel_time(figure_instance, alloc, 4, 5) == 3.0
+    def test_unprotected(self, figure_instance):
+        graph = figure_instance.graph
+        assert graph.out_arcs[0] == ((0, 1, 1.0), (0, 3, 1.0))
+        # the graph's own arc tuples, in arc order, not copies
+        assert all(a is b for a, b in zip(graph.out_arcs[0], graph.arcs[:2]))
+        assert sum(len(arcs) for arcs in graph.out_arcs) == len(graph.arcs)
+        assert graph.out_arcs is graph.out_arcs  # built once
+
+    def test_protected_adds_delay(self):
+        # s -> u -> v; protecting u delays v by exactly the delay
+        graph = DirectedGraph(3, ((0, 1, 2.0), (1, 2, 1.0)))
+        instance = WspInstance(graph, 0, horizon=20.0, delay=2.0, schedule=((1.0, 1),))
+        assert graph.out_arcs[1] == ((1, 2, 1.0),)
+        assert compute_arrival_times(instance).arrival[2] == 3.0
+        assert compute_arrival_times(instance, Allocation(((0, 1),))).arrival[2] == 5.0
 
     def test_missing_arc(self, figure_instance):
-        with pytest.raises(StructuralError):
-            effective_travel_time(figure_instance, EMPTY_ALLOCATION, 0, 8)
+        out_arcs = figure_instance.graph.out_arcs
+        assert 8 not in {head for _, head, _ in out_arcs[0]}
+        assert out_arcs[8] == ()
 
     def test_path_sum_matches_arrival_recurrence(self, figure_instance):
         alloc = Allocation(((0, 2), (1, 4), (2, 6)))
+        out_arcs = figure_instance.graph.out_arcs
         path = [0, 3, 4, 7, 8]
-        total = sum(
-            effective_travel_time(figure_instance, alloc, u, v)
-            for u, v in zip(path, path[1:])
-        )
+        total = 0.0
+        for u, v in zip(path, path[1:]):
+            (t,) = [t for _, head, t in out_arcs[u] if head == v]
+            total += t + (figure_instance.delay if u in alloc.protected else 0.0)
         outcome = compute_arrival_times(figure_instance, alloc)
         assert outcome.arrival[8] <= total + 1e-12
 
@@ -282,3 +295,27 @@ class TestInstanceValidation:
 
     def test_total_resources(self, figure_instance):
         assert figure_instance.total_resources == 3
+
+    def test_delay_must_be_finite(self):
+        graph = DirectedGraph(2, ((0, 1, 1.0),))
+        for delay in (math.nan, math.inf, -1.0):
+            with pytest.raises(StructuralError):
+                WspInstance(graph, 0, horizon=5.0, delay=delay, schedule=())
+
+
+class TestInstanceLoader:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # NaN would make every protection silently do nothing
+            ("delay_min", math.nan),
+            ("delay_min", math.inf),
+            ("version", 99),
+            ("ignition", True),
+        ],
+    )
+    def test_rejects_malformed_field(self, figure_instance, key, value):
+        doc = json.loads(instance_to_json(figure_instance))
+        doc[key] = value
+        with pytest.raises(StructuralError):
+            instance_from_json(json.dumps(doc))

@@ -24,6 +24,7 @@ from wsptools.generator import (
     generate_terrain,
     generate_wind_field,
 )
+from wsptools import noise
 from wsptools.noise import gradient_noise
 from wsptools.rothermel import rate_of_spread, travel_time
 
@@ -57,6 +58,17 @@ class TestNoise:
             v0 = gradient_noise(3, 2, x, y)
             v1 = gradient_noise(3, 2, x + 1e-6, y)
             assert abs(v1 - v0) < 1e-4
+
+    def test_permutation_cache_is_bounded(self):
+        def config(seed):
+            return GeneratorConfig(seed=seed, n=6, decision_points=2)
+
+        first = instance_to_json(generate_instance(config(0)))
+        for seed in range(1, 51):
+            generate_instance(config(seed))
+            assert len(noise._perm_cache) <= noise.PERM_CACHE_SIZE
+        # seed 0's tables were evicted and are rebuilt identically
+        assert instance_to_json(generate_instance(config(0))) == first
 
 
 class TestLevelTables:

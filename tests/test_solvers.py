@@ -11,6 +11,8 @@ from wsptools.core import (
     compute_arrival_times,
     objective,
 )
+from wsptools import solvers
+from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.solvers import (
     LimitExceeded,
     SearchLimits,
@@ -208,3 +210,48 @@ class TestBruteForce:
         )
         with pytest.raises(LimitExceeded):
             brute_force(instance, SearchLimits(max_nodes=1000))
+
+
+class TestEvaluationCount:
+    """Deterministic gate on arrival evaluations: no solver step scores an
+    allocation that an earlier step already scored."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Protected sets evaluated by the solvers, and the number of
+        allocations they built by extension."""
+        evaluated, extensions = [], [0]
+        evaluate, extend = compute_arrival_times, Allocation.extended
+
+        def counting_evaluate(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None):
+            evaluated.append(alloc.protected)
+            return evaluate(instance, alloc, vertex_delays)
+
+        def counting_extend(alloc, pairs):
+            extensions[0] += 1
+            return extend(alloc, pairs)
+
+        monkeypatch.setattr(solvers, "compute_arrival_times", counting_evaluate)
+        monkeypatch.setattr(Allocation, "extended", counting_extend)
+        return evaluated, extensions
+
+    @staticmethod
+    def instance(name, request):
+        if name == "figure":
+            return request.getfixturevalue("figure_instance")
+        return generate_instance(GeneratorConfig(seed=0, n=20))
+
+    @pytest.mark.parametrize("name, pinned", [("figure", 16), ("n20", 58)])
+    def test_beam_evaluates_each_child_once(self, name, pinned, counted, request):
+        evaluated, extensions = counted
+        beam_search(self.instance(name, request), 2, 3)
+        assert len(evaluated) == len(set(evaluated)) == 1 + extensions[0] == pinned
+
+    @pytest.mark.parametrize("name, pinned", [("figure", 16), ("n20", 51)])
+    def test_random_search_evaluates_each_placing_level_once(self, name, pinned, counted,
+                                                             request):
+        evaluated, extensions = counted
+        random_search(self.instance(name, request), SolverBudget(max_iterations=5), seed=1)
+        # one evaluation of the empty allocation, then one per level that
+        # placed a resource
+        assert len(evaluated) == 1 + extensions[0] == pinned
