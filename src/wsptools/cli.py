@@ -202,11 +202,18 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _load_aux(path):
+def _load_aux(path, keys):
+    """The aux JSON object, which must hold every key in keys."""
     if path is None:
         raise StructuralError("--aux file required for this model")
     with open(path) as f:
-        return json.load(f)
+        aux = json.load(f)
+    if not isinstance(aux, dict):
+        raise StructuralError(f"aux file {path} must hold a JSON object")
+    missing = [key for key in keys if key not in aux]
+    if missing:
+        raise StructuralError(f"aux file {path} lacks {', '.join(missing)}")
+    return aux
 
 
 def _cmd_export_mip(args) -> int:
@@ -216,7 +223,10 @@ def _cmd_export_mip(args) -> int:
     if args.model == "wsp":
         model = build_wsp_model(instance)
     elif args.model == "hof":
-        aux = _load_aux(args.aux)
+        aux = _load_aux(args.aux, ("targets", "alpha", "beta", "k"))
+        integral = aux.get("integral", False)
+        if not isinstance(integral, bool):
+            raise StructuralError(f"aux integral must be true or false, got {integral!r}")
         model = build_hof_model(
             graph=instance.graph,
             ignition=instance.ignition,
@@ -224,10 +234,10 @@ def _cmd_export_mip(args) -> int:
             alpha=aux["alpha"],
             beta=aux["beta"],
             k=aux["k"],
-            integral=aux.get("integral", False),
+            integral=integral,
         )
     else:
-        aux = _load_aux(args.aux)
+        aux = _load_aux(args.aux, ("weights", "flame_lengths", "flame_threshold", "k"))
         model = build_wei_model(
             graph=instance.graph,
             ignition=instance.ignition,

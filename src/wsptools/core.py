@@ -298,25 +298,65 @@ def _json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _json_float(doc: dict, key: str) -> float:
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StructuralError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_list(doc: dict, key: str) -> list:
+    value = doc.get(key)
+    if not isinstance(value, list):
+        raise StructuralError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _json_arcs(doc: dict) -> tuple[tuple[int, int, float], ...]:
+    # json.loads yields exact int/float/list types, so type() tests suffice
+    # (and reject bool); one pass, as every load of a large instance runs it
+    arcs = []
+    for entry in _json_list(doc, "arcs"):
+        if not (
+            type(entry) is list
+            and len(entry) == 3
+            and type(entry[0]) is int
+            and type(entry[1]) is int
+            and type(entry[2]) in (float, int)
+            and math.isfinite(entry[2])
+        ):
+            raise StructuralError(f"arc entry {entry!r} must be [tail, head, finite travel time]")
+        arcs.append((entry[0], entry[1], float(entry[2])))
+    return tuple(arcs)
+
+
+def _json_release(entry) -> tuple[float, int]:
+    if not isinstance(entry, dict):
+        raise StructuralError(f"schedule entry {entry!r} must be an object")
+    return _json_float(entry, "t_min"), _json_int(entry, "count")
+
+
 def instance_from_json(text: str) -> WspInstance:
     from wsptools import INSTANCE_FORMAT_VERSION
 
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise StructuralError("instance document must be a JSON object")
     version = _json_int(doc, "version")
     if version != INSTANCE_FORMAT_VERSION:
         raise StructuralError(
             f"instance format version {version} is not supported (expected {INSTANCE_FORMAT_VERSION})"
         )
     graph = DirectedGraph(
-        vertex_count=doc["vertex_count"],
-        arcs=tuple((a[0], a[1], float(a[2])) for a in doc["arcs"]),
+        vertex_count=_json_int(doc, "vertex_count"),
+        arcs=_json_arcs(doc),
     )
     return WspInstance(
         graph=graph,
         ignition=_json_int(doc, "ignition"),
-        horizon=float(doc["horizon_min"]),
-        delay=float(doc["delay_min"]),
-        schedule=tuple((float(e["t_min"]), int(e["count"])) for e in doc["schedule"]),
+        horizon=_json_float(doc, "horizon_min"),
+        delay=_json_float(doc, "delay_min"),
+        schedule=tuple(map(_json_release, _json_list(doc, "schedule"))),
         meta=doc.get("meta", {}),
     )
 

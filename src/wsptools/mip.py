@@ -10,6 +10,7 @@ written as LP or MPS text accepted by standard optimizers.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -57,8 +58,8 @@ class LinearModel:
     meta: dict = field(default_factory=dict)
 
     def add_variable(self, name, kind, lower=0.0, upper=math.inf) -> str:
-        if any(v.name == name for v in self.variables):
-            raise StructuralError(f"duplicate variable name {name}")
+        # uniqueness is checked once per model by validate(), which every
+        # builder and export_model run
         self.variables.append(Variable(name, kind, lower, upper))
         return name
 
@@ -86,6 +87,62 @@ def _vname(prefix: str, *indices: int) -> str:
     return prefix + "_" + "_".join(f"{i:04d}" for i in indices)
 
 
+def _names(prefix: str, count: int, *outer: int) -> list[str]:
+    """[_vname(prefix, *outer, v) for v in range(count)], each name built once."""
+    head = prefix + "_" + "".join(f"{i:04d}_" for i in outer)
+    return [f"{head}{v:04d}" for v in range(count)]
+
+
+def _declare(model: LinearModel, names: list[str], kind: str, lower: float, upper: float):
+    for name in names:
+        model.add_variable(name, kind, lower, upper)
+    return names
+
+
+def _finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise StructuralError(f"{name} must be a finite number, got {value!r}")
+
+
+def _per_vertex(name: str, values, n: int) -> list:
+    """values as a list of n finite numbers; StructuralError otherwise."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise StructuralError(f"{name} must be a list of numbers, got {values!r}") from None
+    if len(values) != n:
+        raise StructuralError(f"{name} must have one entry per vertex ({n}), got {len(values)}")
+    for value in values:
+        _finite(name, value)
+    return values
+
+
+def _add_propagation_rows(model, graph, ignition, a, tail_terms, rhs=None) -> None:
+    """Ignition row a_s = 0, then per arc (u, v) in sorted order the spread
+    row a_v - a_u + tail_terms[u] <= rhs[u] (the travel time when rhs is None)."""
+    if not 0 <= ignition < len(a):
+        raise StructuralError(f"ignition vertex {ignition} out of range")
+    model.add_constraint("ignition", [(1.0, a[ignition])], EQ, 0.0)
+    for u, v, t in sorted(graph.arcs):
+        model.add_constraint(
+            _vname("spread", u, v),
+            [(1.0, a[v]), (-1.0, a[u]), *tail_terms[u]],
+            LE,
+            t if rhs is None else rhs[u],
+        )
+
+
+def _add_burn_rows(model, a, y, horizon: float) -> None:
+    """y_v + a_v / H >= 1: a vertex reached before the horizon burns."""
+    inverse = 1.0 / horizon
+    for name, yv, av in zip(_names("burn", len(a)), y, a):
+        model.add_constraint(name, [(1.0, yv), (inverse, av)], GE, 1.0)
+
+
+def _add_sum_row(model, name: str, names, bound) -> None:
+    model.add_constraint(name, [(1.0, x) for x in names], LE, float(bound))
+
+
 def build_wsp_model(instance: WspInstance) -> LinearModel:
     """Timed-release suppression model.
 
@@ -106,45 +163,24 @@ def build_wsp_model(instance: WspInstance) -> LinearModel:
 
     model = LinearModel(name="wsp")
     model.meta["a_upper_bound"] = a_upper
-    for v in range(n):
-        model.add_variable(_vname("a", v), CONTINUOUS, 0.0, a_upper)
-    for v in range(n):
-        model.add_variable(_vname("y", v), BINARY, 0.0, 1.0)
-    for i in range(T):
-        for v in range(n):
-            model.add_variable(_vname("r", i, v), BINARY, 0.0, 1.0)
+    a = _declare(model, _names("a", n), CONTINUOUS, 0.0, a_upper)
+    y = _declare(model, _names("y", n), BINARY, 0.0, 1.0)
+    r = [_declare(model, _names("r", n, i), BINARY, 0.0, 1.0) for i in range(T)]
 
     model.objective_sense = MIN
-    model.objective_terms = tuple((1.0, _vname("y", v)) for v in range(n))
+    model.objective_terms = tuple((1.0, name) for name in y)
 
-    model.add_constraint("ignition", [(1.0, _vname("a", instance.ignition))], EQ, 0.0)
-    for u, v, t in sorted(instance.graph.arcs):
-        terms = [(1.0, _vname("a", v)), (-1.0, _vname("a", u))]
-        terms += [(-delay, _vname("r", i, u)) for i in range(T)]
-        model.add_constraint(_vname("spread", u, v), terms, LE, t)
+    delay_terms = [[(-delay, r[i][u]) for i in range(T)] for u in range(n)]
+    _add_propagation_rows(model, instance.graph, instance.ignition, a, delay_terms)
     for i, (_, count) in enumerate(schedule):
-        terms = [(1.0, _vname("r", i, v)) for v in range(n)]
-        model.add_constraint(_vname("capacity", i), terms, LE, float(count))
-    for v in range(n):
-        terms = [(1.0, _vname("r", i, v)) for i in range(T)]
-        if terms:
-            model.add_constraint(_vname("single", v), terms, LE, 1.0)
+        _add_sum_row(model, _vname("capacity", i), r[i], count)
+    for name, column in zip(_names("single", n), zip(*r)):
+        _add_sum_row(model, name, column, 1.0)
     for i, (release_time, _) in enumerate(schedule):
-        for v in range(n):
-            # a_v - t_i * r_iv >= 0, linear as written since t_i <= H
-            model.add_constraint(
-                _vname("avail", i, v),
-                [(1.0, _vname("a", v)), (-release_time, _vname("r", i, v))],
-                GE,
-                0.0,
-            )
-    for v in range(n):
-        model.add_constraint(
-            _vname("burn", v),
-            [(1.0, _vname("y", v)), (1.0 / horizon, _vname("a", v))],
-            GE,
-            1.0,
-        )
+        # a_v - t_i * r_iv >= 0, linear as written since t_i <= H
+        for name, av, rv in zip(_names("avail", n, i), a, r[i]):
+            model.add_constraint(name, [(1.0, av), (-release_time, rv)], GE, 0.0)
+    _add_burn_rows(model, a, y, horizon)
     model.validate()
     return model
 
@@ -169,38 +205,34 @@ def build_hof_model(
     if not targets:
         raise StructuralError("at least one target vertex required")
     n = graph.vertex_count
+    for t in targets:
+        if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 0 <= t < n:
+            raise StructuralError(f"target {t!r} is not a vertex id in [0, {n})")
+    alpha = _per_vertex("alpha", alpha, n)
+    beta = _per_vertex("beta", beta, n)
+    _finite("k", k)
     model = LinearModel(name="hof")
-    for v in range(n):
-        model.add_variable(_vname("a", v), CONTINUOUS, 0.0, math.inf)
-    kind = BINARY if integral else CONTINUOUS
-    for v in range(n):
-        model.add_variable(_vname("r", v), kind, 0.0, 1.0)
+    a = _declare(model, _names("a", n), CONTINUOUS, 0.0, math.inf)
+    r = _declare(model, _names("r", n), BINARY if integral else CONTINUOUS, 0.0, 1.0)
 
     model.objective_sense = MAX
     if len(targets) == 1:
-        model.objective_terms = ((1.0, _vname("a", targets[0])),)
+        model.objective_terms = ((1.0, a[targets[0]]),)
     else:
         model.add_variable("earliest", CONTINUOUS, 0.0, math.inf)
         # bounded above by every target arrival so the maximum equals the
         # earliest target arrival
         for t in sorted(targets):
             model.add_constraint(
-                _vname("earliest", t),
-                [(1.0, "earliest"), (-1.0, _vname("a", t))],
-                LE,
-                0.0,
+                _vname("earliest", t), [(1.0, "earliest"), (-1.0, a[t])], LE, 0.0
             )
         model.objective_terms = ((1.0, "earliest"),)
 
-    model.add_constraint("ignition", [(1.0, _vname("a", ignition))], EQ, 0.0)
-    for u, v, _ in sorted(graph.arcs):
-        model.add_constraint(
-            _vname("spread", u, v),
-            [(1.0, _vname("a", v)), (-1.0, _vname("a", u)), (-float(alpha[u]), _vname("r", u))],
-            LE,
-            float(beta[u]),
-        )
-    model.add_constraint("budget", [(1.0, _vname("r", v)) for v in range(n)], LE, float(k))
+    treatment_terms = [[(-float(alpha[u]), r[u])] for u in range(n)]
+    _add_propagation_rows(
+        model, graph, ignition, a, treatment_terms, [float(b) for b in beta]
+    )
+    _add_sum_row(model, "budget", r, k)
     model.validate()
     return model
 
@@ -224,37 +256,27 @@ def build_wei_model(
     if horizon <= 0:
         raise StructuralError("horizon must be positive")
     n = graph.vertex_count
+    weights = _per_vertex("weights", weights, n)
+    flame_lengths = _per_vertex("flame_lengths", flame_lengths, n)
+    _finite("flame_threshold", flame_threshold)
+    _finite("k", k)
+    unsafe = [flame > flame_threshold for flame in flame_lengths]
     model = LinearModel(name="wei")
-    for v in range(n):
-        model.add_variable(_vname("a", v), CONTINUOUS, 0.0, math.inf)
-    for v in range(n):
-        model.add_variable(_vname("y", v), BINARY, 0.0, 1.0)
-    for v in range(n):
-        upper = 0.0 if flame_lengths[v] > flame_threshold else 1.0
-        model.add_variable(_vname("r", v), BINARY, 0.0, upper)
+    a = _declare(model, _names("a", n), CONTINUOUS, 0.0, math.inf)
+    y = _declare(model, _names("y", n), BINARY, 0.0, 1.0)
+    r = _names("r", n)
+    for name, fixed in zip(r, unsafe):
+        model.add_variable(name, BINARY, 0.0, 0.0 if fixed else 1.0)
 
     model.objective_sense = MIN
-    model.objective_terms = tuple((float(weights[v]), _vname("y", v)) for v in range(n))
+    model.objective_terms = tuple((float(w), name) for w, name in zip(weights, y))
 
-    model.add_constraint("ignition", [(1.0, _vname("a", ignition))], EQ, 0.0)
-    for u, v, t in sorted(graph.arcs):
-        model.add_constraint(
-            _vname("spread", u, v),
-            [(1.0, _vname("a", v)), (-1.0, _vname("a", u)), (-delay, _vname("r", u))],
-            LE,
-            t,
-        )
+    _add_propagation_rows(model, graph, ignition, a, [[(-delay, name)] for name in r])
+    _add_burn_rows(model, a, y, horizon)
+    _add_sum_row(model, "budget", r, k)
     for v in range(n):
-        model.add_constraint(
-            _vname("burn", v),
-            [(1.0, _vname("y", v)), (1.0 / horizon, _vname("a", v))],
-            GE,
-            1.0,
-        )
-    model.add_constraint("budget", [(1.0, _vname("r", v)) for v in range(n)], LE, float(k))
-    for v in range(n):
-        if flame_lengths[v] > flame_threshold:
-            model.add_constraint(_vname("safety", v), [(1.0, _vname("r", v))], EQ, 0.0)
+        if unsafe[v]:
+            model.add_constraint(_vname("safety", v), [(1.0, r[v])], EQ, 0.0)
     model.validate()
     return model
 
@@ -331,16 +353,28 @@ def evaluate_objective(model: LinearModel, assignment: dict[str, float]) -> floa
 _NAME_RE = re.compile(r"[^A-Za-z0-9_]")
 
 
-def _sanitize(name: str, seen: dict[str, str]) -> str:
+def _sanitize(name: str, owners: dict[str, str], claim: bool = True) -> str:
+    """LP/MPS-safe form of name. With claim, name becomes the owner of its
+    clean form; without, it is only checked against the current owners."""
     clean = _NAME_RE.sub("_", name)
     if clean and clean[0].isdigit():
         clean = "n" + clean
     if not clean:
         raise StructuralError(f"name {name!r} empty after sanitation")
-    owner = seen.setdefault(clean, name)
+    owner = owners.setdefault(clean, name) if claim else owners.get(clean, name)
     if owner != name:
         raise StructuralError(f"name collision after sanitation: {name!r} vs {owner!r}")
     return clean
+
+
+def _export_names(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
+    """Sanitized variable and constraint names. Variables may not collide
+    with each other; a constraint may not take the clean name of a variable
+    other than its namesake (constraints are not checked against each other)."""
+    owners: dict[str, str] = {}
+    names = {v.name: _sanitize(v.name, owners) for v in model.variables}
+    cnames = {c.name: _sanitize(c.name, owners, claim=False) for c in model.constraints}
+    return names, cnames
 
 
 def _num(x: float) -> str:
@@ -369,9 +403,7 @@ def _terms_lp(terms) -> str:
 
 
 def _export_lp(model: LinearModel) -> str:
-    seen: dict[str, str] = {}
-    names = {v.name: _sanitize(v.name, seen) for v in model.variables}
-    cnames = {c.name: _sanitize(c.name, dict(seen)) for c in model.constraints}
+    names, cnames = _export_names(model)
 
     lines = []
     lines.append("\\ " + model.name)
@@ -399,9 +431,7 @@ def _export_lp(model: LinearModel) -> str:
 
 
 def _export_mps(model: LinearModel) -> str:
-    seen: dict[str, str] = {}
-    names = {v.name: _sanitize(v.name, seen) for v in model.variables}
-    cnames = {c.name: _sanitize(c.name, dict(seen)) for c in model.constraints}
+    names, cnames = _export_names(model)
     sense_row = {LE: "L", EQ: "E", GE: "G"}
 
     lines = [f"NAME {model.name}"]

@@ -159,6 +159,68 @@ class TestExportMip:
         assert code == 0
         assert "budget" in out.read_text()
 
+    def test_malformed_arc_exits_2(self, small_instance, tmp_path, capsys):
+        doc = json.loads(small_instance.read_text())
+        doc["arcs"][0] = [0, 1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export-mip", "--model", "wsp",
+                           "-i", str(bad), "-o", str(tmp_path / "m.lp"))
+        assert code == 2
+        assert "arc entry" in err
+
+
+HOF_AUX = {"targets": [35], "alpha": [1.0] * 36, "beta": [1.0] * 36, "k": 2.0}
+
+
+class TestExportAux:
+    """Malformed aux sidecars exit 2 with a message, not a traceback."""
+
+    def export(self, capsys, small_instance, tmp_path, model, aux):
+        path = tmp_path / "aux.json"
+        path.write_text(json.dumps(aux))
+        return run(capsys, "export-mip", "--model", model, "--aux", str(path),
+                   "-i", str(small_instance), "-o", str(tmp_path / "m.lp"))
+
+    def test_valid_hof_aux(self, small_instance, tmp_path, capsys):
+        code, _, _ = self.export(capsys, small_instance, tmp_path, "hof", HOF_AUX)
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "aux, message",
+        [
+            ([HOF_AUX], "JSON object"),
+            ({k: v for k, v in HOF_AUX.items() if k != "alpha"}, "lacks alpha"),
+            (dict(HOF_AUX, alpha=[1.0] * 35), "alpha must have one entry per vertex"),
+            (dict(HOF_AUX, beta=[1.0] * 35 + [float("nan")]), "beta must be a finite number"),
+            (dict(HOF_AUX, alpha=None), "alpha must be a list"),
+            (dict(HOF_AUX, targets=[36]), "target 36"),
+            (dict(HOF_AUX, targets=["0"]), "target '0'"),
+            (dict(HOF_AUX, k="2"), "k must be a finite number"),
+            (dict(HOF_AUX, integral="yes"), "integral"),
+        ],
+    )
+    def test_malformed_hof_aux(self, small_instance, tmp_path, capsys, aux, message):
+        code, _, err = self.export(capsys, small_instance, tmp_path, "hof", aux)
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"flame_lengths": [0.0] * 37}, "flame_lengths must have one entry per vertex"),
+            ({"weights": [1.0] * 35 + [None]}, "weights must be a finite number"),
+            ({"flame_threshold": None}, "flame_threshold must be a finite number"),
+        ],
+    )
+    def test_malformed_wei_aux(self, small_instance, tmp_path, capsys, change, message):
+        aux = {"weights": [1.0] * 36, "flame_lengths": [0.0] * 36,
+               "flame_threshold": 4.0, "k": 3}
+        aux.update(change)
+        code, _, err = self.export(capsys, small_instance, tmp_path, "wei", aux)
+        assert code == 2
+        assert message in err
+
 
 class TestReduce:
     @pytest.fixture

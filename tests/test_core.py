@@ -319,3 +319,55 @@ class TestInstanceLoader:
         doc[key] = value
         with pytest.raises(StructuralError):
             instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"instance"', "null"])
+    def test_rejects_non_object_document(self, text):
+        with pytest.raises(StructuralError, match="JSON object"):
+            instance_from_json(text)
+
+    @pytest.mark.parametrize("value", [None, "9", 9.0, True])
+    def test_rejects_bad_vertex_count(self, figure_instance, value):
+        doc = json.loads(instance_to_json(figure_instance))
+        if value is None:
+            del doc["vertex_count"]
+        else:
+            doc["vertex_count"] = value
+        with pytest.raises(StructuralError, match="vertex_count"):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "arc",
+        [
+            [0, 1],
+            [0, 1, 1.0, 2.0],
+            [0, "1", 1.0],
+            [0.0, 1, 1.0],
+            [0, 1, "1.0"],
+            [0, 1, True],
+            [0, 1, math.inf],
+            [0, 1, math.nan],
+            {"tail": 0, "head": 1, "time": 1.0},
+        ],
+    )
+    def test_rejects_malformed_arc(self, figure_instance, arc):
+        doc = json.loads(instance_to_json(figure_instance))
+        doc["arcs"][3] = arc
+        with pytest.raises(StructuralError, match="arc entry"):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"count": 1}, {"t_min": 2.0}, {"t_min": 2.0, "count": 1.5}, [2.0, 1]],
+    )
+    def test_rejects_malformed_schedule_entry(self, figure_instance, entry):
+        doc = json.loads(instance_to_json(figure_instance))
+        doc["schedule"][0] = entry
+        with pytest.raises(StructuralError):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["arcs", "schedule", "horizon_min", "delay_min"])
+    def test_rejects_missing_field(self, figure_instance, key):
+        doc = json.loads(instance_to_json(figure_instance))
+        del doc[key]
+        with pytest.raises(StructuralError, match=key):
+            instance_from_json(json.dumps(doc))

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 
 from wsptools.core import (
@@ -10,7 +13,9 @@ from wsptools.core import (
     WspInstance,
     compute_arrival_times,
 )
+from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.mip import (
+    LinearModel,
     allocation_to_assignment,
     build_hof_model,
     build_wei_model,
@@ -379,3 +384,205 @@ class TestExport:
         model = build_hof_model(graph, 0, [1], alpha=[1.0, 0.0], beta=[1.0, 0.0], k=1.0)
         assert "Maximize" in export_model(model, "lp")
         assert "OBJSENSE" in export_model(model, "mps")
+
+
+def two_variable_model():
+    model = LinearModel(name="m")
+    model.add_variable("x", "continuous", 0.0, 5.0)
+    model.add_variable("b", "binary", 0.0, 1.0)
+    model.objective_terms = ((1.0, "x"),)
+    model.add_constraint("row", [(1.0, "x"), (2.0, "b")], "<=", 4.0)
+    return model
+
+
+def assert_export_rejected(model, message):
+    for fmt in ("lp", "mps"):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            export_model(model, fmt)
+
+
+class TestModelChecks:
+    """Name checks run once per model (validate) and once per export
+    (sanitation), not on every add_variable."""
+
+    def test_duplicate_variable_rejected_by_validate_and_export(self):
+        model = two_variable_model()
+        model.add_variable("x", "continuous")
+        with pytest.raises(StructuralError, match="not unique"):
+            model.validate()
+        assert_export_rejected(model, "variable names not unique")
+
+    def test_unknown_variable_in_constraint_rejected(self):
+        model = two_variable_model()
+        model.add_constraint("extra", [(1.0, "z")], "<=", 1.0)
+        with pytest.raises(StructuralError, match="constraint extra references unknown variable z"):
+            model.validate()
+        assert_export_rejected(model, "unknown variable z")
+
+    def test_unknown_variable_in_objective_rejected(self):
+        model = two_variable_model()
+        model.objective_terms = ((1.0, "x"), (1.0, "z"))
+        with pytest.raises(StructuralError, match="objective references unknown variable z"):
+            model.validate()
+        assert_export_rejected(model, "objective references unknown variable z")
+
+    def test_variables_colliding_after_sanitation(self):
+        model = two_variable_model()
+        model.add_variable("a-1", "continuous")
+        model.add_variable("a_1", "continuous")
+        model.validate()  # distinct names; only their exported forms collide
+        assert_export_rejected(model, "name collision after sanitation: 'a_1' vs 'a-1'")
+
+    def test_constraint_taking_another_variables_name(self):
+        model = two_variable_model()
+        model.add_variable("a_1", "continuous")
+        model.add_constraint("a-1", [(1.0, "a_1")], ">=", 0.0)
+        assert_export_rejected(model, "name collision after sanitation: 'a-1' vs 'a_1'")
+
+    def test_constraint_named_like_its_variable_exports(self):
+        model = two_variable_model()
+        model.add_constraint("x", [(1.0, "x")], ">=", 1.0)
+        assert " x: 1.0 x >= 1.0\n" in export_model(model, "lp")
+        assert " G x\n" in export_model(model, "mps")
+
+
+def golden_models():
+    """The three builders on one generator instance (n = 12), with
+    deterministic per-vertex data for hof and wei."""
+    instance = generate_instance(GeneratorConfig(seed=3, n=12))
+    graph, s = instance.graph, instance.ignition
+    n = graph.vertex_count
+    alpha = [0.5 + (v % 7) * 0.25 for v in range(n)]
+    beta = [1.0 + (v % 3) for v in range(n)]
+    weights = [1.0 + (v % 4) for v in range(n)]
+    flames = [float(v % 9) for v in range(n)]  # 6, 7, 8 exceed the threshold
+    return {
+        "wsp": lambda: build_wsp_model(instance),
+        "hof_one": lambda: build_hof_model(graph, s, [n - 1], alpha, beta, k=3.0),
+        "hof_many": lambda: build_hof_model(graph, s, [n - 1, 5, n // 2], alpha, beta, k=3.0),
+        "hof_integral": lambda: build_hof_model(
+            graph, s, [n - 1], alpha, beta, k=3.0, integral=True
+        ),
+        "wei": lambda: build_wei_model(
+            graph, s, instance.horizon, instance.delay, weights, flames, 5.0, k=4
+        ),
+    }
+
+
+# sha256 of the exported text, recorded before the builders shared their
+# row blocks and before the name checks moved out of add_variable
+GOLDEN_SHA256 = {
+    ("wsp", "lp"): "00364d432c887bb398a4b98186733263a11f6a4cf1e0449e18899d279871b9e6",
+    ("wsp", "mps"): "24324de44f78dbfc650aff92ef915a859b0c9270d5c1c7c062f42bcd53b18d6a",
+    ("hof_one", "lp"): "6599fab1c27899fe37de7cc29326de02a5731472098b7fe72026accc110a0e3a",
+    ("hof_one", "mps"): "a749c331eb5d999cd5291857138d74484aa31e2c2462a50e9e835da09df77bd9",
+    ("hof_many", "lp"): "5d5a89d1f8f6cd68cde3808906f7ac32129b80c1d59db8dd2562bf7ef78498d1",
+    ("hof_many", "mps"): "578f04a4253284e451097c30fdbc7b2a313ca420c7f6627592e3418a83c462a9",
+    ("hof_integral", "lp"): "059bc6b72d5c79039633ab440316eec91412b9d92bc014f19e4120251a6c7097",
+    ("hof_integral", "mps"): "20a50b1123ddd189ef175230597827938dfa6c694552e8d0b1bafc860b42a384",
+    ("wei", "lp"): "9398fcc10e786cea8cf238ebda3c9d26e2eb10d23230063990fefc3808ca1484",
+    ("wei", "mps"): "2f28d283fcd0fc25b3f3cd42b63ba31b65ef3fa85271bddc9644b6a843e47ff6",
+}
+
+
+class TestGoldenExports:
+    def test_export_hashes(self):
+        models = golden_models()
+        got = {}
+        for (key, fmt) in GOLDEN_SHA256:
+            text = export_model(models[key](), fmt)
+            got[(key, fmt)] = hashlib.sha256(text.encode()).hexdigest()
+        assert got == GOLDEN_SHA256
+
+
+class TestBuilderInputs:
+    @pytest.fixture
+    def graph(self):
+        return DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"targets": [3]},
+            {"targets": [-1]},
+            {"targets": [True]},
+            {"alpha": [1.0, 1.0]},
+            {"beta": [1.0, math.nan, 1.0]},
+            {"alpha": [1.0, "2", 1.0]},
+            {"alpha": 1.0},
+            {"k": math.inf},
+            {"ignition": 5},
+            {"ignition": -1},
+        ],
+    )
+    def test_hof_rejects(self, graph, change):
+        args = dict(graph=graph, ignition=0, targets=[2], alpha=[1.0] * 3,
+                    beta=[1.0] * 3, k=1.0)
+        args.update(change)
+        with pytest.raises(StructuralError):
+            build_hof_model(**args)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"weights": [1.0] * 4},
+            {"flame_lengths": [0.0, math.inf, 0.0]},
+            {"flame_threshold": None},
+            {"k": math.nan},
+        ],
+    )
+    def test_wei_rejects(self, graph, change):
+        args = dict(graph=graph, ignition=0, horizon=5.0, delay=1.0, weights=[1.0] * 3,
+                    flame_lengths=[0.0] * 3, flame_threshold=4.0, k=1)
+        args.update(change)
+        with pytest.raises(StructuralError):
+            build_wei_model(**args)
+
+
+def solve_with_highs(model):
+    """Optimal objective of the model from HiGHS via scipy.optimize.milp,
+    with the matrix read from the model's own rows and bounds."""
+    optimize = pytest.importorskip("scipy.optimize")
+    column = {v.name: j for j, v in enumerate(model.variables)}
+    sign = 1.0 if model.objective_sense == "min" else -1.0
+    cost = np.zeros(len(column))
+    for coef, var in model.objective_terms:
+        cost[column[var]] += sign * coef
+    matrix = np.zeros((len(model.constraints), len(column)))
+    lower = np.full(len(model.constraints), -np.inf)
+    upper = np.full(len(model.constraints), np.inf)
+    for row, c in enumerate(model.constraints):
+        for coef, var in c.terms:
+            matrix[row, column[var]] += coef
+        if c.sense in ("<=", "="):
+            upper[row] = c.rhs
+        if c.sense in (">=", "="):
+            lower[row] = c.rhs
+    result = optimize.milp(
+        cost,
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        integrality=[1 if v.kind == "binary" else 0 for v in model.variables],
+        bounds=optimize.Bounds(
+            [v.lower for v in model.variables], [v.upper for v in model.variables]
+        ),
+    )
+    assert result.status == 0, result.message
+    return sign * result.fun
+
+
+class TestSolvedModel:
+    def test_highs_optimum_equals_brute_force(self):
+        # a model that admitted a spuriously better solution would pass the
+        # feasibility checks above but fail here
+        rng = np.random.default_rng(2031)
+        for _ in range(30):
+            horizon = float(rng.uniform(5.0, 10.0))
+            points = int(rng.integers(1, 3))
+            times = sorted({round(float(t), 2) for t in rng.uniform(0.5, horizon, points)})
+            schedule = tuple((t, int(rng.integers(1, 3))) for t in times)
+            instance = random_grid_instance(
+                rng, side=4, schedule_spec=schedule, horizon=horizon,
+                delay=float(rng.uniform(1.0, 5.0)),
+            )
+            value = solve_with_highs(build_wsp_model(instance))
+            assert value == pytest.approx(brute_force(instance).objective, abs=1e-6)
