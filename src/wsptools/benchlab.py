@@ -29,6 +29,8 @@ STATUS_OK = "ok"
 STATUS_LIMIT = "limit"
 STATUS_ERROR = "error"
 
+ALGORITHMS = ("rs", "beam", "exact")
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -242,7 +244,7 @@ def default_time_limit(vertex_count: int) -> float:
 class BenchCell:
     instance_path: str
     instance_id: str
-    algorithm: str  # rs | beam | exact
+    algorithm: str  # one of ALGORITHMS
     seed: int
     time_limit: float | None = None
 

@@ -17,6 +17,10 @@ from wsptools.core import (
     Allocation,
     DirectedGraph,
     StructuralError,
+    _json_arcs,
+    _json_float,
+    _json_int,
+    _json_list,
     check_feasibility,
     compute_arrival_times,
     load_instance,
@@ -202,14 +206,19 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _load_json_object(path, what: str) -> dict:
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{what} file {path} must hold a JSON object")
+    return doc
+
+
 def _load_aux(path, keys):
     """The aux JSON object, which must hold every key in keys."""
     if path is None:
         raise StructuralError("--aux file required for this model")
-    with open(path) as f:
-        aux = json.load(f)
-    if not isinstance(aux, dict):
-        raise StructuralError(f"aux file {path} must hold a JSON object")
+    aux = _load_json_object(path, "aux")
     missing = [key for key in keys if key not in aux]
     if missing:
         raise StructuralError(f"aux file {path} lacks {', '.join(missing)}")
@@ -258,14 +267,14 @@ def _cmd_export_mip(args) -> int:
 def _load_mvnp(path):
     from wsptools.reductions import MvnpInstance
 
-    with open(path) as f:
-        doc = json.load(f)
-    graph = DirectedGraph(
-        vertex_count=doc["vertex_count"],
-        arcs=tuple((a[0], a[1], float(a[2])) for a in doc["arcs"]),
-    )
+    doc = _load_json_object(path, "interdiction instance")
+    graph = DirectedGraph(vertex_count=_json_int(doc, "vertex_count"), arcs=_json_arcs(doc))
     return MvnpInstance(
-        graph=graph, source=doc["source"], sink=doc["sink"], k=doc["k"], h=float(doc["h"])
+        graph=graph,
+        source=_json_int(doc, "source"),
+        sink=_json_int(doc, "sink"),
+        k=_json_int(doc, "k"),
+        h=_json_float(doc, "h"),
     )
 
 
@@ -334,11 +343,33 @@ def _cmd_verify_reductions(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_DOMAIN
 
 
+def _load_plan(path) -> dict:
+    """The bench plan object: lists of instance paths, algorithm names and
+    integer seeds, and an optional positive time limit in seconds."""
+    from wsptools.benchlab import ALGORITHMS
+
+    plan = _load_json_object(path, "plan")
+    for key, valid, expected in [
+        ("instances", lambda v: isinstance(v, str), "instance file paths"),
+        ("algorithms", lambda v: v in ALGORITHMS, f"names among {ALGORITHMS}"),
+        ("seeds", lambda v: type(v) is int, "integers"),
+    ]:
+        values = _json_list(plan, key)
+        bad = [v for v in values if not valid(v)]
+        if bad:
+            raise StructuralError(f"plan {key} must be {expected}, got {bad[0]!r}")
+    limit = plan.get("time_limit")
+    if limit is not None and not (
+        type(limit) in (int, float) and math.isfinite(limit) and limit > 0
+    ):
+        raise StructuralError(f"plan time_limit must be a positive number, got {limit!r}")
+    return plan
+
+
 def _cmd_bench(args) -> int:
     from wsptools.benchlab import BenchCell, run_benchmark
 
-    with open(args.plan) as f:
-        plan = json.load(f)
+    plan = _load_plan(args.plan)
     cells = []
     for path in plan["instances"]:
         for algo in plan["algorithms"]:
@@ -348,7 +379,7 @@ def _cmd_bench(args) -> int:
                         instance_path=path,
                         instance_id=path,
                         algorithm=algo,
-                        seed=int(seed),
+                        seed=seed,
                         time_limit=plan.get("time_limit"),
                     )
                 )

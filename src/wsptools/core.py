@@ -270,12 +270,29 @@ def check_feasibility(instance: WspInstance, alloc: Allocation) -> list[Violatio
 # Instance / solution files
 
 
-def _canonical_arcs(graph: DirectedGraph) -> list[list]:
-    return [[t, h, w] for t, h, w in sorted(graph.arcs)]
+def _arcs_json(graph: DirectedGraph) -> str:
+    """The arcs, sorted, as json.dumps(..., indent=1) writes them as the
+    value of a top-level key.
+
+    The compact C encoder writes every number, so ints, floats, Infinity
+    and float subclasses come out as the indented encoder would write
+    them; the brackets and separators are then respaced.  Arc entries
+    are numbers, so "], [" and ", " occur only between them.
+    """
+    if not graph.arcs:
+        return "[]"
+    compact = json.dumps(sorted(graph.arcs))
+    inner = compact[2:-2].replace("], [", "\n  ],\n  [\n   ").replace(", ", ",\n   ")
+    return "[\n  [\n   " + inner + "\n  ]\n ]"
 
 
 def instance_to_json(instance: WspInstance) -> str:
-    """Serialize an instance to canonical, byte-stable JSON text."""
+    """Serialize an instance to canonical, byte-stable JSON text.
+
+    The text is json.dumps(doc, indent=1, sort_keys=True) + "\n" of the
+    whole document; "arcs", its first key, is written by _arcs_json,
+    since the indented encoder runs in pure Python.
+    """
     from wsptools import INSTANCE_FORMAT_VERSION
 
     doc = {
@@ -285,10 +302,11 @@ def instance_to_json(instance: WspInstance) -> str:
         "horizon_min": instance.horizon,
         "delay_min": instance.delay,
         "schedule": [{"t_min": t, "count": c} for t, c in instance.schedule],
-        "arcs": _canonical_arcs(instance.graph),
         "meta": instance.meta,
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    arcs = _arcs_json(instance.graph)
+    rest = json.dumps(doc, indent=1, sort_keys=True)
+    return '{\n "arcs": ' + arcs + ",\n" + rest[2:] + "\n"
 
 
 def _json_int(doc: dict, key: str) -> int:
@@ -380,7 +398,19 @@ def solution_to_json(instance_id: str, alloc: Allocation, objective_value: int) 
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+def _json_assignment(entry) -> tuple[int, int]:
+    if not (type(entry) is list and len(entry) == 2 and all(type(x) is int for x in entry)):
+        raise StructuralError(f"assignment {entry!r} must be [resource, vertex] integers")
+    return entry[0], entry[1]
+
+
 def solution_from_json(text: str) -> tuple[str, Allocation, int]:
     doc = json.loads(text)
-    alloc = Allocation(tuple((int(r), int(v)) for r, v in doc["assignments"]))
-    return doc["instance_id"], alloc, int(doc["objective"])
+    if not isinstance(doc, dict):
+        raise StructuralError("solution document must be a JSON object")
+    instance_id = doc.get("instance_id")
+    if not isinstance(instance_id, str):
+        raise StructuralError(f"instance_id must be a string, got {instance_id!r}")
+    objective_value = _json_int(doc, "objective")
+    alloc = Allocation(tuple(map(_json_assignment, _json_list(doc, "assignments"))))
+    return instance_id, alloc, objective_value

@@ -29,9 +29,10 @@ from wsptools.noise import gradient_noise, _mix_seed
 from wsptools.rothermel import (
     DEFAULT_CONSTANTS,
     DEFAULT_PARAMS,
+    DomainError,
     FuelConstants,
     SpreadParams,
-    rate_of_spread,
+    albini_multipliers,
     travel_time,
 )
 
@@ -94,6 +95,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 2:
             raise GenerationError("grid side must be at least 2")
+        if not (math.isfinite(self.landscape_extent) and self.landscape_extent > 0):
+            raise GenerationError(
+                f"landscape extent must be a positive number of feet, got {self.landscape_extent}"
+            )
         for name, value, table in [
             ("slope_level", self.slope_level, SLOPE_LEVELS),
             ("wind_level", self.wind_level, WIND_LEVELS),
@@ -137,45 +142,44 @@ class Landscape:
     wind_vectors: dict[tuple[int, int], tuple[float, float]] = field(compare=False)
 
 
-def vertex_index(config: GeneratorConfig, x: int, y: int) -> int:
-    return y * config.n + x
+# Unit steps to the 4 neighbours of a cell, in arc order: left, right, up, down.
+_STEPS_X = np.array([-1, 1, 0, 0])
+_STEPS_Y = np.array([0, 0, -1, 1])
 
 
-def grid_neighbors(n: int, x: int, y: int):
-    if x > 0:
-        yield x - 1, y
-    if x < n - 1:
-        yield x + 1, y
-    if y > 0:
-        yield x, y - 1
-    if y < n - 1:
-        yield x, y + 1
+def _grid_arcs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tails, heads and unit steps (dx, dy) of the directed 4-neighbour
+    arcs of an n x n grid, in arc order: tails ascending (row-major
+    vertex ids), each tail's neighbours left, right, up, down."""
+    cells = np.arange(n * n)
+    x, y = (cells % n)[:, None] + _STEPS_X, (cells // n)[:, None] + _STEPS_Y
+    inside = (0 <= x) & (x < n) & (0 <= y) & (y < n)
+    tails = np.broadcast_to(cells[:, None], inside.shape)[inside]
+    dx = np.broadcast_to(_STEPS_X, inside.shape)[inside]
+    dy = np.broadcast_to(_STEPS_Y, inside.shape)[inside]
+    return tails, tails + dx + n * dy, dx, dy
+
+
+def _cell_noise(config: GeneratorConfig, channel: int) -> np.ndarray:
+    """Noise of one channel at every cell, in vertex order."""
+    cells = np.arange(config.n * config.n)
+    return gradient_noise(
+        config.seed,
+        channel,
+        (cells % config.n) / NOISE_PERIOD_CELLS,
+        (cells // config.n) / NOISE_PERIOD_CELLS,
+    )
 
 
 def generate_terrain(config: GeneratorConfig) -> tuple[float, ...]:
     """Vertex heights in [0, N_z] feet from the terrain noise field."""
-    nz = config.max_height
-    heights = []
-    for y in range(config.n):
-        for x in range(config.n):
-            value = gradient_noise(
-                config.seed, CHANNEL_TERRAIN, x / NOISE_PERIOD_CELLS, y / NOISE_PERIOD_CELLS
-            )
-            heights.append(nz * value)
-    return tuple(heights)
+    return tuple((config.max_height * _cell_noise(config, CHANNEL_TERRAIN)).tolist())
 
 
 def generate_base_ros(config: GeneratorConfig) -> tuple[float, ...]:
     """Per-vertex no-wind, no-slope spread rates in [1, 15] ft/min."""
     lo, hi = BASE_ROS_RANGE
-    rates = []
-    for y in range(config.n):
-        for x in range(config.n):
-            value = gradient_noise(
-                config.seed, CHANNEL_BASE_ROS, x / NOISE_PERIOD_CELLS, y / NOISE_PERIOD_CELLS
-            )
-            rates.append(lo + (hi - lo) * value)
-    return tuple(rates)
+    return tuple((lo + (hi - lo) * _cell_noise(config, CHANNEL_BASE_ROS)).tolist())
 
 
 def generate_wind_field(config: GeneratorConfig) -> dict[tuple[int, int], tuple[float, float]]:
@@ -188,26 +192,21 @@ def generate_wind_field(config: GeneratorConfig) -> dict[tuple[int, int], tuple[
     """
     lo, hi = WIND_LEVELS[config.wind_level]
     base = (math.cos(config.wind_direction), math.sin(config.wind_direction))
-    field_: dict[tuple[int, int], tuple[float, float]] = {}
     n = config.n
-    for y in range(n):
-        for x in range(n):
-            u = vertex_index(config, x, y)
-            for nx, ny in grid_neighbors(n, x, y):
-                v = vertex_index(config, nx, ny)
-                if u > v:
-                    continue
-                mx = (x + nx) / 2.0 / NOISE_PERIOD_CELLS
-                my = (y + ny) / 2.0 / NOISE_PERIOD_CELLS
-                angle_noise = gradient_noise(config.seed, CHANNEL_WIND_ANGLE, mx, my)
-                speed_noise = gradient_noise(config.seed, CHANNEL_WIND_SPEED, mx, my)
-                angle = (2.0 * angle_noise - 1.0) * WIND_ANGLE_SPREAD
-                speed = lo + (hi - lo) * speed_noise
-                cos_a, sin_a = math.cos(angle), math.sin(angle)
-                wx = speed * (cos_a * base[0] - sin_a * base[1])
-                wy = speed * (sin_a * base[0] + cos_a * base[1])
-                field_[(u, v)] = (wx, wy)
-    return field_
+    tails, heads, dx, dy = _grid_arcs(n)
+    forward = (dx + dy) > 0  # right and down: the arcs with tail < head
+    tails, heads = tails[forward], heads[forward]
+    mx = (tails % n + heads % n) / 2.0 / NOISE_PERIOD_CELLS
+    my = (tails // n + heads // n) / 2.0 / NOISE_PERIOD_CELLS
+    angle_noise = gradient_noise(config.seed, CHANNEL_WIND_ANGLE, mx, my)
+    speed_noise = gradient_noise(config.seed, CHANNEL_WIND_SPEED, mx, my)
+    angle = ((2.0 * angle_noise - 1.0) * WIND_ANGLE_SPREAD).tolist()
+    speed = lo + (hi - lo) * speed_noise
+    cos_a = np.array([math.cos(t) for t in angle])
+    sin_a = np.array([math.sin(t) for t in angle])
+    wx = speed * (cos_a * base[0] - sin_a * base[1])
+    wy = speed * (sin_a * base[0] + cos_a * base[1])
+    return dict(zip(zip(tails.tolist(), heads.tolist()), zip(wx.tolist(), wy.tolist())))
 
 
 def generate_landscape(config: GeneratorConfig) -> Landscape:
@@ -225,32 +224,37 @@ def build_travel_times(config: GeneratorConfig, landscape: Landscape) -> Directe
     difference capped at 45 degrees, the wind component is the projection
     of the pair's wind vector onto the arc direction, and the travel time
     is the 3D arc length over the harmonic mean of the two directional
-    spread rates.
+    spread rates.  Both rates share the arc's one Albini multiplier.
+
+    All arcs are evaluated as arrays with the operations, in the order,
+    of the per-arc formulas; math.hypot and the multiplier's powers run
+    per arc in Python, so every travel time is bitwise the scalar one.
     """
     n = config.n
     d = float(config.cell_spacing)
-    arcs = []
-    for y in range(n):
-        for x in range(n):
-            u = vertex_index(config, x, y)
-            for nx, ny in grid_neighbors(n, x, y):
-                v = vertex_index(config, nx, ny)
-                dz = landscape.heights[v] - landscape.heights[u]
-                # cap the slope angle at 45 degrees
-                dz = max(-MAX_SLOPE_TANGENT * d, min(MAX_SLOPE_TANGENT * d, dz))
-                slope_tan = dz / d
-                direction = ((nx - x), (ny - y))  # unit vector on the grid
-                wind = landscape.wind_vectors[(min(u, v), max(u, v))]
-                wind_component = wind[0] * direction[0] + wind[1] * direction[1]
-                r_tail = rate_of_spread(
-                    landscape.base_ros[u], wind_component, slope_tan, config.params, config.constants
-                )
-                r_head = rate_of_spread(
-                    landscape.base_ros[v], wind_component, slope_tan, config.params, config.constants
-                )
-                length = math.hypot(d, dz)
-                arcs.append((u, v, travel_time(length, r_tail, r_head)))
-    return DirectedGraph(vertex_count=n * n, arcs=tuple(arcs))
+    tails, heads, dx, dy = _grid_arcs(n)
+    heights = np.asarray(landscape.heights, dtype=np.float64)
+    base_ros = np.asarray(landscape.base_ros, dtype=np.float64)
+    nonpositive = base_ros[base_ros <= 0]
+    if nonpositive.size:
+        raise DomainError(f"base rate of spread must be positive, got {nonpositive[0]}")
+    dz = heights[heads] - heights[tails]
+    # cap the slope angle at 45 degrees: max(-cap, min(cap, dz))
+    cap = MAX_SLOPE_TANGENT * d
+    dz = np.where(dz < cap, dz, cap)
+    dz = np.where(dz > -cap, dz, -cap)
+    slope_tan = dz / d
+    keys = zip(np.minimum(tails, heads).tolist(), np.maximum(tails, heads).tolist())
+    wind = np.array(list(map(landscape.wind_vectors.__getitem__, keys)), dtype=np.float64)
+    wind_component = wind[:, 0] * dx + wind[:, 1] * dy
+    multiplier = albini_multipliers(wind_component, slope_tan, config.params, config.constants)
+    r_tail = base_ros[tails] * multiplier
+    r_head = base_ros[heads] * multiplier
+    length = np.array([math.hypot(d, z) for z in dz.tolist()])
+    times = travel_time(length, r_tail, r_head)
+    return DirectedGraph(
+        vertex_count=n * n, arcs=tuple(zip(tails.tolist(), heads.tolist(), times.tolist()))
+    )
 
 
 def free_burn_quantile(arrivals, p: float) -> float:
@@ -265,19 +269,9 @@ def free_burn_quantile(arrivals, p: float) -> float:
     if not finite:
         raise GenerationError("no vertex has a finite free-burn arrival time")
     threshold = (p / 100.0) * len(arrivals)
-    best = None
-    strictly_less = 0
-    i = 0
-    while i < len(finite):
-        j = i
-        while j < len(finite) and finite[j] == finite[i]:
-            j += 1
-        if strictly_less <= threshold:
-            best = finite[i]
-        strictly_less = j
-        i = j
-    assert best is not None  # t = min arrival always qualifies
-    return best
+    # at most i values lie strictly below finite[i] (exactly i at the first
+    # of its ties), so the answer is the value at the last index <= threshold
+    return finite[min(int(threshold), len(finite) - 1)]
 
 
 def compute_horizon(arrivals) -> float:

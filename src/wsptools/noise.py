@@ -47,30 +47,38 @@ def _permutation(seed: int, channel: int) -> np.ndarray:
     return table
 
 
-_GRADIENTS = [
-    (math.cos(2 * math.pi * i / 16), math.sin(2 * math.pi * i / 16)) for i in range(16)
-]
+# Unit gradients at 16 angles, as x and y component tables.
+_GRADIENT_X = np.array([math.cos(2 * math.pi * i / 16) for i in range(16)])
+_GRADIENT_Y = np.array([math.sin(2 * math.pi * i / 16) for i in range(16)])
 
 
-def _gradient(table: np.ndarray, ix: int, iy: int) -> tuple[float, float]:
-    h = table[(table[ix & _TABLE_MASK] + iy) & _TABLE_MASK] & 15
-    return _GRADIENTS[h]
-
-
-def _fade(t: float) -> float:
+def _fade(t):
     return t * t * t * (t * (t * 6 - 15) + 10)
 
 
-def gradient_noise(seed: int, channel: int, x: float, y: float) -> float:
-    """Deterministic, continuous gradient noise value in [0, 1]."""
-    table = _permutation(seed, channel)
-    x0, y0 = math.floor(x), math.floor(y)
-    fx, fy = x - x0, y - y0
+def gradient_noise(seed: int, channel: int, x, y):
+    """Deterministic, continuous gradient noise value in [0, 1].
 
-    n00 = _dot(_gradient(table, x0, y0), fx, fy)
-    n10 = _dot(_gradient(table, x0 + 1, y0), fx - 1, fy)
-    n01 = _dot(_gradient(table, x0, y0 + 1), fx, fy - 1)
-    n11 = _dot(_gradient(table, x0 + 1, y0 + 1), fx - 1, fy - 1)
+    x and y are scalars or coordinate arrays of one shape; the result is
+    a float for scalars and a float64 array otherwise.  Only + - * and
+    comparisons touch the values, so an array entry is bitwise equal to
+    the scalar result at that point.
+    """
+    table = _permutation(seed, channel)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    x0, y0 = np.floor(x), np.floor(y)
+    fx, fy = x - x0, y - y0
+    ix, iy = x0.astype(np.int64), y0.astype(np.int64)
+
+    def dot(cx, cy, dx, dy):
+        h = table[(table[cx & _TABLE_MASK] + cy) & _TABLE_MASK] & 15
+        return _GRADIENT_X[h] * dx + _GRADIENT_Y[h] * dy
+
+    n00 = dot(ix, iy, fx, fy)
+    n10 = dot(ix + 1, iy, fx - 1, fy)
+    n01 = dot(ix, iy + 1, fx, fy - 1)
+    n11 = dot(ix + 1, iy + 1, fx - 1, fy - 1)
 
     u, v = _fade(fx), _fade(fy)
     nx0 = n00 + u * (n10 - n00)
@@ -78,8 +86,7 @@ def gradient_noise(seed: int, channel: int, x: float, y: float) -> float:
     raw = nx0 + v * (nx1 - nx0)
 
     value = 0.5 * (raw * _NORM + 1.0)
-    return min(1.0, max(0.0, value))
-
-
-def _dot(grad: tuple[float, float], dx: float, dy: float) -> float:
-    return grad[0] * dx + grad[1] * dy
+    # min(1.0, max(0.0, value)), comparison for comparison
+    value = np.where(value > 0.0, value, 0.0)
+    value = np.where(value < 1.0, value, 1.0)
+    return float(value) if value.ndim == 0 else value

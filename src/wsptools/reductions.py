@@ -38,6 +38,9 @@ class MvnpInstance:
     h: float
 
     def __post_init__(self):
+        n = self.graph.vertex_count
+        if not (0 <= self.source < n and 0 <= self.sink < n):
+            raise StructuralError(f"source {self.source} or sink {self.sink} out of range")
         if self.source == self.sink:
             raise StructuralError("source and sink must differ")
         if self.k < 0 or not self.h > 0:

@@ -70,6 +70,12 @@ class TestGenerate:
         assert code == 2
         assert "error" in err
 
+    def test_zero_extent_is_domain_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "generate", "--grid-side", "5", "--extent", "0",
+                           "-o", str(tmp_path / "x.json"))
+        assert code == 2
+        assert "landscape extent" in err
+
 
 class TestSolveAndEvaluate:
     def test_random_search_round_trip(self, small_instance, tmp_path, capsys):
@@ -119,6 +125,29 @@ class TestSolveAndEvaluate:
         code, _, _ = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
                          "-i", str(tmp_path / "nope.json"), "-o", str(tmp_path / "s.json"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "solution, message",
+        [
+            ({"instance_id": "x", "objective": 1}, "assignments"),
+            ({"instance_id": "x", "objective": 1, "assignments": {"0": 3}}, "assignments"),
+            ({"instance_id": "x", "objective": 1, "assignments": [[0]]}, "assignment"),
+            ({"instance_id": "x", "objective": 1, "assignments": [[0, "3"]]}, "assignment"),
+            ({"instance_id": "x", "objective": 1, "assignments": [[0, 3.0]]}, "assignment"),
+            ({"instance_id": "x", "objective": 1, "assignments": [[0, True]]}, "assignment"),
+            ({"objective": 1, "assignments": []}, "instance_id"),
+            ({"instance_id": 7, "objective": 1, "assignments": []}, "instance_id"),
+            ({"instance_id": "x", "assignments": []}, "objective"),
+            ({"instance_id": "x", "objective": "1", "assignments": []}, "objective"),
+            ([["x", 1]], "JSON object"),
+        ],
+    )
+    def test_malformed_solution_file(self, small_instance, tmp_path, capsys, solution, message):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(solution))
+        code, _, err = run(capsys, "evaluate", "-i", str(small_instance), "-s", str(sol))
+        assert code == 2
+        assert message in err
 
 
 class TestExportMip:
@@ -266,6 +295,38 @@ class TestReduce:
         assert doc["targets"] == [2]
         assert doc["decision_threshold"] == 3.0
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"arcs": [[0, 1], [1, 2, 1.0]]}, "arc entry"),
+            ({"arcs": [[0, 1, "1.0"]]}, "arc entry"),
+            ({"arcs": [[0, 1, 1.0], [1, 5, 1.0]]}, "out of range"),
+            ({"vertex_count": "3"}, "vertex_count"),
+            ({"source": None}, "source"),
+            ({"sink": 1.5}, "sink"),
+            ({"sink": 9}, "out of range"),
+            ({"k": True}, "k must be an integer"),
+            ({"h": "3"}, "h must be a number"),
+            ({"h": 0.0}, "h > 0"),
+        ],
+    )
+    def test_malformed_mvnp_file(self, mvnp_file, tmp_path, capsys, change, message):
+        doc = json.loads(mvnp_file.read_text())
+        doc.update(change)
+        mvnp_file.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "reduce", "--to", "wsp",
+                           "-i", str(mvnp_file), "-o", str(tmp_path / "out.json"))
+        assert code == 2
+        assert message in err
+
+    def test_non_object_mvnp_file(self, tmp_path, capsys):
+        path = tmp_path / "mvnp.json"
+        path.write_text("[]")
+        code, _, err = run(capsys, "reduce", "--to", "hwsp",
+                           "-i", str(path), "-o", str(tmp_path / "out.json"))
+        assert code == 2
+        assert "JSON object" in err
+
     def test_verify_reductions(self, capsys):
         code, out, _ = run(capsys, "verify-reductions", "--samples", "10",
                            "--max-vertices", "5", "--seed", "0")
@@ -300,6 +361,45 @@ class TestBenchAndReport:
         assert json.loads(out)["significant_pairs"] == []
         assert profiles.read_text().startswith("algorithm,tau,fraction")
         assert sm.read_text().startswith("treatment,score")
+
+
+class TestBenchPlan:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"algorithms": None}, "algorithms must be a list"),
+            ({"instances": None}, "instances must be a list"),
+            ({"seeds": None}, "seeds must be a list"),
+            ({"seeds": 3}, "seeds must be a list"),
+            ({"seeds": [0, "1"]}, "seeds must be integers"),
+            ({"seeds": [1.5]}, "seeds must be integers"),
+            ({"seeds": [True]}, "seeds must be integers"),
+            ({"algorithms": ["rs", "greedy"]}, "'greedy'"),
+            ({"instances": [3]}, "instance file paths"),
+            ({"time_limit": "1"}, "time_limit"),
+            ({"time_limit": 0}, "time_limit"),
+        ],
+    )
+    def test_malformed_plan(self, small_instance, tmp_path, capsys, change, message):
+        doc = {"instances": [str(small_instance)], "algorithms": ["rs"], "seeds": [0],
+               "time_limit": 0.05}
+        doc.update(change)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        records = tmp_path / "records.csv"
+        code, _, err = run(capsys, "bench", "--plan", str(plan), "--out", str(records))
+        assert code == 2
+        assert message in err
+        assert not records.exists()
+
+    def test_non_object_plan(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text('["a.json"]')
+        code, _, err = run(capsys, "bench", "--plan", str(plan),
+                           "--out", str(tmp_path / "records.csv"))
+        assert code == 2
+        assert "JSON object" in err
 
 
 class TestPhysics:

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from wsptools.core import (
     solution_from_json,
     solution_to_json,
 )
+from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.testkit import random_allocation, random_wsp_instance
 
 
@@ -280,6 +282,67 @@ class TestSerialization:
         assert name == "inst-1"
         assert set(back.assignments) == set(alloc.assignments)
         assert obj == 12
+
+
+def indented_json(instance):
+    """instance_to_json as first written: the whole document through
+    json.dumps(indent=1, sort_keys=True)."""
+    doc = {
+        "version": 1,
+        "vertex_count": instance.graph.vertex_count,
+        "ignition": instance.ignition,
+        "horizon_min": instance.horizon,
+        "delay_min": instance.delay,
+        "schedule": [{"t_min": t, "count": c} for t, c in instance.schedule],
+        "arcs": [[t, h, w] for t, h, w in sorted(instance.graph.arcs)],
+        "meta": instance.meta,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+class TestInstanceJsonWriter:
+    ARCS = ((2, 0, 4.5), (0, 1, 1.0), (1, 2, 0.1), (0, 2, 1e-7), (2, 1, 12345678.9))
+
+    def instance(self, arcs=ARCS, meta=None, horizon=50.0):
+        graph = DirectedGraph(3, tuple(arcs))
+        return WspInstance(graph, 0, horizon, 2.5, ((1.0, 2), (horizon, 1)), meta or {})
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no arcs", "float times", "int times", "inf time", "numpy times", "inf horizon"],
+    )
+    def test_equals_indented_encoder(self, case):
+        arcs = {
+            "no arcs": (),
+            "float times": self.ARCS,
+            "int times": [(u, v, int(t) + 1) for u, v, t in self.ARCS],
+            "inf time": [(u, v, math.inf if u == 1 else t) for u, v, t in self.ARCS],
+            "numpy times": [(u, v, np.float64(t) / 3) for u, v, t in self.ARCS],
+            "inf horizon": self.ARCS,
+        }[case]
+        instance = self.instance(arcs, horizon=math.inf if case == "inf horizon" else 50.0)
+        assert instance_to_json(instance) == indented_json(instance)
+
+    def test_nested_meta(self):
+        meta = {
+            "zeta": [1, 2.5, {"b": None, "a": [True, False]}],
+            "arcs": [[0, 1, 2.0]],
+            "alpha": {"nested": {"deeper": [[], {}]}, "text": "a], [b, c"},
+        }
+        instance = self.instance(meta=meta)
+        assert instance_to_json(instance) == indented_json(instance)
+
+    def test_generated_and_reduced_instances(self, figure_instance):
+        generated = generate_instance(GeneratorConfig(seed=3, n=9, decision_points=3))
+        for instance in (generated, figure_instance):
+            assert instance_to_json(instance) == indented_json(instance)
+
+    def test_unserializable_time_raises_like_json(self):
+        instance = self.instance([(0, 1, 1.0), (1, 2, Decimal("2.5"))])
+        with pytest.raises(TypeError, match="Decimal"):
+            indented_json(instance)
+        with pytest.raises(TypeError, match="Decimal"):
+            instance_to_json(instance)
 
 
 class TestInstanceValidation:

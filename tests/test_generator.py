@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from wsptools.core import instance_to_json, single_source_distances
 from wsptools.generator import (
+    BASE_ROS_RANGE,
     DELAY_LEVELS,
     FIRST_RELEASE_LEVELS,
     GRID_LEVELS,
@@ -14,6 +16,7 @@ from wsptools.generator import (
     WIND_LEVELS,
     GenerationError,
     GeneratorConfig,
+    Landscape,
     build_resource_schedule,
     build_travel_times,
     compute_horizon,
@@ -26,7 +29,13 @@ from wsptools.generator import (
 )
 from wsptools import noise
 from wsptools.noise import gradient_noise
-from wsptools.rothermel import rate_of_spread, travel_time
+from wsptools.rothermel import (
+    DomainError,
+    FuelConstants,
+    SpreadParams,
+    rate_of_spread,
+    travel_time,
+)
 
 
 class TestNoise:
@@ -58,6 +67,22 @@ class TestNoise:
             v0 = gradient_noise(3, 2, x, y)
             v1 = gradient_noise(3, 2, x + 1e-6, y)
             assert abs(v1 - v0) < 1e-4
+
+    def test_arrays_equal_scalar_calls(self, rng):
+        xs = rng.uniform(-20, 20, size=(7, 9))
+        ys = rng.uniform(-20, 20, size=(7, 9))
+        values = gradient_noise(4, 1, xs, ys)
+        assert values.shape == (7, 9) and values.dtype == np.float64
+        for x, y, value in zip(xs.flat, ys.flat, values.flat):
+            scalar = gradient_noise(4, 1, float(x), float(y))
+            assert type(scalar) is float
+            assert scalar.hex() == float(value).hex()
+
+    def test_integer_lattice_points(self):
+        xs = np.arange(-3, 4)
+        assert gradient_noise(2, 0, xs, 0.5).tolist() == [
+            gradient_noise(2, 0, float(x), 0.5) for x in range(-3, 4)
+        ]
 
     def test_permutation_cache_is_bounded(self):
         def config(seed):
@@ -124,6 +149,12 @@ class TestConfig:
     def test_rejects_tiny_grid(self):
         with pytest.raises(GenerationError):
             GeneratorConfig(n=1)
+
+    @pytest.mark.parametrize("extent", [0.0, -100.0, math.nan, math.inf])
+    def test_rejects_bad_extent(self, extent):
+        # zero gave a ZeroDivisionError, a negative extent a meaningless instance
+        with pytest.raises(GenerationError, match="landscape extent"):
+            GeneratorConfig(landscape_extent=extent)
 
 
 class TestLandscapeFields:
@@ -211,6 +242,31 @@ class TestQuantilesAndHorizon:
     def test_ties_count_once(self):
         # threshold 2: at value 4 three arrivals lie strictly below
         assert free_burn_quantile([0.0, 1.0, 1.0, 4.0], 50.0) == 1.0
+
+    def test_equals_first_definition(self, rng):
+        def reference(arrivals, p):
+            # the first implementation: scan the distinct values in order
+            finite = sorted(a for a in arrivals if math.isfinite(a))
+            threshold = (p / 100.0) * len(arrivals)
+            best, strictly_less, i = None, 0, 0
+            while i < len(finite):
+                j = i
+                while j < len(finite) and finite[j] == finite[i]:
+                    j += 1
+                if strictly_less <= threshold:
+                    best = finite[i]
+                strictly_less, i = j, j
+            return best
+
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            arrivals = [float(a) for a in rng.integers(0, 8, size=size)]
+            for k in rng.choice(size, size=int(rng.integers(0, size)), replace=False):
+                arrivals[k] = math.inf
+            if not any(math.isfinite(a) for a in arrivals):
+                continue
+            for p in (0.5, 5.0, 20.0, 50.0, 70.0, 95.0, 100.0, float(rng.uniform(0.1, 100))):
+                assert free_burn_quantile(arrivals, p) == reference(arrivals, p)
 
     def test_rejects_percentile_out_of_range(self):
         with pytest.raises(ValueError):
@@ -310,3 +366,304 @@ class TestGenerateInstance:
         arrivals = single_source_distances(inst.graph, inst.ignition)
         burned = sum(1 for a in arrivals if a < inst.horizon)
         assert burned >= 0.7 * inst.graph.vertex_count
+
+
+# (seed, n, wind level, slope level, wind direction, other config fields,
+# sha256 of instance_to_json(generate_instance(config))), recorded from the
+# per-cell scalar generator and the fully indented json.dumps writer.  The
+# n = 3 rows release first at the 20% quantile: the default 5% quantile of
+# a grid with n <= 4 is the ignition's arrival 0.0, not a valid release time.
+GOLDEN_INSTANCES = [
+    (100, 3, "light", "flat", 0.0, {"first_release": "very_late"},
+     "0ee7ba7c2c2fe9f5d103fbaeb4c74685c8a2e75565147094e14ae37dc6044854"),
+    (101, 12, "light", "flat", 1.3, {},
+     "83a0af502322b70675edc219b240da2e881e8d0f4563c0a629dce0881c84c01b"),
+    (102, 20, "light", "flat", -2.7, {},
+     "81a67f6c655e4e946e2484090589f870245e52983091f170bcde0ce1f967d32c"),
+    (103, 40, "light", "moderate", 0.0, {},
+     "b6bee4ff12591fb4b8b1ea3dde56339095fc7b497251ecabf069e3d9e304f0da"),
+    (104, 7, "light", "moderate", 1.3, {},
+     "4efd4567c9a371bfd8c1fb3d66717f503658ba158fb8eedf1c1723050494c5f6"),
+    (105, 3, "light", "moderate", -2.7, {"first_release": "very_late"},
+     "29bdbd31112dc32c5408b1aa9e49dd3b078d279937ff30ccfef02f6f01fce3cb"),
+    (106, 12, "light", "steep", 0.0, {},
+     "6b910a920f534c1ab62863bcdf1094fd2441d23817d986c19dda9ca1fb4772ee"),
+    (107, 20, "light", "steep", 1.3, {},
+     "7d5bbff612e301c5e6dcac32fdfa60e7f9d71a2c6891ca84627048a1ca618fce"),
+    (108, 40, "light", "steep", -2.7, {},
+     "b1617ee2796969ad1f70ddf6d610c0a53be77fafcb61f7a2af3eb84768193457"),
+    (109, 7, "moderate", "flat", 0.0, {},
+     "57d57f8b678ec3ba1711fe49541ddc27a12d4a18887a606f4775331218fc9d13"),
+    (110, 3, "moderate", "flat", 1.3, {"first_release": "very_late"},
+     "8fae3689d2bc292836a158e2e20c5b0826e6d3b745c8084fef581b5cc7d73c2d"),
+    (111, 12, "moderate", "flat", -2.7, {},
+     "a2a68802e6956ce16f3ce255315f0fd067fc4500a091c14ed3596cbdb4e3fbfd"),
+    (112, 20, "moderate", "moderate", 0.0, {},
+     "1f152b739f06d85ff8c4edb31354353a8d9341ad7215cb870e8b27ec8e1a4093"),
+    (113, 40, "moderate", "moderate", 1.3, {},
+     "506455681b499b1566bcb1ec6cc5ebde1e69932a8d8f407a383272331ed82d80"),
+    (114, 7, "moderate", "moderate", -2.7, {},
+     "f3b482ed8ffe2ef2ec1152beb3e5c40f144d9fecbaf2704755bfac2edc5ec151"),
+    (115, 3, "moderate", "steep", 0.0, {"first_release": "very_late"},
+     "f24ba46ea14be9e8f4f44284ff802173823f006ebb6f44b3a0e6c1a626ac9a5a"),
+    (116, 12, "moderate", "steep", 1.3, {},
+     "7afacb04f9439c01f829834ce9f44df2901a46bd6f5a49c0b104934c3591ffaa"),
+    (117, 20, "moderate", "steep", -2.7, {},
+     "cfb4e703294fa1ab23aee6ff14b6b65514c30caba047663b37ba2f49c5b93107"),
+    (118, 40, "strong", "flat", 0.0, {},
+     "907a229d2b5bdd1d7619a847ccc272a37b79db57dfa32fdfc520776479fa198a"),
+    (119, 7, "strong", "flat", 1.3, {},
+     "76c79ed03e3797a65b79b6fcaf94c3d3b64b63e1ad309417a1e2499986543411"),
+    (120, 3, "strong", "flat", -2.7, {"first_release": "very_late"},
+     "1bd5074efea64fe9c34e4ce118570d1ce735bf7651b1c3097ffb95332d9f6a0e"),
+    (121, 12, "strong", "moderate", 0.0, {},
+     "0f0dbe1b868304d5d87aa3fa575e86d462d80bb4d7afaf3034c99161f383b55c"),
+    (122, 20, "strong", "moderate", 1.3, {},
+     "1d690481cf849627a371816dcad46e2df48e2d4d77f638c61a1d08236f0537b2"),
+    (123, 40, "strong", "moderate", -2.7, {},
+     "f84beec1a22fc942e5d442ddbb7722b6d3c3d59993424f4c6eaa46a21e2eb3ac"),
+    (124, 7, "strong", "steep", 0.0, {},
+     "141ab66f690553361042b45d1c477d88afeb69707987fdd7acae971ac3bfcd40"),
+    (125, 3, "strong", "steep", 1.3, {"first_release": "very_late"},
+     "b78bd7ec3970fd95f3280116bec43791ac7b973fb4681b8f0a982b935d31f1d8"),
+    (126, 12, "strong", "steep", -2.7, {},
+     "8fdbce88971c543c4e8eccc712506498f15c64df6d8d609b00e3a22c2017c049"),
+    (7, 20, "light", "moderate", 0.0,
+     {"resources_level": "few", "delay_level": "low", "first_release": "late",
+      "last_release": "very_early"},
+     "77fb630d4a5f1713711881980db507d4c9dcfc805eb38dac8d6a2577ca7804e9"),
+    (8, 12, "light", "moderate", 0.0,
+     {"resources_level": "many", "delay_level": "medium", "first_release": "very_late",
+      "last_release": "early", "decision_points": 5},
+     "58706b05edddbfb67dac9481de2455a3f8100f4d1e7684154e71015f51b7a01d"),
+    (9, 40, "strong", "steep", 1.3,
+     {"resources_level": "few", "delay_level": "medium", "first_release": "very_late",
+      "last_release": "late", "decision_points": 20},
+     "f0594595167768e63d37d84d3c40ed9c8d245281a8282eb984198ed129a123f7"),
+    (10, 25, "light", "flat", 0.0,
+     {"resources_level": "many", "delay_level": "low", "first_release": "late",
+      "last_release": "early", "decision_points": 1, "landscape_extent": 10000.0},
+     "1ae1877f158edfbce31ce5410c5c4f690d582705da5db5b4bd09eac14234166b"),
+]
+
+
+class TestGoldenInstances:
+    """Instance files are byte-identical to those of the first generator."""
+
+    @pytest.mark.parametrize(
+        "seed, n, wind, slope, direction, fields, digest",
+        GOLDEN_INSTANCES,
+        ids=[f"seed{row[0]}-n{row[1]}" for row in GOLDEN_INSTANCES],
+    )
+    def test_instance_sha256(self, seed, n, wind, slope, direction, fields, digest):
+        config = GeneratorConfig(
+            seed=seed, n=n, wind_level=wind, slope_level=slope, wind_direction=direction, **fields
+        )
+        text = instance_to_json(generate_instance(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_covers_every_level(self):
+        rows = [dict(row[5], wind_level=row[2], slope_level=row[3]) for row in GOLDEN_INSTANCES]
+        for name, table in [
+            ("wind_level", WIND_LEVELS),
+            ("slope_level", SLOPE_LEVELS),
+            ("resources_level", RESOURCE_LEVELS),
+            ("delay_level", DELAY_LEVELS),
+            ("first_release", FIRST_RELEASE_LEVELS),
+            ("last_release", LAST_RELEASE_LEVELS),
+        ]:
+            default = getattr(GeneratorConfig(), name)
+            assert {row.get(name, default) for row in rows} == set(table), name
+
+
+# ---------------------------------------------------------------------------
+# The per-cell scalar generator as first written (noise, landscape fields,
+# physics and the arc loop), frozen as the bitwise reference of the array
+# generator.  It shares only the permutation tables of wsptools.noise.
+
+
+GRADIENTS = [(math.cos(2 * math.pi * i / 16), math.sin(2 * math.pi * i / 16)) for i in range(16)]
+
+
+def scalar_noise(seed, channel, x, y):
+    table = noise._permutation(seed, channel)
+    x0, y0 = math.floor(x), math.floor(y)
+    fx, fy = x - x0, y - y0
+
+    def dot(ix, iy, dx, dy):
+        grad = GRADIENTS[table[(table[ix & 255] + iy) & 255] & 15]
+        return grad[0] * dx + grad[1] * dy
+
+    def fade(t):
+        return t * t * t * (t * (t * 6 - 15) + 10)
+
+    n00 = dot(x0, y0, fx, fy)
+    n10 = dot(x0 + 1, y0, fx - 1, fy)
+    n01 = dot(x0, y0 + 1, fx, fy - 1)
+    n11 = dot(x0 + 1, y0 + 1, fx - 1, fy - 1)
+    u, v = fade(fx), fade(fy)
+    nx0 = n00 + u * (n10 - n00)
+    nx1 = n01 + u * (n11 - n01)
+    raw = nx0 + v * (nx1 - nx0)
+    value = 0.5 * (raw * (2.0 / math.sqrt(2.0)) + 1.0)
+    return min(1.0, max(0.0, value))
+
+
+def scalar_neighbors(n, x, y):
+    if x > 0:
+        yield x - 1, y
+    if x < n - 1:
+        yield x + 1, y
+    if y > 0:
+        yield x, y - 1
+    if y < n - 1:
+        yield x, y + 1
+
+
+def scalar_landscape(config):
+    n, period = config.n, 8.0
+    cells = [(x, y) for y in range(n) for x in range(n)]
+    heights = tuple(
+        config.max_height * scalar_noise(config.seed, 0, x / period, y / period) for x, y in cells
+    )
+    lo, hi = BASE_ROS_RANGE
+    base_ros = tuple(
+        lo + (hi - lo) * scalar_noise(config.seed, 3, x / period, y / period) for x, y in cells
+    )
+    lo, hi = WIND_LEVELS[config.wind_level]
+    base = (math.cos(config.wind_direction), math.sin(config.wind_direction))
+    wind = {}
+    for x, y in cells:
+        u = y * n + x
+        for nx, ny in scalar_neighbors(n, x, y):
+            v = ny * n + nx
+            if u > v:
+                continue
+            mx = (x + nx) / 2.0 / period
+            my = (y + ny) / 2.0 / period
+            angle = (2.0 * scalar_noise(config.seed, 1, mx, my) - 1.0) * (math.pi / 6.0)
+            speed = lo + (hi - lo) * scalar_noise(config.seed, 2, mx, my)
+            cos_a, sin_a = math.cos(angle), math.sin(angle)
+            wind[(u, v)] = (
+                speed * (cos_a * base[0] - sin_a * base[1]),
+                speed * (sin_a * base[0] + cos_a * base[1]),
+            )
+    return Landscape(heights=heights, base_ros=base_ros, wind_vectors=wind)
+
+
+def scalar_rate_of_spread(base_rate, u, a, params, constants):
+    if base_rate <= 0:
+        raise DomainError(f"base rate of spread must be positive, got {base_rate}")
+
+    def phi_s(a):
+        return constants.a_s * params.beta ** (-constants.b_s) * a**2
+
+    def phi_w(u):
+        c_w = (constants.a_w * math.exp(-constants.b_w * params.sigma**constants.c_w)) * (
+            params.beta_rel ** (-constants.d_w * math.exp(-constants.e_w * params.sigma))
+        )
+        return c_w * u ** (constants.f_w * params.sigma**constants.g_w)
+
+    if a >= 0 and u >= 0:
+        r = 1.0 + phi_w(u) + phi_s(a)
+    elif a < 0 and u >= 0:
+        r = 1.0 + max(0.0, phi_w(u) - phi_s(a))
+    elif a >= 0 and u < 0:
+        r = 1.0 + max(0.0, phi_s(a) - phi_w(abs(u)))
+    else:
+        r = 1.0
+    return base_rate * r
+
+
+def scalar_arcs(config, landscape):
+    n = config.n
+    d = float(config.cell_spacing)
+    arcs = []
+    for y in range(n):
+        for x in range(n):
+            u = y * n + x
+            for nx, ny in scalar_neighbors(n, x, y):
+                v = ny * n + nx
+                dz = landscape.heights[v] - landscape.heights[u]
+                dz = max(-1.0 * d, min(1.0 * d, dz))
+                slope_tan = dz / d
+                wind = landscape.wind_vectors[(min(u, v), max(u, v))]
+                component = wind[0] * (nx - x) + wind[1] * (ny - y)
+                r_tail = scalar_rate_of_spread(
+                    landscape.base_ros[u], component, slope_tan, config.params, config.constants
+                )
+                r_head = scalar_rate_of_spread(
+                    landscape.base_ros[v], component, slope_tan, config.params, config.constants
+                )
+                length = math.hypot(d, dz)
+                arcs.append((u, v, length * (r_tail + r_head) / (2.0 * r_tail * r_head)))
+    return tuple(arcs)
+
+
+def bits(values):
+    """Floats as hex strings, so equality is bitwise (it tells -0.0 from 0.0)."""
+    return [float(v).hex() for v in values]
+
+
+BITWISE_CONFIGS = [
+    GeneratorConfig(seed=seed, n=n, wind_level=wind, slope_level=slope, wind_direction=direction)
+    for seed, (n, wind, slope, direction) in enumerate(
+        (n, wind, slope, direction)
+        for n in (2, 3, 7, 12)
+        for wind in WIND_LEVELS
+        for slope in SLOPE_LEVELS
+        for direction in (0.0, 1.3, -2.7)
+    )
+] + [
+    GeneratorConfig(
+        seed=5, n=20, slope_level="steep", params=SpreadParams(sigma=1.0, beta_rel=2.0)
+    ),
+    GeneratorConfig(seed=6, n=9, wind_level="strong", constants=FuelConstants(a_s=9.0, f_w=0.9)),
+    GeneratorConfig(seed=7, n=10, slope_level="steep", landscape_extent=900.0),
+]
+
+
+class TestScalarReference:
+    """The array generator equals the frozen scalar loops bit for bit."""
+
+    @pytest.mark.parametrize("config", BITWISE_CONFIGS, ids=lambda c: f"s{c.seed}-n{c.n}")
+    def test_landscape_and_arcs_bitwise(self, config):
+        landscape = generate_landscape(config)
+        reference = scalar_landscape(config)
+        assert bits(landscape.heights) == bits(reference.heights)
+        assert bits(landscape.base_ros) == bits(reference.base_ros)
+        assert list(landscape.wind_vectors) == list(reference.wind_vectors)
+        assert bits(c for w in landscape.wind_vectors.values() for c in w) == bits(
+            c for w in reference.wind_vectors.values() for c in w
+        )
+        arcs = build_travel_times(config, landscape).arcs
+        expected = scalar_arcs(config, reference)
+        assert [a[:2] for a in arcs] == [a[:2] for a in expected]
+        assert bits(a[2] for a in arcs) == bits(a[2] for a in expected)
+
+    def test_hand_made_landscape_hits_every_case(self, rng):
+        # heights far apart (the 45-degree cap binds both ways), winds of
+        # both signs and exact zeros: all four Albini cases and both caps
+        config = GeneratorConfig(seed=0, n=6)
+        d = config.cell_spacing
+        n2 = config.n * config.n
+        heights = tuple(float(h) for h in rng.uniform(0.0, 3.0 * d, size=n2))
+        base_ros = tuple(float(r) for r in rng.uniform(0.5, 20.0, size=n2))
+        wind = {}
+        for (u, v), w in generate_wind_field(config).items():
+            choice = int(rng.integers(0, 4))
+            wind[(u, v)] = [(0.0, 0.0), (-0.0, -0.0), (-w[0], -w[1]), w][choice]
+        landscape = Landscape(heights=heights, base_ros=base_ros, wind_vectors=wind)
+        arcs = build_travel_times(config, landscape).arcs
+        assert bits(a[2] for a in arcs) == bits(a[2] for a in scalar_arcs(config, landscape))
+
+    def test_nonpositive_base_rate_rejected(self):
+        config = GeneratorConfig(seed=1, n=4)
+        landscape = generate_landscape(config)
+        base_ros = list(landscape.base_ros)
+        base_ros[5] = 0.0
+        bad = Landscape(landscape.heights, tuple(base_ros), landscape.wind_vectors)
+        with pytest.raises(DomainError, match="base rate of spread must be positive, got 0.0"):
+            build_travel_times(config, bad)
+        with pytest.raises(DomainError, match="got 0.0"):
+            scalar_arcs(config, bad)

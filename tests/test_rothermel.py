@@ -9,6 +9,7 @@ from wsptools.rothermel import (
     FuelConstants,
     SpreadParams,
     albini_multiplier,
+    albini_multipliers,
     rate_of_spread,
     slope_factor,
     travel_time,
@@ -100,6 +101,40 @@ class TestAlbiniMultiplier:
         assert albini_multiplier(50.0, 0.0) == 1.0 + wind_factor(50.0)
 
 
+class TestAlbiniMultipliers:
+    def test_entries_equal_case_table(self, rng):
+        # zeros of both signs sit on the case boundaries
+        u = np.concatenate([rng.uniform(-900, 900, 300), [0.0, -0.0, 0.0, -0.0, 5.0, -5.0]])
+        a = np.concatenate([rng.uniform(-2, 2, 300), [0.0, -0.0, -0.3, 0.3, 0.0, -0.0]])
+        params, constants = SpreadParams(sigma=3.0, beta_rel=1.5), FuelConstants(a_s=8.0)
+        values = albini_multipliers(u, a, params, constants)
+        assert values.shape == u.shape
+        for ui, ai, value in zip(u.tolist(), a.tolist(), values.tolist()):
+            phi_w = wind_factor(abs(ui), params, constants)
+            phi_s = slope_factor(ai, params.beta, constants)
+            if ai >= 0 and ui >= 0:
+                expected = 1.0 + phi_w + phi_s
+            elif ai < 0 and ui >= 0:
+                expected = 1.0 + max(0.0, phi_w - phi_s)
+            elif ai >= 0 and ui < 0:
+                expected = 1.0 + max(0.0, phi_s - phi_w)
+            else:
+                expected = 1.0
+            assert value.hex() == expected.hex()
+
+    def test_nan_selects_no_case(self):
+        assert albini_multipliers([math.nan, 10.0], [0.5, math.nan]).tolist() == [1.0, 1.0]
+
+    def test_powers_only_where_used(self):
+        # a downslope backfire never squares its tangent, so no overflow
+        assert albini_multiplier(-1.0, -1e200) == 1.0
+        with pytest.raises(OverflowError):
+            albini_multiplier(1.0, -1e200)
+
+    def test_empty(self):
+        assert albini_multipliers([], []).shape == (0,)
+
+
 class TestRateOfSpread:
     def test_backfire_keeps_base_rate(self):
         assert rate_of_spread(7.0, -10.0, -0.1) == 7.0
@@ -141,6 +176,21 @@ class TestTravelTime:
             travel_time(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             travel_time(1.0, 0.0, 1.0)
+
+    def test_arrays_equal_scalar_calls(self, rng):
+        d, a, b = (rng.uniform(0.1, 50, 40) for _ in range(3))
+        times = travel_time(d, a, b)
+        assert times.tolist() == [
+            travel_time(*args) for args in zip(d.tolist(), a.tolist(), b.tolist())
+        ]
+        assert type(travel_time(800.0, 5.0, 20.0)) is float
+
+    def test_rejects_bad_array_entries(self):
+        ones = np.ones(3)
+        with pytest.raises(DomainError, match="got -2.0"):
+            travel_time(np.array([1.0, -2.0, 0.0]), ones, ones)
+        with pytest.raises(DomainError, match="spread rates"):
+            travel_time(ones, ones, np.array([1.0, 1.0, 0.0]))
 
 
 class TestConstants:
