@@ -7,7 +7,6 @@ functions of the record set.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 import os
@@ -297,24 +296,18 @@ def _run_cell(cell: BenchCell) -> RunRecord:
     )
 
 
-def run_benchmark(cells, out_path, workers: int = 1) -> list[RunRecord]:
-    """Execute benchmark cells, appending records to out_path as they
-    finish.  Cells already present in the CSV are skipped, so an
-    interrupted run can be resumed."""
+def run_benchmark(cells, out_path) -> list[RunRecord]:
+    """Execute benchmark cells one after another, appending records to
+    out_path as they finish.  Cells already present in the CSV are
+    skipped, so an interrupted run can be resumed."""
     done = set()
     if os.path.exists(out_path):
         done = {(r.instance, r.algorithm, r.seed) for r in read_records(out_path)}
     pending = [c for c in cells if c.key not in done]
 
     records: list[RunRecord] = []
-    if workers <= 1:
-        for cell in pending:
-            record = _run_cell(cell)
-            write_records(out_path, [record], append=True)
-            records.append(record)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(_run_cell, pending):
-                write_records(out_path, [record], append=True)
-                records.append(record)
+    for cell in pending:
+        record = _run_cell(cell)
+        write_records(out_path, [record], append=True)
+        records.append(record)
     return records

@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark plan")
     p.add_argument("--plan", required=True, help="plan JSON: instances, algorithms, seeds")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="records CSV (append, resumable)")
 
     p = sub.add_parser("report", help="statistics from a records CSV")
@@ -383,7 +382,7 @@ def _cmd_bench(args) -> int:
                         time_limit=plan.get("time_limit"),
                     )
                 )
-    records = run_benchmark(cells, args.out, workers=args.workers)
+    records = run_benchmark(cells, args.out)
     print(f"ran {len(records)} cells", file=sys.stderr)
     return EXIT_OK
 
@@ -426,6 +425,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_physics(args) -> int:
     from wsptools.rothermel import (
+        DomainError,
         albini_multiplier,
         rate_of_spread,
         slope_factor,
@@ -433,12 +433,22 @@ def _cmd_physics(args) -> int:
     )
 
     u, a = args.wind_speed, args.slope_tangent
-    result = {
-        "slope_factor": slope_factor(abs(a)),
-        "wind_factor": wind_factor(abs(u)),
-        "multiplier": albini_multiplier(u, a),
-        "rate_of_spread_ft_min": rate_of_spread(args.base_rate, u, a),
-    }
+    for flag, value in (("--wind-speed", u), ("--slope-tangent", a),
+                        ("--base-rate", args.base_rate)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value}")
+    overflow = DomainError("physics eval overflows for these inputs")
+    try:
+        result = {
+            "slope_factor": slope_factor(abs(a)),
+            "wind_factor": wind_factor(abs(u)),
+            "multiplier": albini_multiplier(u, a),
+            "rate_of_spread_ft_min": rate_of_spread(args.base_rate, u, a),
+        }
+    except OverflowError:
+        raise overflow from None
+    if not all(map(math.isfinite, result.values())):  # Infinity is not JSON
+        raise overflow
     print(json.dumps(result, indent=1, sort_keys=True))
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -91,32 +92,31 @@ class WspInstance:
                 raise StructuralError(f"release count {count} must be >= 1")
             prev = t
 
+    @cached_property
+    def first_resources(self) -> tuple[int, ...]:
+        """first_resources[i]: first resource id of release point i; the
+        last entry is the total number of resources."""
+        first = [0]
+        for _, count in self.schedule:
+            first.append(first[-1] + count)
+        return tuple(first)
+
     @property
     def total_resources(self) -> int:
-        return sum(count for _, count in self.schedule)
-
-    def release_times(self) -> list[float]:
-        return [t for t, _ in self.schedule]
-
-    def resource_release_time(self, resource: int) -> float:
-        """Release time of resource id (0-based)."""
-        if resource < 0:
-            raise StructuralError(f"invalid resource id {resource}")
-        offset = 0
-        for t, count in self.schedule:
-            if resource < offset + count:
-                return t
-            offset += count
-        raise StructuralError(f"resource id {resource} beyond schedule total {offset}")
+        return self.first_resources[-1]
 
     def release_point_of(self, resource: int) -> int:
         """Index of the release point (0-based) a resource belongs to."""
-        offset = 0
-        for i, (_, count) in enumerate(self.schedule):
-            if resource < offset + count:
-                return i
-            offset += count
-        raise StructuralError(f"resource id {resource} beyond schedule total {offset}")
+        first = self.first_resources
+        if resource < 0:
+            raise StructuralError(f"invalid resource id {resource}")
+        if resource >= first[-1]:
+            raise StructuralError(f"resource id {resource} beyond schedule total {first[-1]}")
+        return bisect_right(first, resource) - 1
+
+    def resource_release_time(self, resource: int) -> float:
+        """Release time of resource id (0-based)."""
+        return self.schedule[self.release_point_of(resource)][0]
 
 
 @dataclass(frozen=True)

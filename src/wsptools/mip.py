@@ -66,9 +66,6 @@ class LinearModel:
     def add_constraint(self, name, terms, sense, rhs) -> None:
         self.constraints.append(Constraint(name, tuple(terms), sense, rhs))
 
-    def variable_names(self) -> set[str]:
-        return {v.name for v in self.variables}
-
     def validate(self) -> None:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from wsptools.core import (
-    EMPTY_ALLOCATION,
     Allocation,
     DirectedGraph,
     StructuralError,
@@ -310,7 +309,3 @@ def verify_reductions(mvnp: MvnpInstance, node_limit: int = DEFAULT_NODE_LIMIT) 
     }
     answers["agree"] = len(set(answers.values())) == 1
     return answers
-
-
-def free_burn_wwsp(instance: WwspInstance) -> float:
-    return evaluate_wwsp(instance, EMPTY_ALLOCATION)

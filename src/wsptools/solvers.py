@@ -55,6 +55,12 @@ def _objective(instance: WspInstance, alloc: Allocation) -> int:
     return compute_arrival_times(instance, alloc).burned_count(instance.horizon)
 
 
+def _unburned(outcome: FireOutcome, t: float, alloc: Allocation) -> list[int]:
+    """Vertices still open at time t: arrival >= t and not protected by alloc."""
+    protected = alloc.protected
+    return [v for v, a in enumerate(outcome.arrival) if a >= t and v not in protected]
+
+
 def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) -> SolverResult:
     """Repeatedly build random incremental allocations, keep the best.
 
@@ -76,23 +82,13 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
             break
         iterations += 1
         alloc, outcome = EMPTY_ALLOCATION, empty_outcome
-        resource = 0
-        for release_time, count in instance.schedule:
-            candidates = [
-                v
-                for v in range(instance.graph.vertex_count)
-                if outcome.arrival[v] >= release_time and v not in alloc.protected
-            ]
+        for (release_time, count), first in zip(instance.schedule, instance.first_resources):
+            candidates = _unburned(outcome, release_time, alloc)
             take = min(count, len(candidates))
             if take == 0:
-                resource += count
                 continue
             chosen = rng.choice(len(candidates), size=take, replace=False)
-            pairs = []
-            for offset in sorted(chosen.tolist()):
-                pairs.append((resource, candidates[offset]))
-                resource += 1
-            resource += max(0, count - len(pairs))  # unplaceable resources stay unused
+            pairs = [(first + i, candidates[c]) for i, c in enumerate(sorted(chosen.tolist()))]
             alloc = alloc.extended(pairs)
             outcome = compute_arrival_times(instance, alloc)
         obj = outcome.burned_count(instance.horizon)
@@ -119,12 +115,7 @@ def perimeter_candidates(
     arrival = outcome.arrival
     out_arcs = instance.graph.out_arcs
     near_fire = {head for u, a in enumerate(arrival) if a < t for _, head, _ in out_arcs[u]}
-    protected = partial_alloc.protected
-    candidates = [
-        v
-        for v in range(instance.graph.vertex_count)
-        if arrival[v] >= t and v not in protected and v != instance.ignition
-    ]
+    candidates = [v for v in _unburned(outcome, t, partial_alloc) if v != instance.ignition]
     candidates.sort(key=lambda v: (0 if v in near_fire else 1, arrival[v], v))
     return candidates
 
@@ -151,21 +142,20 @@ def beam_search(
         raise ValueError("beam_width must be at least 1")
     del seed  # beam search is deterministic; kept for a uniform solver signature
 
-    release_times = instance.release_times()
-    resource_release = [t for t, count in instance.schedule for _ in range(count)]
+    schedule = instance.schedule
 
     def node(alloc: Allocation) -> tuple[tuple, Allocation, FireOutcome]:
         outcome = compute_arrival_times(instance, alloc)
         burned_h = outcome.burned_count(instance.horizon)
-        assigned = max((resource_release[r] for r, _ in alloc.assignments), default=0.0)
-        next_t = next((rt for rt in release_times if rt > 0 and rt > assigned), None)
-        burned_next = outcome.burned_count(next_t) if next_t is not None else burned_h
+        # the release point after the last one the allocation uses
+        used = [r for r, _ in alloc.assignments]
+        nxt = 1 + instance.release_point_of(max(used)) if used else 0
+        burned_next = outcome.burned_count(schedule[nxt][0]) if nxt < len(schedule) else burned_h
         key_alloc = tuple(sorted(v for _, v in alloc.assignments))
         return (burned_h, burned_next, key_alloc), alloc, outcome
 
     beam = [node(EMPTY_ALLOCATION)]
-    resource = 0
-    for release_time, count in instance.schedule:
+    for (release_time, count), first in zip(schedule, instance.first_resources):
         children = []
         for parent in beam:
             _, alloc, outcome = parent
@@ -178,9 +168,8 @@ def beam_search(
             if math.isfinite(expansions_per_node):
                 combos = itertools.islice(combos, int(expansions_per_node))
             for combo in combos:
-                pairs = [(resource + i, v) for i, v in enumerate(combo)]
+                pairs = [(first + i, v) for i, v in enumerate(combo)]
                 children.append(node(alloc.extended(pairs)))
-        resource += count
         children.sort(key=itemgetter(0))
         if math.isfinite(beam_width):
             children = children[: int(beam_width)]
@@ -220,30 +209,22 @@ def brute_force(instance: WspInstance, limits: SearchLimits = SearchLimits()) ->
 
     best_alloc = EMPTY_ALLOCATION
     best_obj = _objective(instance, best_alloc)
-    schedule = instance.schedule
-    offsets = [0]
-    for _, count in schedule:
-        offsets.append(offsets[-1] + count)
+    levels = list(zip(instance.schedule, instance.first_resources))
 
     def recurse(level: int, alloc: Allocation):
         nonlocal best_alloc, best_obj
-        if level == len(schedule):
+        if level == len(levels):
             obj = _objective(instance, alloc)
             if obj < best_obj:
                 best_obj = obj
                 best_alloc = alloc
             return
-        release_time, count = schedule[level]
+        (release_time, count), first = levels[level]
         outcome = compute_arrival_times(instance, alloc)
-        candidates = [
-            v
-            for v in range(instance.graph.vertex_count)
-            if outcome.arrival[v] >= release_time and v not in alloc.protected
-        ]
-        base = offsets[level]
+        candidates = _unburned(outcome, release_time, alloc)
         for size in range(min(count, len(candidates)) + 1):
             for combo in itertools.combinations(candidates, size):
-                pairs = [(base + i, v) for i, v in enumerate(combo)]
+                pairs = [(first + i, v) for i, v in enumerate(combo)]
                 recurse(level + 1, alloc.extended(pairs))
 
     recurse(0, EMPTY_ALLOCATION)

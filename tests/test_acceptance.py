@@ -325,7 +325,7 @@ def test_criterion_10_worked_example_regression():
     free = compute_arrival_times(instance, EMPTY_ALLOCATION)
     if free.arrival[1] != 1.0 or free.arrival[3] != 1.0:
         failures.append("free-burn arrivals of the two early vertices")
-    if instance.release_times() != [2.0, 3.0, 4.0] or instance.delay != 2.0:
+    if [t for t, _ in instance.schedule] != [2.0, 3.0, 4.0] or instance.delay != 2.0:
         failures.append("schedule or delay")
     alloc = Allocation(((0, 2), (1, 4), (2, 6)))
     if check_feasibility(instance, alloc):

@@ -202,10 +202,3 @@ class TestBenchmarkRunner:
         records = run_benchmark([BenchCell(str(path), "inst", "magic", seed=0)], out)
         assert records[0].status == "error"
         assert records[0].objective == -1
-
-    def test_parallel_workers(self, rng, tmp_path):
-        cells = self._cells(rng, tmp_path)
-        out = tmp_path / "runs.csv"
-        records = run_benchmark(cells, out, workers=2)
-        assert {r.algorithm for r in records} == {"rs", "beam", "exact"}
-        assert len(read_records(out)) == 3

@@ -416,3 +416,34 @@ class TestPhysics:
         code, _, _ = run(capsys, "physics", "eval", "--wind-speed", "1",
                          "--slope-tangent", "1", "--base-rate", "-1")
         assert code == 2
+
+    def test_finite_output_text(self, capsys):
+        code, out, _ = run(capsys, "physics", "eval", "--wind-speed", "-30",
+                           "--slope-tangent", "0.9", "--base-rate", "2.5")
+        assert code == 0
+        assert out == (
+            "{\n"
+            ' "multiplier": 21.92763476946805,\n'
+            ' "rate_of_spread_ft_min": 54.81908692367013,\n'
+            ' "slope_factor": 20.941919292737058,\n'
+            ' "wind_factor": 0.01428452326900677\n'
+            "}\n"
+        )
+
+    # tangent**2 raises OverflowError; a huge base rate gives an infinite rate
+    @pytest.mark.parametrize("slope, base", [("1e200", "1"), ("1", "1e308")])
+    def test_overflow_exit_code(self, capsys, slope, base):
+        code, out, err = run(capsys, "physics", "eval", "--wind-speed", "1",
+                             "--slope-tangent", slope, "--base-rate", base)
+        assert (code, out) == (2, "")
+        assert err == "error: physics eval overflows for these inputs\n"
+
+    @pytest.mark.parametrize("flag", ["--wind-speed", "--slope-tangent", "--base-rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_exit_code(self, capsys, flag, value):
+        argv = {"--wind-speed": "1", "--slope-tangent": "0.5", "--base-rate": "1"}
+        argv[flag] = value
+        args = [f"{name}={v}" for name, v in argv.items()]
+        code, out, err = run(capsys, "physics", "eval", *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be finite, got {float(value)}\n"

@@ -259,6 +259,47 @@ class TestAllocation:
         assert figure_instance.release_point_of(2) == 2
 
 
+def linear_release_point(schedule, resource):
+    """The release-point lookup as first written: a walk over the schedule."""
+    offset = 0
+    for i, (_, count) in enumerate(schedule):
+        if resource < offset + count:
+            return i
+        offset += count
+    return None
+
+
+class TestReleaseTable:
+    def test_matches_linear_walk(self, rng):
+        for _ in range(200):
+            instance = random_wsp_instance(rng, max_vertices=4)
+            schedule = instance.schedule
+            total = sum(count for _, count in schedule)
+            assert instance.first_resources[-1] == instance.total_resources == total
+            for r in range(total):
+                point = linear_release_point(schedule, r)
+                assert instance.release_point_of(r) == point
+                assert instance.resource_release_time(r) == schedule[point][0]
+
+    def test_first_resources(self, figure_instance):
+        assert figure_instance.first_resources == (0, 1, 2, 3)
+        graph = DirectedGraph(2, ((0, 1, 1.0),))
+        instance = WspInstance(graph, 0, horizon=9.0, delay=1.0, schedule=((2.0, 3), (5.0, 2)))
+        assert instance.first_resources == (0, 3, 5)
+        assert [instance.release_point_of(r) for r in range(5)] == [0, 0, 0, 1, 1]
+        assert WspInstance(graph, 0, horizon=9.0, delay=1.0, schedule=()).first_resources == (0,)
+
+    def test_out_of_range_ids_raise(self, rng):
+        for _ in range(50):
+            instance = random_wsp_instance(rng, max_vertices=4)
+            total = instance.total_resources
+            for lookup in (instance.release_point_of, instance.resource_release_time):
+                with pytest.raises(StructuralError, match="invalid resource id -1"):
+                    lookup(-1)
+                with pytest.raises(StructuralError, match=f"beyond schedule total {total}"):
+                    lookup(total)
+
+
 class TestSerialization:
     def test_round_trip(self, figure_instance, tmp_path):
         text = instance_to_json(figure_instance)

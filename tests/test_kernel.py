@@ -8,6 +8,7 @@ equality with the kernel as it was first written.
 
 import heapq
 
+import numpy as np
 import pytest
 
 from wsptools.core import (
@@ -17,8 +18,8 @@ from wsptools.core import (
     compute_arrival_times,
 )
 from wsptools.generator import GeneratorConfig, generate_instance
-from wsptools.solvers import SolverBudget, beam_search, random_search
-from wsptools.testkit import random_allocation, random_wsp_instance
+from wsptools.solvers import SolverBudget, beam_search, brute_force, random_search
+from wsptools.testkit import random_allocation, random_grid_instance, random_wsp_instance
 
 
 def reference_arrival_times(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None):
@@ -101,3 +102,25 @@ def test_solver_results_pinned(seed, rs_expected, beam_expected):
     beam = beam_search(instance, 2, 3)
     assert (rs.allocation, rs.objective) == rs_expected
     assert (beam.allocation, beam.objective) == beam_expected
+
+
+# (seed, side, schedule, horizon, delay) of a testkit grid and the
+# brute_force (assignments, objective) on it, recorded before the solvers
+# took resource ids from WspInstance.first_resources; seeds 2 and 4 leave
+# the first resources of a release point unused
+PINNED_EXACT = [
+    ((0, 4, ((2.0, 1), (4.0, 1)), 10.0, 5.0), ((0, 1), (1, 6)), 14),
+    ((1, 4, ((2.0, 2), (4.0, 1)), 10.0, 5.0), ((0, 2), (1, 5), (2, 8)), 10),
+    ((2, 3, ((1.5, 2), (3.0, 2)), 8.0, 4.0), ((2, 5), (3, 7)), 8),
+    ((3, 3, ((1.0, 1), (2.5, 3)), 6.0, 3.0), ((0, 3), (1, 5), (2, 7)), 7),
+    ((4, 4, ((3.0, 1), (5.0, 2)), 9.0, 2.0), ((1, 2), (2, 9)), 10),
+    ((5, 3, ((0.5, 3),), 5.0, 10.0), ((0, 1), (1, 3)), 3),
+]
+
+
+@pytest.mark.parametrize("grid, assignments, objective", PINNED_EXACT)
+def test_brute_force_results_pinned(grid, assignments, objective):
+    seed, side, schedule, horizon, delay = grid
+    instance = random_grid_instance(np.random.default_rng(seed), side, schedule, horizon, delay)
+    result = brute_force(instance)
+    assert (result.allocation.assignments, result.objective) == (assignments, objective)

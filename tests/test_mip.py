@@ -76,7 +76,7 @@ class TestWspModel:
     def test_variable_and_constraint_counts(self, rng):
         instance = random_grid_instance(rng, side=2, schedule_spec=((1.0, 1),))
         model = build_wsp_model(instance)
-        names = model.variable_names()
+        names = {v.name for v in model.variables}
         assert len(names) == 4 + 4 + 4  # arrivals, burn flags, protections
         by_prefix = {}
         for c in model.constraints:
@@ -179,7 +179,7 @@ class TestHofModel:
         model = build_hof_model(
             graph, 0, [1, 2], alpha=[1.0, 0.0, 0.0], beta=[1.0, 0.0, 0.0], k=1.0
         )
-        assert "earliest" in model.variable_names()
+        assert "earliest" in {v.name for v in model.variables}
         assert model.objective_terms == ((1.0, "earliest"),)
         rows = [c for c in model.constraints if c.name.startswith("earliest")]
         assert len(rows) == 2

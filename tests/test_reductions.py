@@ -3,6 +3,7 @@ import math
 import pytest
 
 from wsptools.core import (
+    EMPTY_ALLOCATION,
     Allocation,
     DirectedGraph,
     StructuralError,
@@ -19,7 +20,6 @@ from wsptools.reductions import (
     decide_hwsp_brute,
     evaluate_hwsp,
     evaluate_wwsp,
-    free_burn_wwsp,
     mvnp_to_hwsp,
     mvnp_to_wsp,
     mvnp_to_wwsp,
@@ -119,7 +119,7 @@ class TestWeightedReduction:
 
     def test_evaluation(self):
         instance, _ = mvnp_to_wwsp(triangle_mvnp())
-        assert free_burn_wwsp(instance) == 1.0  # sink burns at 2 < 3
+        assert evaluate_wwsp(instance, EMPTY_ALLOCATION) == 1.0  # sink burns at 2 < 3
         assert evaluate_wwsp(instance, Allocation(((0, 1),))) == 0.0
 
     def test_forbidden_protection_rejected(self):
