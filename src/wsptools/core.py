@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 INF = math.inf
 
@@ -56,6 +56,14 @@ class DirectedGraph:
         for arc in self.arcs:
             out[arc[0]].append(arc)
         return tuple(map(tuple, out))
+
+    @cached_property
+    def in_arcs(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+        """in_arcs[v]: the graph's own (u, v, t) arc tuples entering v, in arc order."""
+        into: list[list[tuple[int, int, float]]] = [[] for _ in range(self.vertex_count)]
+        for arc in self.arcs:
+            into[arc[1]].append(arc)
+        return tuple(map(tuple, into))
 
 
 @dataclass(frozen=True)
@@ -146,9 +154,18 @@ EMPTY_ALLOCATION = Allocation(())
 
 @dataclass(frozen=True)
 class FireOutcome:
-    """Fire arrival time per vertex; +inf marks unreachable vertices."""
+    """Fire arrival time per vertex; +inf marks unreachable vertices.
+
+    changed, for an outcome repaired from a parent outcome (see
+    compute_arrival_times), holds the vertices whose arrival differs from
+    the parent's; otherwise it is None.  It is a frozenset, not a tuple:
+    freed tuples of under 20 items stay on per-size free lists, and one
+    of assorted size per evaluation grew the memory of a process running
+    rs and beam on 20 x 20 grids by 4 MB over a thousand runs.
+    """
 
     arrival: tuple[float, ...]
+    changed: frozenset[int] | None = field(default=None, compare=False, repr=False)
 
     def burned_set(self, t: float) -> set[int]:
         """Vertices with arrival strictly below t (burned at time t)."""
@@ -159,18 +176,23 @@ class FireOutcome:
     def burned_count(self, t: float) -> int:
         return sum(1 for a in self.arrival if a < t)
 
+    def burned_delta(self, parent: FireOutcome, t: float) -> int:
+        """burned_count(t) - parent.burned_count(t); for an outcome repaired
+        from parent, only the changed vertices are looked at."""
+        if self.changed is None:
+            return self.burned_count(t) - parent.burned_count(t)
+        old, new = parent.arrival, self.arrival
+        return sum((new[v] < t) - (old[v] < t) for v in self.changed)
 
-def _shortest_paths(graph: DirectedGraph, source: int, delays: dict[int, float]) -> list[float]:
-    """Heap Dijkstra from source over graph.out_arcs; +inf if unreachable.
+
+def _settle(out_arcs, dist: list[float], heap: list, delays: dict[int, float]) -> list[float]:
+    """Heap Dijkstra over out_arcs from the (d, v) entries of heap, which
+    must be a heap with d == dist[v]; lowers dist in place and returns it.
 
     An arc leaving a vertex u in delays costs (d + t) + delays[u], any
     other arc d + t.  Callers rely on this exact summation order: the
     horizon test is strict, so a last-bit change is observable.
     """
-    out_arcs = graph.out_arcs
-    dist = [INF] * graph.vertex_count
-    dist[source] = 0.0
-    heap = [(0.0, source)]
     while heap:
         d, u = heappop(heap)
         if d > dist[u]:
@@ -191,22 +213,121 @@ def _shortest_paths(graph: DirectedGraph, source: int, delays: dict[int, float])
     return dist
 
 
+def _shortest_paths(graph: DirectedGraph, source: int, delays: dict[int, float]) -> list[float]:
+    """Arrivals from source under _settle's arc costs; +inf if unreachable."""
+    dist = [INF] * graph.vertex_count
+    dist[source] = 0.0
+    return _settle(graph.out_arcs, dist, [(0.0, source)], delays)
+
+
+def _repair(
+    graph: DirectedGraph,
+    arrival: tuple[float, ...],
+    protected: frozenset[int],
+    parent_protected: frozenset[int],
+    delay: float,
+) -> FireOutcome:
+    """The outcome of protecting every vertex of protected, given the
+    arrivals under its subset parent_protected (Ramalingam & Reps 1996;
+    Frigioni, Marchetti-Spaccamela & Nanni 2000).
+
+    Protection only raises arc costs, so arrivals only rise.  A vertex
+    keeps its arrival a_v while an in-arc from a vertex w that keeps its
+    own is still tight under the new costs: (a_w + t) + extra_w == a_v.
+    The other vertices are affected, and only they are recomputed:
+
+    1. Walk candidates in order of arrival, starting from the heads of
+       the tight arcs leaving the newly protected vertices.  A candidate
+       with no tight in-arc from an unaffected tail of strictly smaller
+       arrival is affected, and the heads of its tight out-arcs (under
+       the parent's costs) become candidates.
+    2. Reset each affected vertex to its best in-arc from an unaffected
+       tail.
+    3. Settle the affected vertices with _settle.  An unaffected vertex
+       already holds its least cost, so no relaxation lowers it.
+
+    Each arrival is the least path cost under _settle's summation order,
+    so the result equals _shortest_paths' bit for bit.  The ignition
+    (0.0) has no tight in-arc, so it is never affected.  The strict
+    "smaller arrival" keeps step 1 sound on arcs too short to change a
+    float (100.0 + 1e-300 == 100.0): a tail of equal arrival may itself
+    turn out affected later, so such a vertex is recomputed instead.
+    """
+    in_arcs, out_arcs = graph.in_arcs, graph.out_arcs
+    delays = dict.fromkeys(protected, delay)
+    old_delays = dict.fromkeys(parent_protected, delay)
+
+    added = protected - parent_protected
+    candidates = [(arrival[v], v) for u in added for _, v, t in out_arcs[u]
+                  if arrival[u] + t == arrival[v]]
+    heapify(candidates)
+    affected: set[int] = set()
+    while candidates:
+        a_v, v = heappop(candidates)
+        if a_v == INF:
+            break  # unreachable stays unreachable
+        if v in affected:
+            continue
+        for w, _, t in in_arcs[v]:
+            a_w = arrival[w]
+            if a_w < a_v and w not in affected and a_w + t + delays.get(w, 0.0) == a_v:
+                break
+        else:
+            affected.add(v)
+            extra = old_delays.get(v, 0.0)
+            for _, x, t in out_arcs[v]:
+                if a_v + t + extra == arrival[x]:
+                    heappush(candidates, (arrival[x], x))
+
+    dist = list(arrival)
+    heap = []
+    for v in affected:
+        best = INF
+        for w, _, t in in_arcs[v]:
+            if w not in affected:
+                nd = arrival[w] + t + delays.get(w, 0.0)
+                if nd < best:
+                    best = nd
+        dist[v] = best
+        heap.append((best, v))
+    heapify(heap)
+    _settle(out_arcs, dist, heap, delays)
+    return FireOutcome(tuple(dist), frozenset([v for v in affected if dist[v] != arrival[v]]))
+
+
 def compute_arrival_times(
     instance: WspInstance,
     alloc: Allocation = EMPTY_ALLOCATION,
     vertex_delays: list[float] | None = None,
+    parent: tuple[Allocation, FireOutcome] | None = None,
 ) -> FireOutcome:
     """Shortest-path fire arrival times under an allocation.
 
     The cost of arc (u, v) is t_uv plus the delay if u is protected.  The
     delay is the instance's uniform value unless vertex_delays overrides
     it per vertex (used by the heterogeneous-delay problem variant).
+
+    parent, if given, is (parent_alloc, parent_outcome): an allocation
+    whose protected vertices alloc protects too, and its outcome on this
+    instance.  The arrivals are then repaired from parent_outcome (see
+    _repair), with the same bits as a full evaluation, and the result's
+    changed holds the vertices whose arrival differs from the parent's.
     """
     n = instance.graph.vertex_count
     protected = alloc.protected
     for v in protected:
         if not (0 <= v < n):
             raise StructuralError(f"protected vertex {v} out of range")
+    if parent is not None:
+        if vertex_delays is not None:
+            raise StructuralError("a parent outcome cannot be combined with vertex_delays")
+        parent_alloc, parent_outcome = parent
+        if not parent_alloc.protected <= protected:
+            raise StructuralError("the parent allocation protects a vertex the allocation does not")
+        if len(parent_outcome.arrival) != n:
+            raise StructuralError("parent outcome length mismatch")
+        return _repair(instance.graph, parent_outcome.arrival, protected, parent_alloc.protected,
+                       instance.delay)
     if vertex_delays is None:
         delays = dict.fromkeys(protected, instance.delay)
     elif len(vertex_delays) != n:

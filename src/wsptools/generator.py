@@ -15,6 +15,7 @@ serialized instances are byte-stable across runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,11 +258,13 @@ def build_travel_times(config: GeneratorConfig, landscape: Landscape) -> Directe
     )
 
 
-def free_burn_quantile(arrivals, p: float) -> float:
+def free_burn_quantile(arrivals, p: float, positive: bool = False) -> float:
     """Largest arrival time t with at most p% of the vertices burned before t.
 
     Evaluated over the finite multiset of arrival values; p = 100 yields
-    the maximum finite arrival time.
+    the maximum finite arrival time.  With positive, a quantile of 0.0
+    (the ignition's arrival, on grids too small for p% to pass it) gives
+    way to the least positive arrival, as a release time must be positive.
     """
     if not 0 < p <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {p}")
@@ -271,7 +274,12 @@ def free_burn_quantile(arrivals, p: float) -> float:
     threshold = (p / 100.0) * len(arrivals)
     # at most i values lie strictly below finite[i] (exactly i at the first
     # of its ties), so the answer is the value at the last index <= threshold
-    return finite[min(int(threshold), len(finite) - 1)]
+    index = min(int(threshold), len(finite) - 1)
+    if positive:
+        index = max(index, bisect_right(finite, 0.0))
+        if index == len(finite):
+            raise GenerationError("no vertex has a positive free-burn arrival time")
+    return finite[index]
 
 
 def compute_horizon(arrivals) -> float:
@@ -290,7 +298,7 @@ def build_resource_schedule(
     randomly permuted.  Zero-count points are dropped."""
     t = config.decision_points
     k = config.resource_count
-    first = free_burn_quantile(arrivals, FIRST_RELEASE_LEVELS[config.first_release])
+    first = free_burn_quantile(arrivals, FIRST_RELEASE_LEVELS[config.first_release], positive=True)
     last = free_burn_quantile(arrivals, LAST_RELEASE_LEVELS[config.last_release])
     last = min(last, horizon)  # release times must not exceed the horizon
     if t > 1 and not first < last:

@@ -70,9 +70,10 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
     allocation) nor already protected.
     """
     rng = np.random.default_rng(seed)
+    horizon = instance.horizon
     empty_outcome = compute_arrival_times(instance, EMPTY_ALLOCATION)
-    best_alloc = EMPTY_ALLOCATION
-    best_obj = empty_outcome.burned_count(instance.horizon)
+    empty_obj = empty_outcome.burned_count(horizon)
+    best_alloc, best_obj = EMPTY_ALLOCATION, empty_obj
     start = time.monotonic()
     iterations = 0
     while True:
@@ -81,7 +82,7 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
         if budget.max_seconds is not None and time.monotonic() - start >= budget.max_seconds:
             break
         iterations += 1
-        alloc, outcome = EMPTY_ALLOCATION, empty_outcome
+        alloc, outcome, obj = EMPTY_ALLOCATION, empty_outcome, empty_obj
         for (release_time, count), first in zip(instance.schedule, instance.first_resources):
             candidates = _unburned(outcome, release_time, alloc)
             take = min(count, len(candidates))
@@ -89,9 +90,10 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
                 continue
             chosen = rng.choice(len(candidates), size=take, replace=False)
             pairs = [(first + i, candidates[c]) for i, c in enumerate(sorted(chosen.tolist()))]
-            alloc = alloc.extended(pairs)
-            outcome = compute_arrival_times(instance, alloc)
-        obj = outcome.burned_count(instance.horizon)
+            child = alloc.extended(pairs)
+            child_outcome = compute_arrival_times(instance, child, parent=(alloc, outcome))
+            obj += child_outcome.burned_delta(outcome, horizon)
+            alloc, outcome = child, child_outcome
         if obj < best_obj:
             best_obj = obj
             best_alloc = alloc
@@ -135,41 +137,45 @@ def beam_search(
     lexicographically smallest allocation.  beam_width and
     expansions_per_node may be math.inf for exhaustive behavior.
 
-    Every allocation is evaluated once, when it is created; a node
-    carries its rank key and fire outcome to the next level.
+    Every allocation is evaluated once, when it is created, by repairing
+    its parent's outcome; a node carries its rank key and fire outcome to
+    the next level.  A child's burned counts are its parent's plus the
+    change over the vertices the repair changed.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
     del seed  # beam search is deterministic; kept for a uniform solver signature
 
-    schedule = instance.schedule
-
-    def node(alloc: Allocation) -> tuple[tuple, Allocation, FireOutcome]:
-        outcome = compute_arrival_times(instance, alloc)
-        burned_h = outcome.burned_count(instance.horizon)
-        # the release point after the last one the allocation uses
-        used = [r for r, _ in alloc.assignments]
-        nxt = 1 + instance.release_point_of(max(used)) if used else 0
-        burned_next = outcome.burned_count(schedule[nxt][0]) if nxt < len(schedule) else burned_h
-        key_alloc = tuple(sorted(v for _, v in alloc.assignments))
-        return (burned_h, burned_next, key_alloc), alloc, outcome
-
-    beam = [node(EMPTY_ALLOCATION)]
-    for (release_time, count), first in zip(schedule, instance.first_resources):
+    schedule, horizon = instance.schedule, instance.horizon
+    # the rank key's "next release" is the release point after the last one
+    # an allocation uses: the first for the root, i + 1 for children made at
+    # level i, with the horizon after the last level
+    times = [t for t, _ in schedule] + [horizon]
+    root = compute_arrival_times(instance, EMPTY_ALLOCATION)
+    beam = [((root.burned_count(horizon), root.burned_count(times[0]), ()), EMPTY_ALLOCATION, root)]
+    for level, ((release_time, count), first) in enumerate(zip(schedule, instance.first_resources)):
+        next_time = times[level + 1]
         children = []
         for parent in beam:
-            _, alloc, outcome = parent
+            (burned_h, _, _), alloc, outcome = parent
             candidates = perimeter_candidates(instance, alloc, release_time, outcome)
             take = min(count, len(candidates))
             if take == 0:
                 children.append(parent)
                 continue
+            burned_next = outcome.burned_count(next_time)
             combos = itertools.combinations(candidates, take)
             if math.isfinite(expansions_per_node):
                 combos = itertools.islice(combos, int(expansions_per_node))
             for combo in combos:
-                pairs = [(first + i, v) for i, v in enumerate(combo)]
-                children.append(node(alloc.extended(pairs)))
+                child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
+                child_outcome = compute_arrival_times(instance, child, parent=(alloc, outcome))
+                key = (
+                    burned_h + child_outcome.burned_delta(outcome, horizon),
+                    burned_next + child_outcome.burned_delta(outcome, next_time),
+                    tuple(sorted(v for _, v in child.assignments)),
+                )
+                children.append((key, child, child_outcome))
         children.sort(key=itemgetter(0))
         if math.isfinite(beam_width):
             children = children[: int(beam_width)]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from wsptools.cli import dispatch
-from wsptools.core import load_instance, objective, solution_from_json
+from wsptools.core import compute_arrival_times, load_instance, objective, solution_from_json
 from wsptools.rothermel import albini_multiplier
 
 
@@ -69,6 +69,18 @@ class TestGenerate:
                            "-o", str(tmp_path / "x.json"))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_tiny_grid_first_release_after_ignition(self, tmp_path, capsys, seed):
+        # on a 3 x 3 grid q(5) of the free-burn arrivals is the ignition's
+        # 0.0; the first release goes to the next arrival instead
+        path = tmp_path / "tiny.json"
+        code, _, err = run(capsys, "generate", "--seed", str(seed), "--grid-side", "3",
+                           "--slope", "flat", "-o", str(path))
+        assert code == 0, err
+        instance = load_instance(path)
+        arrivals = sorted(compute_arrival_times(instance).arrival)
+        assert instance.schedule[0][0] >= arrivals[1] > 0.0
 
     def test_zero_extent_is_domain_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "--grid-side", "5", "--extent", "0",
@@ -437,6 +449,21 @@ class TestPhysics:
                              "--slope-tangent", slope, "--base-rate", base)
         assert (code, out) == (2, "")
         assert err == "error: physics eval overflows for these inputs\n"
+
+    @pytest.mark.parametrize("flag, value", [("--slope-tangent", "-1e-3"),
+                                             ("--wind-speed", "-3e1")])
+    def test_negative_exponent_value(self, capsys, flag, value):
+        # argparse took "-1e-3" for an option; the "=" form always worked
+        argv = {"--wind-speed": "2", "--slope-tangent": "0.25"}
+        argv[flag] = value
+        separate = [x for name, v in argv.items() for x in (name, v)]
+        joined = [f"{name}={v}" for name, v in argv.items()]
+        outputs = [run(capsys, "physics", "eval", *args) for args in (separate, joined)]
+        assert outputs[0] == outputs[1]
+        code, out, err = outputs[0]
+        assert (code, err) == (0, "")
+        wind, slope = float(argv["--wind-speed"]), float(argv["--slope-tangent"])
+        assert json.loads(out)["multiplier"] == albini_multiplier(wind, slope)
 
     @pytest.mark.parametrize("flag", ["--wind-speed", "--slope-tangent", "--base-rate"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

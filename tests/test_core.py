@@ -219,6 +219,15 @@ class TestEffectiveTravelTime:
         assert sum(len(arcs) for arcs in graph.out_arcs) == len(graph.arcs)
         assert graph.out_arcs is graph.out_arcs  # built once
 
+    def test_in_arcs_mirror_out_arcs(self, figure_instance):
+        graph = figure_instance.graph
+        for v, arcs in enumerate(graph.in_arcs):
+            # the graph's own arc tuples entering v, in arc order
+            assert list(arcs) == [arc for arc in graph.arcs if arc[1] == v]
+            assert all(arc in graph.out_arcs[arc[0]] for arc in arcs)
+        assert graph.in_arcs[0] == ()
+        assert graph.in_arcs is graph.in_arcs  # built once
+
     def test_protected_adds_delay(self):
         # s -> u -> v; protecting u delays v by exactly the delay
         graph = DirectedGraph(3, ((0, 1, 2.0), (1, 2, 1.0)))

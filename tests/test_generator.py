@@ -268,6 +268,15 @@ class TestQuantilesAndHorizon:
             for p in (0.5, 5.0, 20.0, 50.0, 70.0, 95.0, 100.0, float(rng.uniform(0.1, 100))):
                 assert free_burn_quantile(arrivals, p) == reference(arrivals, p)
 
+    def test_positive_skips_the_ignition(self):
+        # q(5) of nine arrivals is the ignition's 0.0, which is no release time
+        arrivals = [0.0, 7.0, 3.0, 3.0, math.inf, 9.0, 4.0, 5.0, 6.0]
+        assert free_burn_quantile(arrivals, 5.0) == 0.0
+        assert free_burn_quantile(arrivals, 5.0, positive=True) == 3.0
+        assert free_burn_quantile(arrivals, 50.0, positive=True) == 5.0
+        with pytest.raises(GenerationError, match="positive"):
+            free_burn_quantile([0.0, math.inf], 5.0, positive=True)
+
     def test_rejects_percentile_out_of_range(self):
         with pytest.raises(ValueError):
             free_burn_quantile([1.0], 0.0)

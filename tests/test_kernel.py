@@ -6,15 +6,20 @@ allowed, so a last-bit change is observable; these tests demand exact
 equality with the kernel as it was first written.
 """
 
+import dataclasses
 import heapq
 
 import numpy as np
 import pytest
 
+from wsptools import solvers
 from wsptools.core import (
     EMPTY_ALLOCATION,
     INF,
     Allocation,
+    DirectedGraph,
+    StructuralError,
+    WspInstance,
     compute_arrival_times,
 )
 from wsptools.generator import GeneratorConfig, generate_instance
@@ -124,3 +129,143 @@ def test_brute_force_results_pinned(grid, assignments, objective):
     instance = random_grid_instance(np.random.default_rng(seed), side, schedule, horizon, delay)
     result = brute_force(instance)
     assert (result.allocation.assignments, result.objective) == (assignments, objective)
+
+
+# ---------------------------------------------------------------------------
+# Repair from a parent outcome: compute_arrival_times(..., parent=...) must
+# give the original kernel's arrivals bit for bit.
+
+
+def assert_repair_exact(instance, parent_alloc, parent_outcome, alloc, repaired):
+    expected = reference_arrival_times(instance, alloc)
+    assert repaired.arrival == expected
+    assert repaired.changed == {
+        v for v, (old, new) in enumerate(zip(parent_outcome.arrival, expected)) if old != new
+    }
+
+
+def _vertices_alloc(vertices):
+    return Allocation(tuple(enumerate(vertices)))
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """(instance, parent_alloc, parent_outcome, alloc, outcome) of every
+    repaired evaluation the solvers make."""
+    recorded, evaluate = [], compute_arrival_times
+
+    def recording_evaluate(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None, parent=None):
+        outcome = evaluate(instance, alloc, vertex_delays, parent)
+        if parent is not None:
+            recorded.append((instance, *parent, alloc, outcome))
+        return outcome
+
+    monkeypatch.setattr(solvers, "compute_arrival_times", recording_evaluate)
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "seed, n, rs_iterations, beam",
+    [(0, 20, 3, (2, 3)), (1, 20, 3, (2, 3)), (7, 20, 4, (4, 4)), (7, 30, 4, (4, 4))],
+)
+def test_solver_repairs_bitwise(seed, n, rs_iterations, beam, repairs):
+    """Every (parent, child) pair rs and beam build on the PINNED instances
+    and on generator grids of side 20 and 30."""
+    instance = generate_instance(GeneratorConfig(seed=seed, n=n))
+    random_search(instance, SolverBudget(max_iterations=rs_iterations), seed=5)
+    beam_search(instance, *beam)
+    assert len(repairs) > 2 * len(instance.schedule)
+    assert any(outcome.changed for *_, outcome in repairs)
+    for record in repairs:
+        assert_repair_exact(*record)
+
+
+def test_random_repairs_bitwise(rng):
+    for case in range(200):
+        instance = random_wsp_instance(rng, max_vertices=30)
+        if case % 4 == 0:
+            instance = dataclasses.replace(instance, delay=0.0)
+        n = instance.graph.vertex_count
+        order = [int(v) for v in rng.permutation(n)]
+        heads = [v for _, v, _ in instance.graph.out_arcs[instance.ignition]]
+        if case % 2 and heads:
+            # protect an out-neighbour of the ignition in the child
+            order.remove(heads[0])
+            order.insert(int(rng.integers(0, n)), heads[0])
+        kept = int(rng.integers(0, n))
+        added = int(rng.integers(0, n - kept + 1))
+        parent_alloc = _vertices_alloc(order[:kept])
+        alloc = _vertices_alloc(order[: kept + added])
+        parent_outcome = compute_arrival_times(instance, parent_alloc)
+        repaired = compute_arrival_times(instance, alloc, parent=(parent_alloc, parent_outcome))
+        assert_repair_exact(instance, parent_alloc, parent_outcome, alloc, repaired)
+        # a repaired outcome is itself a valid parent
+        grandchild = _vertices_alloc(order[: kept + added + 1])
+        assert_repair_exact(
+            instance, alloc, repaired, grandchild,
+            compute_arrival_times(instance, grandchild, parent=(alloc, repaired)),
+        )
+
+
+def test_repair_with_equal_arrival_tight_arcs():
+    """Arcs of 1e-300 after an arrival of 100.0 cost nothing in floats, so
+    tight arcs join vertices of equal arrival.  Vertices 2 and 3 reach 100.0
+    through 1 and support each other; protecting 1 must raise both, though
+    each still has a tight in-arc from the other.  Vertex 5 keeps 100.0
+    through 4 while its tight arc from 1 breaks."""
+    tiny = 1e-300
+    graph = DirectedGraph(6, (
+        (0, 1, 50.0), (1, 2, 50.0), (1, 3, 50.0), (2, 3, tiny), (3, 2, tiny),
+        (0, 2, 200.0), (0, 3, 200.0), (0, 4, 100.0), (4, 5, tiny), (1, 5, 50.0),
+    ))
+    instance = WspInstance(graph, 0, horizon=1000.0, delay=10.0, schedule=())
+    parent_outcome = compute_arrival_times(instance)
+    assert parent_outcome.arrival == (0.0, 50.0, 100.0, 100.0, 100.0, 100.0)
+    for protected in [(1,), (1, 4), (1, 2), (1, 3), (4, 1, 2, 3)]:
+        alloc = _vertices_alloc(protected)
+        repaired = compute_arrival_times(instance, alloc, parent=(EMPTY_ALLOCATION, parent_outcome))
+        assert_repair_exact(instance, EMPTY_ALLOCATION, parent_outcome, alloc, repaired)
+    repaired = compute_arrival_times(instance, _vertices_alloc((1,)),
+                                     parent=(EMPTY_ALLOCATION, parent_outcome))
+    assert repaired.arrival == (0.0, 50.0, 110.0, 110.0, 100.0, 100.0)
+    assert repaired.changed == {2, 3}
+
+
+class TestRepairInputs:
+    def test_parent_must_protect_a_subset(self, figure_instance):
+        parent_alloc = _vertices_alloc((2, 4))
+        parent_outcome = compute_arrival_times(figure_instance, parent_alloc)
+        with pytest.raises(StructuralError, match="parent"):
+            compute_arrival_times(figure_instance, _vertices_alloc((2, 5)),
+                                  parent=(parent_alloc, parent_outcome))
+
+    def test_rejects_vertex_delays(self, figure_instance):
+        outcome = compute_arrival_times(figure_instance)
+        delays = [1.0] * figure_instance.graph.vertex_count
+        with pytest.raises(StructuralError, match="vertex_delays"):
+            compute_arrival_times(figure_instance, _vertices_alloc((2,)), delays,
+                                  parent=(EMPTY_ALLOCATION, outcome))
+
+    def test_rejects_outcome_of_another_size(self, figure_instance):
+        with pytest.raises(StructuralError, match="length"):
+            compute_arrival_times(figure_instance, _vertices_alloc((2,)),
+                                  parent=(EMPTY_ALLOCATION, compute_arrival_times(
+                                      random_grid_instance(np.random.default_rng(0), 2))))
+
+    def test_same_protection_changes_nothing(self, figure_instance):
+        alloc = _vertices_alloc((2, 4))
+        outcome = compute_arrival_times(figure_instance, alloc)
+        repaired = compute_arrival_times(figure_instance, alloc, parent=(alloc, outcome))
+        assert repaired.arrival == outcome.arrival
+        assert repaired.changed == frozenset()
+
+    def test_burned_delta(self, figure_instance):
+        parent_alloc = _vertices_alloc((3,))
+        parent = compute_arrival_times(figure_instance, parent_alloc)
+        alloc = _vertices_alloc((3, 1))
+        repaired = compute_arrival_times(figure_instance, alloc, parent=(parent_alloc, parent))
+        full = compute_arrival_times(figure_instance, alloc)
+        assert full.changed is None
+        for t in sorted(set(parent.arrival) | {0.0, 0.5, 1e9, INF}):
+            delta = full.burned_count(t) - parent.burned_count(t)
+            assert repaired.burned_delta(parent, t) == full.burned_delta(parent, t) == delta

@@ -1,11 +1,21 @@
-"""Property tests of the instance file format (needs hypothesis)."""
+"""Property tests of the instance file format and the fire-arrival kernel
+(needs hypothesis)."""
 
+import json
 import math
 
 import pytest
 from test_core import indented_json
 
-from wsptools.core import DirectedGraph, WspInstance, instance_from_json, instance_to_json
+from wsptools.core import (
+    Allocation,
+    DirectedGraph,
+    StructuralError,
+    WspInstance,
+    compute_arrival_times,
+    instance_from_json,
+    instance_to_json,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -48,3 +58,81 @@ def test_round_trip(instance):
     assert back == instance
     assert back.meta == instance.meta
     assert instance_to_json(back) == text
+
+
+# Arc times of 1e-300 and 1e-17 leave a float arrival unchanged, which makes
+# tight arcs between vertices of equal arrival; delay 0.0 and 1e-300 leave
+# some protections without effect.
+arc_times = st.sampled_from([1e-300, 1e-17, 0.5, 1.0, 2.0]) | st.floats(1e-3, 100.0)
+delays = st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 50.0)
+
+
+@st.composite
+def nested_protections(draw):
+    """An instance and two protected vertex lists, the first a prefix of the second."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] != p[1]), max_size=30))
+    arcs = tuple((u, v, draw(arc_times)) for u, v in sorted(pairs))
+    instance = WspInstance(DirectedGraph(n, arcs), ignition=draw(st.integers(0, n - 1)),
+                           horizon=math.inf, delay=draw(delays), schedule=())
+    order = draw(st.permutations(range(n)))
+    more = draw(st.integers(0, n))
+    fewer = draw(st.integers(0, more))
+    return instance, order[:fewer], order[:more]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(nested_protections())
+def test_more_protection_never_lowers_arrivals_and_repair_is_exact(case):
+    instance, fewer, more = case
+    parent_alloc = Allocation(tuple(enumerate(fewer)))
+    alloc = Allocation(tuple(enumerate(more)))
+    parent = compute_arrival_times(instance, parent_alloc)
+    full = compute_arrival_times(instance, alloc)
+    assert all(a <= b for a, b in zip(parent.arrival, full.arrival))
+    repaired = compute_arrival_times(instance, alloc, parent=(parent_alloc, parent))
+    assert repaired.arrival == full.arrival
+    assert repaired.changed == {
+        v for v, (a, b) in enumerate(zip(parent.arrival, full.arrival)) if a != b
+    }
+
+
+mistyped = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(), max_size=2) \
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+bad_int = mistyped | st.floats()
+bad_number = mistyped | st.sampled_from([math.nan, -math.inf])
+# +inf is invalid only as a delay or an arc time: an infinite horizon, and
+# an infinite release time under it, make a valid instance
+bad_finite = bad_number | st.just(math.inf)
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A valid instance document with one field set to a mistyped or
+    non-finite value."""
+    doc = json.loads(instance_to_json(draw(instances())))
+    fields = ["version", "vertex_count", "ignition", "horizon_min", "delay_min"]
+    fields += ["arc"] * bool(doc["arcs"]) + ["t_min", "count"] * bool(doc["schedule"])
+    field = draw(st.sampled_from(fields))
+    if field in ("version", "vertex_count", "ignition"):
+        doc[field] = draw(bad_int)
+    elif field == "horizon_min":
+        doc[field] = draw(bad_number)
+    elif field == "delay_min":
+        doc[field] = draw(bad_finite)
+    elif field == "arc":
+        arc = draw(st.sampled_from(doc["arcs"]))
+        position = draw(st.integers(0, 2))
+        arc[position] = draw(bad_finite if position == 2 else bad_int)
+    else:
+        entry = draw(st.sampled_from(doc["schedule"]))
+        entry[field] = draw(bad_number if field == "t_min" else bad_int)
+    return json.dumps(doc)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(corrupted_documents())
+def test_loader_rejects_mistyped_or_non_finite_fields(text):
+    with pytest.raises(StructuralError):
+        instance_from_json(text)

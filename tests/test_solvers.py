@@ -218,14 +218,17 @@ class TestEvaluationCount:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Protected sets evaluated by the solvers, and the number of
+        """Protected sets evaluated by the solvers, the number of those
+        evaluations repaired from a parent outcome, and the number of
         allocations they built by extension."""
-        evaluated, extensions = [], [0]
+        evaluated, repaired, extensions = [], [0], [0]
         evaluate, extend = compute_arrival_times, Allocation.extended
 
-        def counting_evaluate(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None):
+        def counting_evaluate(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None,
+                              parent=None):
             evaluated.append(alloc.protected)
-            return evaluate(instance, alloc, vertex_delays)
+            repaired[0] += parent is not None
+            return evaluate(instance, alloc, vertex_delays, parent)
 
         def counting_extend(alloc, pairs):
             extensions[0] += 1
@@ -233,7 +236,7 @@ class TestEvaluationCount:
 
         monkeypatch.setattr(solvers, "compute_arrival_times", counting_evaluate)
         monkeypatch.setattr(Allocation, "extended", counting_extend)
-        return evaluated, extensions
+        return evaluated, repaired, extensions
 
     @staticmethod
     def instance(name, request):
@@ -243,15 +246,18 @@ class TestEvaluationCount:
 
     @pytest.mark.parametrize("name, pinned", [("figure", 16), ("n20", 58)])
     def test_beam_evaluates_each_child_once(self, name, pinned, counted, request):
-        evaluated, extensions = counted
+        evaluated, repaired, extensions = counted
         beam_search(self.instance(name, request), 2, 3)
         assert len(evaluated) == len(set(evaluated)) == 1 + extensions[0] == pinned
+        # every child is repaired from its parent's outcome
+        assert repaired[0] == extensions[0]
 
     @pytest.mark.parametrize("name, pinned", [("figure", 16), ("n20", 51)])
     def test_random_search_evaluates_each_placing_level_once(self, name, pinned, counted,
                                                              request):
-        evaluated, extensions = counted
+        evaluated, repaired, extensions = counted
         random_search(self.instance(name, request), SolverBudget(max_iterations=5), seed=1)
         # one evaluation of the empty allocation, then one per level that
-        # placed a resource
+        # placed a resource, repaired from the level before
         assert len(evaluated) == 1 + extensions[0] == pinned
+        assert repaired[0] == extensions[0]
