@@ -23,7 +23,6 @@ from wsptools.core import (
     _json_int,
     _json_list,
     check_feasibility,
-    compute_arrival_times,
     load_instance,
     objective,
     save_instance,
@@ -40,9 +39,11 @@ EXIT_LIMIT = 3
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-1e-3" as an option unless its negative-number
-        # pattern, which lacks exponents, matches it
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # argparse reads "-1e-3" or "-inf" as an option unless its negative-number
+        # pattern, which lacks exponents and non-finite words, matches it
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:inf|infinity|nan))$"
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -157,8 +157,8 @@ class FireOutcome:
     """Fire arrival time per vertex; +inf marks unreachable vertices.
 
     changed, for an outcome repaired from a parent outcome (see
-    compute_arrival_times), holds the vertices whose arrival differs from
-    the parent's; otherwise it is None.  It is a frozenset, not a tuple:
+    fire_arrivals), holds the vertices whose arrival differs from the
+    parent's; otherwise it is None.  It is a frozenset, not a tuple:
     freed tuples of under 20 items stay on per-size free lists, and one
     of assorted size per evaluation grew the memory of a process running
     rs and beam on 20 x 20 grids by 4 MB over a thousand runs.
@@ -166,12 +166,6 @@ class FireOutcome:
 
     arrival: tuple[float, ...]
     changed: frozenset[int] | None = field(default=None, compare=False, repr=False)
-
-    def burned_set(self, t: float) -> set[int]:
-        """Vertices with arrival strictly below t (burned at time t)."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        return {v for v, a in enumerate(self.arrival) if a < t}
 
     def burned_count(self, t: float) -> int:
         return sum(1 for a in self.arrival if a < t)
@@ -213,31 +207,23 @@ def _settle(out_arcs, dist: list[float], heap: list, delays: dict[int, float]) -
     return dist
 
 
-def _shortest_paths(graph: DirectedGraph, source: int, delays: dict[int, float]) -> list[float]:
-    """Arrivals from source under _settle's arc costs; +inf if unreachable."""
-    dist = [INF] * graph.vertex_count
-    dist[source] = 0.0
-    return _settle(graph.out_arcs, dist, [(0.0, source)], delays)
-
-
 def _repair(
     graph: DirectedGraph,
     arrival: tuple[float, ...],
-    protected: frozenset[int],
-    parent_protected: frozenset[int],
-    delay: float,
+    delays: dict[int, float],
+    parent_delays: dict[int, float],
 ) -> FireOutcome:
-    """The outcome of protecting every vertex of protected, given the
-    arrivals under its subset parent_protected (Ramalingam & Reps 1996;
-    Frigioni, Marchetti-Spaccamela & Nanni 2000).
+    """The outcome under delays, given the arrivals under parent_delays,
+    a sub-map of delays (Ramalingam & Reps 1996; Frigioni,
+    Marchetti-Spaccamela & Nanni 2000).
 
-    Protection only raises arc costs, so arrivals only rise.  A vertex
-    keeps its arrival a_v while an in-arc from a vertex w that keeps its
-    own is still tight under the new costs: (a_w + t) + extra_w == a_v.
-    The other vertices are affected, and only they are recomputed:
+    Delays only raise arc costs, so arrivals only rise.  A vertex keeps
+    its arrival a_v while an in-arc from a vertex w that keeps its own is
+    still tight under the new costs: (a_w + t) + extra_w == a_v.  The
+    other vertices are affected, and only they are recomputed:
 
     1. Walk candidates in order of arrival, starting from the heads of
-       the tight arcs leaving the newly protected vertices.  A candidate
+       the tight arcs leaving the newly delayed vertices.  A candidate
        with no tight in-arc from an unaffected tail of strictly smaller
        arrival is affected, and the heads of its tight out-arcs (under
        the parent's costs) become candidates.
@@ -247,19 +233,15 @@ def _repair(
        already holds its least cost, so no relaxation lowers it.
 
     Each arrival is the least path cost under _settle's summation order,
-    so the result equals _shortest_paths' bit for bit.  The ignition
-    (0.0) has no tight in-arc, so it is never affected.  The strict
-    "smaller arrival" keeps step 1 sound on arcs too short to change a
-    float (100.0 + 1e-300 == 100.0): a tail of equal arrival may itself
-    turn out affected later, so such a vertex is recomputed instead.
+    so the result equals a full run's bit for bit.  The source (0.0) has
+    no tight in-arc, so it is never affected.  The strict "smaller
+    arrival" keeps step 1 sound on arcs too short to change a float
+    (100.0 + 1e-300 == 100.0): a tail of equal arrival may itself turn
+    out affected later, so such a vertex is recomputed instead.
     """
     in_arcs, out_arcs = graph.in_arcs, graph.out_arcs
-    delays = dict.fromkeys(protected, delay)
-    old_delays = dict.fromkeys(parent_protected, delay)
-
-    added = protected - parent_protected
-    candidates = [(arrival[v], v) for u in added for _, v, t in out_arcs[u]
-                  if arrival[u] + t == arrival[v]]
+    candidates = [(arrival[v], v) for u in delays.keys() - parent_delays.keys()
+                  for _, v, t in out_arcs[u] if arrival[u] + t == arrival[v]]
     heapify(candidates)
     affected: set[int] = set()
     while candidates:
@@ -274,7 +256,7 @@ def _repair(
                 break
         else:
             affected.add(v)
-            extra = old_delays.get(v, 0.0)
+            extra = parent_delays.get(v, 0.0)
             for _, x, t in out_arcs[v]:
                 if a_v + t + extra == arrival[x]:
                     heappush(candidates, (arrival[x], x))
@@ -295,51 +277,62 @@ def _repair(
     return FireOutcome(tuple(dist), frozenset([v for v in affected if dist[v] != arrival[v]]))
 
 
+def fire_arrivals(
+    graph: DirectedGraph,
+    source: int,
+    delays: dict[int, float],
+    parent: tuple[dict[int, float], FireOutcome] | None = None,
+) -> FireOutcome:
+    """Shortest-path fire arrival times from source; +inf if unreachable.
+
+    delays maps a vertex to the extra minutes on each of its outgoing
+    arcs (a protected vertex).  Arc (u, v) costs (d + t_uv) + delays[u]
+    for u in delays and d + t_uv otherwise; see _settle.
+
+    parent, if given, is (parent_delays, parent_outcome): a sub-map of
+    delays with the same values, and its outcome from the same source.
+    The arrivals are then repaired from parent_outcome (see _repair),
+    with the same bits as a full run, and the result's changed holds the
+    vertices whose arrival differs from the parent's.
+    """
+    n = graph.vertex_count
+    if not (0 <= source < n):
+        raise StructuralError(f"source vertex {source} out of range")
+    for v in delays:
+        if not (0 <= v < n):
+            raise StructuralError(f"protected vertex {v} out of range")
+    if parent is None:
+        dist = [INF] * n
+        dist[source] = 0.0
+        return FireOutcome(tuple(_settle(graph.out_arcs, dist, [(0.0, source)], delays)))
+    parent_delays, parent_outcome = parent
+    if not parent_delays.items() <= delays.items():
+        raise StructuralError("the parent delays are not a sub-map of the delays")
+    if len(parent_outcome.arrival) != n:
+        raise StructuralError("parent outcome length mismatch")
+    return _repair(graph, parent_outcome.arrival, delays, parent_delays)
+
+
 def compute_arrival_times(
     instance: WspInstance,
     alloc: Allocation = EMPTY_ALLOCATION,
-    vertex_delays: list[float] | None = None,
+    *,
     parent: tuple[Allocation, FireOutcome] | None = None,
 ) -> FireOutcome:
-    """Shortest-path fire arrival times under an allocation.
-
-    The cost of arc (u, v) is t_uv plus the delay if u is protected.  The
-    delay is the instance's uniform value unless vertex_delays overrides
-    it per vertex (used by the heterogeneous-delay problem variant).
-
-    parent, if given, is (parent_alloc, parent_outcome): an allocation
-    whose protected vertices alloc protects too, and its outcome on this
-    instance.  The arrivals are then repaired from parent_outcome (see
-    _repair), with the same bits as a full evaluation, and the result's
-    changed holds the vertices whose arrival differs from the parent's.
+    """fire_arrivals from the ignition with the instance's delay on each
+    vertex alloc protects.  parent, if given, is (parent_alloc,
+    parent_outcome): an allocation whose protected vertices alloc protects
+    too, and its outcome on this instance, to repair the arrivals from.
     """
-    n = instance.graph.vertex_count
-    protected = alloc.protected
-    for v in protected:
-        if not (0 <= v < n):
-            raise StructuralError(f"protected vertex {v} out of range")
     if parent is not None:
-        if vertex_delays is not None:
-            raise StructuralError("a parent outcome cannot be combined with vertex_delays")
-        parent_alloc, parent_outcome = parent
-        if not parent_alloc.protected <= protected:
-            raise StructuralError("the parent allocation protects a vertex the allocation does not")
-        if len(parent_outcome.arrival) != n:
-            raise StructuralError("parent outcome length mismatch")
-        return _repair(instance.graph, parent_outcome.arrival, protected, parent_alloc.protected,
-                       instance.delay)
-    if vertex_delays is None:
-        delays = dict.fromkeys(protected, instance.delay)
-    elif len(vertex_delays) != n:
-        raise StructuralError("vertex delay vector length mismatch")
-    else:
-        delays = {v: vertex_delays[v] for v in protected}
-    return FireOutcome(tuple(_shortest_paths(instance.graph, instance.ignition, delays)))
+        parent = (dict.fromkeys(parent[0].protected, instance.delay), parent[1])
+    delays = dict.fromkeys(alloc.protected, instance.delay)
+    return fire_arrivals(instance.graph, instance.ignition, delays, parent)
 
 
 def single_source_distances(graph: DirectedGraph, source: int) -> list[float]:
     """Plain shortest-path distances from source; +inf if unreachable."""
-    return _shortest_paths(graph, source, {})
+    return list(fire_arrivals(graph, source, {}).arrival)
 
 
 def objective(instance: WspInstance, alloc: Allocation = EMPTY_ALLOCATION) -> int:

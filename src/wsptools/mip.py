@@ -140,6 +140,12 @@ def _add_sum_row(model, name: str, names, bound) -> None:
     model.add_constraint(name, [(1.0, x) for x in names], LE, float(bound))
 
 
+def _arrival_upper_bound(instance: WspInstance) -> float:
+    """Upper bound of the wsp model's arrival variables a_v."""
+    max_arc = max((t for _, _, t in instance.graph.arcs), default=0.0)
+    return instance.horizon + instance.delay + max_arc
+
+
 def build_wsp_model(instance: WspInstance) -> LinearModel:
     """Timed-release suppression model.
 
@@ -155,8 +161,7 @@ def build_wsp_model(instance: WspInstance) -> LinearModel:
     schedule = instance.schedule
     T = len(schedule)
     horizon, delay = instance.horizon, instance.delay
-    max_arc = max((t for _, _, t in instance.graph.arcs), default=0.0)
-    a_upper = horizon + delay + max_arc
+    a_upper = _arrival_upper_bound(instance)
 
     model = LinearModel(name="wsp")
     model.meta["a_upper_bound"] = a_upper
@@ -291,8 +296,7 @@ def allocation_to_assignment(instance: WspInstance, alloc: Allocation) -> dict[s
     n = instance.graph.vertex_count
     T = len(instance.schedule)
     outcome = compute_arrival_times(instance, alloc)
-    max_arc = max((t for _, _, t in instance.graph.arcs), default=0.0)
-    a_upper = instance.horizon + instance.delay + max_arc
+    a_upper = _arrival_upper_bound(instance)
 
     assignment: dict[str, float] = {}
     for v in range(n):

@@ -17,7 +17,7 @@ from wsptools.core import (
     DirectedGraph,
     StructuralError,
     WspInstance,
-    compute_arrival_times,
+    fire_arrivals,
     single_source_distances,
 )
 from wsptools.solvers import LimitExceeded
@@ -77,6 +77,8 @@ class HwspInstance:
             if u in out_costs and out_costs[u] != t:
                 raise StructuralError(f"vertex {u} has heterogeneous outgoing arc costs")
             out_costs[u] = t
+        if len(self.vertex_delays) != self.graph.vertex_count:
+            raise StructuralError("vertex delay vector length mismatch")
         if any(d < 0 for d in self.vertex_delays):
             raise StructuralError("vertex delays must be nonnegative")
 
@@ -190,10 +192,6 @@ def mvnp_to_hwsp(mvnp: MvnpInstance) -> tuple[HwspInstance, float]:
 # Evaluators
 
 
-def _as_wsp(graph: DirectedGraph, ignition: int, horizon: float, delay: float) -> WspInstance:
-    return WspInstance(graph=graph, ignition=ignition, horizon=horizon, delay=delay, schedule=())
-
-
 def evaluate_wwsp(instance: WwspInstance, alloc: Allocation) -> float:
     """Weighted burned value under an allocation (resources at t = 0)."""
     bad = alloc.protected & instance.forbidden
@@ -201,11 +199,10 @@ def evaluate_wwsp(instance: WwspInstance, alloc: Allocation) -> float:
         raise StructuralError(f"allocation protects forbidden vertices {sorted(bad)}")
     if len(alloc.protected) > instance.k:
         raise StructuralError("allocation exceeds the resource budget")
-    host = _as_wsp(instance.graph, instance.ignition, instance.horizon, instance.delay)
-    outcome = compute_arrival_times(host, alloc)
+    delays = dict.fromkeys(alloc.protected, instance.delay)
+    outcome = fire_arrivals(instance.graph, instance.ignition, delays)
     return math.fsum(
-        instance.weights[v] for v in range(instance.graph.vertex_count)
-        if outcome.arrival[v] < instance.horizon
+        instance.weights[v] for v, a in enumerate(outcome.arrival) if a < instance.horizon
     )
 
 
@@ -213,8 +210,10 @@ def evaluate_hwsp(instance: HwspInstance, alloc: Allocation) -> float:
     """Earliest fire arrival among the targets under an allocation."""
     if len(alloc.protected) > instance.k:
         raise StructuralError("allocation exceeds the resource budget")
-    host = _as_wsp(instance.graph, instance.ignition, horizon=1.0, delay=0.0)
-    outcome = compute_arrival_times(host, alloc, vertex_delays=list(instance.vertex_delays))
+    extra = instance.vertex_delays
+    # a vertex out of range gets a stand-in delay, and fire_arrivals rejects it
+    delays = {v: extra[v] if 0 <= v < len(extra) else 0.0 for v in alloc.protected}
+    outcome = fire_arrivals(instance.graph, instance.ignition, delays)
     return min(outcome.arrival[v] for v in instance.targets)
 
 

@@ -51,10 +51,6 @@ class SolverResult:
     objective: int
 
 
-def _objective(instance: WspInstance, alloc: Allocation) -> int:
-    return compute_arrival_times(instance, alloc).burned_count(instance.horizon)
-
-
 def _unburned(outcome: FireOutcome, t: float, alloc: Allocation) -> list[int]:
     """Vertices still open at time t: arrival >= t and not protected by alloc."""
     protected = alloc.protected
@@ -104,16 +100,14 @@ def perimeter_candidates(
     instance: WspInstance,
     partial_alloc: Allocation,
     t: float,
-    outcome: FireOutcome | None = None,
+    outcome: FireOutcome,
 ) -> list[int]:
     """Feasible protection targets at release time t, fire-perimeter first.
 
     Returns the unburned, unprotected, non-ignition vertices ordered by
-    (has a burned in-neighbor, earlier arrival, lower id).  outcome, if
-    given, must be the arrival times under partial_alloc.
+    (has a burned in-neighbor, earlier arrival, lower id).  outcome must
+    be the arrival times under partial_alloc.
     """
-    if outcome is None:
-        outcome = compute_arrival_times(instance, partial_alloc)
     arrival = outcome.arrival
     out_arcs = instance.graph.out_arcs
     near_fire = {head for u, a in enumerate(arrival) if a < t for _, head, _ in out_arcs[u]}
@@ -206,6 +200,10 @@ def brute_force(instance: WspInstance, limits: SearchLimits = SearchLimits()) ->
     the released count is tried, so deliberately unused resources are
     covered.  Refuses with the size estimate when the search space
     exceeds limits.max_nodes.
+
+    Each allocation carries its outcome down the recursion; a new one is
+    scored by a full kernel run, not repaired, so this oracle does not
+    depend on the repair it is used to check.
     """
     estimate = _search_space_estimate(instance)
     if estimate > limits.max_nodes:
@@ -213,25 +211,26 @@ def brute_force(instance: WspInstance, limits: SearchLimits = SearchLimits()) ->
             f"search-space estimate {estimate:.3g} exceeds limit {limits.max_nodes}"
         )
 
-    best_alloc = EMPTY_ALLOCATION
-    best_obj = _objective(instance, best_alloc)
+    horizon = instance.horizon
+    root = compute_arrival_times(instance, EMPTY_ALLOCATION)
+    best_alloc, best_obj = EMPTY_ALLOCATION, root.burned_count(horizon)
     levels = list(zip(instance.schedule, instance.first_resources))
 
-    def recurse(level: int, alloc: Allocation):
+    def recurse(level: int, alloc: Allocation, outcome: FireOutcome):
         nonlocal best_alloc, best_obj
         if level == len(levels):
-            obj = _objective(instance, alloc)
+            obj = outcome.burned_count(horizon)
             if obj < best_obj:
                 best_obj = obj
                 best_alloc = alloc
             return
         (release_time, count), first = levels[level]
-        outcome = compute_arrival_times(instance, alloc)
         candidates = _unburned(outcome, release_time, alloc)
-        for size in range(min(count, len(candidates)) + 1):
+        recurse(level + 1, alloc, outcome)  # place nothing: same allocation and outcome
+        for size in range(1, min(count, len(candidates)) + 1):
             for combo in itertools.combinations(candidates, size):
-                pairs = [(first + i, v) for i, v in enumerate(combo)]
-                recurse(level + 1, alloc.extended(pairs))
+                child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
+                recurse(level + 1, child, compute_arrival_times(instance, child))
 
-    recurse(0, EMPTY_ALLOCATION)
+    recurse(0, EMPTY_ALLOCATION, root)
     return SolverResult(best_alloc, best_obj)

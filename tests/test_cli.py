@@ -474,3 +474,16 @@ class TestPhysics:
         code, out, err = run(capsys, "physics", "eval", *args)
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize("flag", ["--wind-speed", "--slope-tangent", "--base-rate"])
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NaN", "-INF"])
+    def test_non_finite_separate_word(self, capsys, flag, value):
+        # argparse took "-inf" given as its own word for an option (exit 1,
+        # "expected one argument"); the "=" form always reached the check
+        argv = {"--wind-speed": "1", "--slope-tangent": "0", "--base-rate": "1"}
+        argv[flag] = value
+        separate = [x for name, v in argv.items() for x in (name, v)]
+        joined = [f"{name}={v}" for name, v in argv.items()]
+        outputs = [run(capsys, "physics", "eval", *args) for args in (separate, joined)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == (2, "", f"error: {flag} must be finite, got {float(value)}\n")

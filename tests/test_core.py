@@ -1,5 +1,6 @@
 import json
 import math
+from bisect import bisect_left
 from decimal import Decimal
 
 import numpy as np
@@ -124,25 +125,29 @@ class TestArrivalTimes:
 
 
 class TestBurnedSet:
+    """Vertices burned at time t are those with arrival strictly below t;
+    FireOutcome.burned_count counts them."""
+
     def test_zero_time_is_empty(self):
         graph = DirectedGraph(2, ((0, 1, 1.0),))
         instance = WspInstance(graph, 0, horizon=5.0, delay=0.0, schedule=())
         outcome = compute_arrival_times(instance)
-        assert outcome.burned_set(0.0) == set()
+        assert outcome.burned_count(0.0) == 0
 
     def test_strict_inequality(self):
         from wsptools.core import FireOutcome
 
         outcome = FireOutcome((0.0, 1.0, 2.0, 3.0))
-        assert outcome.burned_set(2.0) == {0, 1}
+        assert outcome.burned_count(2.0) == 2
+        assert [outcome.burned_count(t) for t in (0.0, 1.0, 2.5, 3.0, math.inf)] == [0, 1, 3, 3, 4]
 
     def test_count_matches_enumeration(self, rng):
         for _ in range(20):
             instance = random_wsp_instance(rng, max_vertices=40)
             outcome = compute_arrival_times(instance)
-            t = instance.horizon
-            expected = sum(1 for a in outcome.arrival if a < t)
-            assert len(outcome.burned_set(t)) == expected
+            ordered = sorted(outcome.arrival)
+            for t in [instance.horizon, *outcome.arrival]:
+                assert outcome.burned_count(t) == bisect_left(ordered, t)
 
 
 class TestObjective:
@@ -151,7 +156,8 @@ class TestObjective:
         assert check_feasibility(figure_instance, alloc) == []
         assert objective(figure_instance, alloc) == 6
         outcome = compute_arrival_times(figure_instance, alloc)
-        assert outcome.burned_set(5.0) == {0, 1, 2, 3, 4, 6}
+        assert outcome.burned_count(5.0) == 6
+        assert [v for v, a in enumerate(outcome.arrival) if a < 5.0] == [0, 1, 2, 3, 4, 6]
 
     def test_ignition_always_burns(self, rng):
         for _ in range(10):

@@ -21,6 +21,7 @@ from wsptools.core import (
     StructuralError,
     WspInstance,
     compute_arrival_times,
+    fire_arrivals,
 )
 from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.solvers import SolverBudget, beam_search, brute_force, random_search
@@ -72,9 +73,49 @@ def test_random_instances_bitwise(rng):
         assert compute_arrival_times(instance, alloc).arrival == reference_arrival_times(
             instance, alloc
         )
-        assert compute_arrival_times(instance, alloc, delays).arrival == (
+        per_vertex = {v: delays[v] for v in alloc.protected}
+        assert fire_arrivals(instance.graph, instance.ignition, per_vertex).arrival == (
             reference_arrival_times(instance, alloc, delays)
         )
+
+
+class TestFireArrivals:
+    """The graph-level kernel under per-vertex delays."""
+
+    def test_repair_with_per_vertex_delays_bitwise(self, rng):
+        for _ in range(100):
+            instance = random_wsp_instance(rng, max_vertices=30)
+            graph, source, n = instance.graph, instance.ignition, instance.graph.vertex_count
+            values = [0.0, 1e-300, *(float(d) for d in rng.uniform(0.0, 20.0, size=n))]
+            delays = {int(v): values[int(rng.integers(0, len(values)))]
+                      for v in rng.permutation(n)[: int(rng.integers(0, n + 1))]}
+            parent_delays = {v: d for v, d in delays.items() if rng.random() < 0.5}
+            parent_outcome = fire_arrivals(graph, source, parent_delays)
+            full = fire_arrivals(graph, source, delays)
+            repaired = fire_arrivals(graph, source, delays, (parent_delays, parent_outcome))
+            assert repaired.arrival == full.arrival
+            assert repaired.changed == {
+                v for v, (a, b) in enumerate(zip(parent_outcome.arrival, full.arrival)) if a != b
+            }
+
+    def test_instance_adapter(self, rng):
+        for _ in range(20):
+            instance = random_wsp_instance(rng, max_vertices=30)
+            alloc = random_allocation(rng, instance)
+            delays = dict.fromkeys(alloc.protected, instance.delay)
+            assert compute_arrival_times(instance, alloc) == fire_arrivals(
+                instance.graph, instance.ignition, delays
+            )
+
+    @pytest.mark.parametrize("source, delays, message", [
+        (9, {}, "source vertex 9 out of range"),
+        (-1, {}, "source vertex -1 out of range"),
+        (0, {9: 1.0}, "protected vertex 9 out of range"),
+        (0, {-1: 1.0}, "protected vertex -1 out of range"),
+    ])
+    def test_rejects_vertices_out_of_range(self, figure_instance, source, delays, message):
+        with pytest.raises(StructuralError, match=message):
+            fire_arrivals(figure_instance.graph, source, delays)
 
 
 def _vertices(*vertices):
@@ -154,8 +195,8 @@ def repairs(monkeypatch):
     repaired evaluation the solvers make."""
     recorded, evaluate = [], compute_arrival_times
 
-    def recording_evaluate(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None, parent=None):
-        outcome = evaluate(instance, alloc, vertex_delays, parent)
+    def recording_evaluate(instance, alloc=EMPTY_ALLOCATION, *, parent=None):
+        outcome = evaluate(instance, alloc, parent=parent)
         if parent is not None:
             recorded.append((instance, *parent, alloc, outcome))
         return outcome
@@ -239,12 +280,16 @@ class TestRepairInputs:
             compute_arrival_times(figure_instance, _vertices_alloc((2, 5)),
                                   parent=(parent_alloc, parent_outcome))
 
-    def test_rejects_vertex_delays(self, figure_instance):
-        outcome = compute_arrival_times(figure_instance)
-        delays = [1.0] * figure_instance.graph.vertex_count
-        with pytest.raises(StructuralError, match="vertex_delays"):
-            compute_arrival_times(figure_instance, _vertices_alloc((2,)), delays,
-                                  parent=(EMPTY_ALLOCATION, outcome))
+    def test_rejects_parent_delays_not_a_sub_map(self, figure_instance):
+        graph, source = figure_instance.graph, figure_instance.ignition
+        parent_delays = {2: 1.0, 4: 3.0}
+        parent = (parent_delays, fire_arrivals(graph, source, parent_delays))
+        # a parent delay with another value, or on a vertex without one
+        for delays in ({2: 1.0, 4: 2.0, 5: 1.0}, {2: 1.0, 5: 3.0}):
+            with pytest.raises(StructuralError, match="parent"):
+                fire_arrivals(graph, source, delays, parent)
+        repaired = fire_arrivals(graph, source, {2: 1.0, 4: 3.0, 5: 1.0}, parent)
+        assert repaired.arrival == fire_arrivals(graph, source, {2: 1.0, 4: 3.0, 5: 1.0}).arrival
 
     def test_rejects_outcome_of_another_size(self, figure_instance):
         with pytest.raises(StructuralError, match="length"):

@@ -184,6 +184,17 @@ class TestHomogeneousReduction:
         with pytest.raises(StructuralError):
             HwspInstance(graph, 0, frozenset({2}), 1, (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("vertex", [-1, 99])
+    def test_protected_vertex_out_of_range(self, vertex):
+        instance, _ = mvnp_to_hwsp(triangle_mvnp())
+        with pytest.raises(StructuralError, match=f"protected vertex {vertex} out of range"):
+            evaluate_hwsp(instance, Allocation(((0, vertex),)))
+
+    def test_delay_vector_length_validated(self):
+        graph = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+        with pytest.raises(StructuralError, match="length"):
+            HwspInstance(graph, 0, frozenset({2}), 1, (0.0, 1.0))
+
     def test_protecting_aux_vertices_changes_nothing(self):
         instance, _ = mvnp_to_hwsp(triangle_mvnp())
         aux = [v for v in range(instance.graph.vertex_count) if instance.vertex_delays[v] == 0.0

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from wsptools.core import (
@@ -81,14 +82,16 @@ class TestRandomSearch:
 class TestPerimeterCandidates:
     def test_excludes_burned_protected_and_ignition(self, figure_instance):
         partial = Allocation(((0, 2),))
-        cands = perimeter_candidates(figure_instance, partial, 3.0)
+        outcome = compute_arrival_times(figure_instance, partial)
+        cands = perimeter_candidates(figure_instance, partial, 3.0, outcome)
         assert 0 not in cands  # ignition
         assert 1 not in cands and 3 not in cands  # burned at t=1 < 3
         assert 2 not in cands  # already protected
         assert set(cands) <= set(range(9))
 
     def test_perimeter_vertices_rank_first(self, figure_instance):
-        cands = perimeter_candidates(figure_instance, EMPTY_ALLOCATION, 2.0)
+        outcome = compute_arrival_times(figure_instance)
+        cands = perimeter_candidates(figure_instance, EMPTY_ALLOCATION, 2.0, outcome)
         # free burn: arrivals 0,1,2,1,3,3,4,4,4; burned before t=2: {0,1,3}
         # v2 and v4 each have a burned in-neighbor and the earliest arrivals
         assert cands[0] == 2
@@ -97,7 +100,8 @@ class TestPerimeterCandidates:
     def test_tie_break_is_by_id(self):
         graph = DirectedGraph(4, ((0, 1, 2.0), (0, 2, 2.0), (0, 3, 2.0)))
         instance = WspInstance(graph, 0, horizon=5.0, delay=1.0, schedule=((1.0, 1),))
-        assert perimeter_candidates(instance, EMPTY_ALLOCATION, 1.0) == [1, 2, 3]
+        outcome = compute_arrival_times(instance)
+        assert perimeter_candidates(instance, EMPTY_ALLOCATION, 1.0, outcome) == [1, 2, 3]
 
 
 class TestBeamSearch:
@@ -224,11 +228,10 @@ class TestEvaluationCount:
         evaluated, repaired, extensions = [], [0], [0]
         evaluate, extend = compute_arrival_times, Allocation.extended
 
-        def counting_evaluate(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None,
-                              parent=None):
+        def counting_evaluate(instance, alloc=EMPTY_ALLOCATION, *, parent=None):
             evaluated.append(alloc.protected)
             repaired[0] += parent is not None
-            return evaluate(instance, alloc, vertex_delays, parent)
+            return evaluate(instance, alloc, parent=parent)
 
         def counting_extend(alloc, pairs):
             extensions[0] += 1
@@ -242,6 +245,8 @@ class TestEvaluationCount:
     def instance(name, request):
         if name == "figure":
             return request.getfixturevalue("figure_instance")
+        if name == "grid3":
+            return random_grid_instance(np.random.default_rng(0), 3)
         return generate_instance(GeneratorConfig(seed=0, n=20))
 
     @pytest.mark.parametrize("name, pinned", [("figure", 16), ("n20", 58)])
@@ -261,3 +266,12 @@ class TestEvaluationCount:
         # placed a resource, repaired from the level before
         assert len(evaluated) == 1 + extensions[0] == pinned
         assert repaired[0] == extensions[0]
+
+    @pytest.mark.parametrize("name, pinned", [("figure", 120), ("grid3", 30)])
+    def test_brute_force_evaluates_each_extension_once(self, name, pinned, counted, request):
+        evaluated, repaired, extensions = counted
+        brute_force(self.instance(name, request))
+        # one full run of the empty allocation, then one per allocation
+        # that places a resource; placing nothing reuses the outcome
+        assert len(evaluated) == 1 + extensions[0] == pinned
+        assert repaired[0] == 0
