@@ -58,9 +58,10 @@ class ProfileCurve:
         return best
 
 
-def write_records(path, records, append: bool = True) -> None:
+def write_records(path, records) -> None:
+    """Append records to the CSV at path, with a header if it is new or empty."""
     exists = os.path.exists(path) and os.path.getsize(path) > 0
-    mode = "a" if append and exists else "w"
+    mode = "a" if exists else "w"
     with open(path, mode, newline="") as f:
         writer = csv.writer(f)
         if mode == "w":
@@ -219,14 +220,14 @@ def sm_scores(
     return scores, significant
 
 
-def records_to_blocks(records, response: str = "objective") -> dict[str, dict[str, list[float]]]:
+def records_to_blocks(records) -> dict[str, dict[str, list[float]]]:
     """Group ok records as blocks=instances, treatments=algorithms."""
     blocks: dict[str, dict[str, list[float]]] = {}
     for r in records:
         if r.status != STATUS_OK:
             continue
         cell = blocks.setdefault(r.instance, {}).setdefault(r.algorithm, [])
-        cell.append(float(getattr(r, response)))
+        cell.append(float(r.objective))
     return blocks
 
 
@@ -256,7 +257,6 @@ def _run_cell(cell: BenchCell) -> RunRecord:
     from wsptools.core import load_instance
     from wsptools.solvers import (
         LimitExceeded,
-        SearchLimits,
         SolverBudget,
         beam_search,
         brute_force,
@@ -272,9 +272,9 @@ def _run_cell(cell: BenchCell) -> RunRecord:
         if cell.algorithm == "rs":
             result = random_search(instance, SolverBudget(max_seconds=limit), seed=cell.seed)
         elif cell.algorithm == "beam":
-            result = beam_search(instance, seed=cell.seed)
+            result = beam_search(instance)
         elif cell.algorithm == "exact":
-            result = brute_force(instance, SearchLimits())
+            result = brute_force(instance)
         else:
             raise ValueError(f"unknown algorithm {cell.algorithm}")
         status = STATUS_OK
@@ -308,6 +308,6 @@ def run_benchmark(cells, out_path) -> list[RunRecord]:
     records: list[RunRecord] = []
     for cell in pending:
         record = _run_cell(cell)
-        write_records(out_path, [record], append=True)
+        write_records(out_path, [record])
         records.append(record)
     return records

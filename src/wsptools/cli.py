@@ -52,6 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from wsptools.benchlab import ALGORITHMS, SM_DELTA_45_INSTANCES
+    from wsptools.solvers import MAX_NODES
+
     parser = _Parser(prog="wsptools", description=__doc__)
     parser.add_argument(
         "--version",
@@ -86,13 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output instance file (JSON)")
 
     p = sub.add_parser("solve", help="solve an instance")
-    p.add_argument("--algo", required=True, choices=["rs", "beam", "exact"])
+    p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=None, help="time limit (seconds)")
     p.add_argument("--iterations", type=int, default=None, help="iteration limit")
     p.add_argument("--beam-width", type=int, default=32)
     p.add_argument("--expansions", type=int, default=16, help="child combinations per beam node")
-    p.add_argument("--max-nodes", type=int, default=2_000_000,
+    p.add_argument("--max-nodes", type=int, default=MAX_NODES,
                    help="exact-solver search-space refusal limit")
     p.add_argument("-i", "--input", required=True, help="instance file")
     p.add_argument("-o", "--output", required=True, help="solution file (JSON)")
@@ -128,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--profiles", required=True, help="output CSV of profile breakpoints")
     p.add_argument("--sm", required=True, help="output CSV of rank scores")
-    p.add_argument("--delta", type=float, default=244.0,
+    p.add_argument("--delta", type=float, default=SM_DELTA_45_INSTANCES,
                    help="pairwise rank-score significance threshold")
 
     p = sub.add_parser("physics", help="physics debugging aids")
@@ -171,25 +174,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from wsptools.solvers import (
-        SearchLimits,
-        SolverBudget,
-        beam_search,
-        brute_force,
-        random_search,
-    )
+    from wsptools.solvers import SolverBudget, beam_search, brute_force, random_search
 
     instance = load_instance(args.input)
     if args.algo == "rs":
-        seconds = args.time_limit if args.time_limit is not None else None
         iterations = args.iterations
-        if seconds is None and iterations is None:
+        if args.time_limit is None and iterations is None:
             iterations = 1000
-        result = random_search(instance, SolverBudget(seconds, iterations), seed=args.seed)
+        budget = SolverBudget(args.time_limit, iterations)
+        result = random_search(instance, budget, seed=args.seed)
     elif args.algo == "beam":
-        result = beam_search(instance, args.beam_width, args.expansions, seed=args.seed)
+        result = beam_search(instance, args.beam_width, args.expansions)
     else:
-        result = brute_force(instance, SearchLimits(max_nodes=args.max_nodes))
+        result = brute_force(instance, args.max_nodes)
     with open(args.output, "w") as f:
         f.write(solution_to_json(args.input, result.allocation, result.objective))
     print(f"objective {result.objective}", file=sys.stderr)
@@ -332,6 +329,8 @@ def _cmd_verify_reductions(args) -> int:
 
     import numpy as np
 
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for i in range(args.samples):

@@ -287,7 +287,9 @@ def fire_arrivals(
 
     delays maps a vertex to the extra minutes on each of its outgoing
     arcs (a protected vertex).  Arc (u, v) costs (d + t_uv) + delays[u]
-    for u in delays and d + t_uv otherwise; see _settle.
+    for u in delays and d + t_uv otherwise; see _settle.  A delay may be
+    +inf: the vertex's out-arcs then never finish, so no fire spreads
+    through it.
 
     parent, if given, is (parent_delays, parent_outcome): a sub-map of
     delays with the same values, and its outcome from the same source.

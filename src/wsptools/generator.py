@@ -59,7 +59,6 @@ WIND_LEVELS = {  # midflame wind speed interval, ft/min
     "moderate": (324.9, 466.5),
     "strong": (637.8, 815.1),
 }
-DECISION_LEVELS = {"few": 5, "moderate": 10, "many": 20}
 RESOURCE_LEVELS = {"few": lambda n: n // 2, "moderate": lambda n: n, "many": lambda n: 2 * n}
 DELAY_LEVELS = {"low": lambda h: h / 3.0, "medium": lambda h: h / 2.0, "high": lambda h: h}
 FIRST_RELEASE_LEVELS = {"early": 5.0, "late": 10.0, "very_late": 20.0}  # burn percentiles

@@ -8,7 +8,6 @@ graphs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,9 +19,7 @@ from wsptools.core import (
     fire_arrivals,
     single_source_distances,
 )
-from wsptools.solvers import LimitExceeded
-
-DEFAULT_NODE_LIMIT = 2_000_000
+from wsptools.solvers import MAX_NODES, brute_force, check_search_space, subsets_up_to
 
 
 @dataclass(frozen=True)
@@ -221,90 +218,71 @@ def evaluate_hwsp(instance: HwspInstance, alloc: Allocation) -> float:
 # Exhaustive oracles
 
 
-def _subsets_up_to(items, k: int):
-    for size in range(min(k, len(items)) + 1):
-        yield from itertools.combinations(items, size)
-
-
-def _check_limit(n_items: int, k: int, limit: int) -> None:
-    total = sum(math.comb(n_items, s) for s in range(min(k, n_items) + 1))
-    if total > limit:
-        raise LimitExceeded(f"enumeration of {total} subsets exceeds limit {limit}")
-
-
 def solve_mvnp_brute(
-    mvnp: MvnpInstance, node_limit: int = DEFAULT_NODE_LIMIT
+    mvnp: MvnpInstance, max_nodes: int = MAX_NODES
 ) -> tuple[frozenset[int], float]:
-    """Best removal set and the resulting s-t distance (may be +inf)."""
-    removable = sorted(set(range(mvnp.graph.vertex_count)) - {mvnp.source, mvnp.sink})
-    _check_limit(len(removable), mvnp.k, node_limit)
+    """Best removal set and the resulting s-t distance (may be +inf).
+
+    A removal set is scored by an infinite delay on its vertices'
+    out-arcs: the s-t distance is then the least path cost avoiding them,
+    the same bits as on the graph without them.
+    """
+    g, s, t = mvnp.graph, mvnp.source, mvnp.sink
+    removable = [v for v in range(g.vertex_count) if v not in (s, t)]
+    check_search_space(len(removable), [mvnp.k], max_nodes)
     best_set: frozenset[int] = frozenset()
     best_value = -math.inf
-    for subset in _subsets_up_to(removable, mvnp.k):
-        keep = set(range(mvnp.graph.vertex_count)) - set(subset)
-        sub_arcs = tuple(
-            (u, v, t) for u, v, t in mvnp.graph.arcs if u in keep and v in keep
-        )
-        sub = DirectedGraph(vertex_count=mvnp.graph.vertex_count, arcs=sub_arcs)
-        value = single_source_distances(sub, mvnp.source)[mvnp.sink]
+    for subset in subsets_up_to(removable, mvnp.k):
+        value = fire_arrivals(g, s, dict.fromkeys(subset, math.inf)).arrival[t]
         if value > best_value:
             best_value = value
             best_set = frozenset(subset)
     return best_set, best_value
 
 
-def decide_mvnp(mvnp: MvnpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> bool:
-    _, value = solve_mvnp_brute(mvnp, node_limit)
+def decide_mvnp(mvnp: MvnpInstance, max_nodes: int = MAX_NODES) -> bool:
+    _, value = solve_mvnp_brute(mvnp, max_nodes)
     return value >= mvnp.h
 
 
-def decide_wsp_brute(
-    instance: WspInstance, budget: int, node_limit: int = DEFAULT_NODE_LIMIT
-) -> bool:
+def decide_wsp_brute(instance: WspInstance, budget: int, max_nodes: int = MAX_NODES) -> bool:
     """Exhaustive decision: some feasible allocation burns at most budget
     vertices before the horizon."""
-    from wsptools.solvers import SearchLimits, brute_force
-
-    result = brute_force(instance, SearchLimits(max_nodes=node_limit))
-    return result.objective <= budget
+    return brute_force(instance, max_nodes).objective <= budget
 
 
-def decide_wwsp_brute(
-    instance: WwspInstance, budget: float, node_limit: int = DEFAULT_NODE_LIMIT
-) -> bool:
+def decide_wwsp_brute(instance: WwspInstance, budget: float, max_nodes: int = MAX_NODES) -> bool:
     allowed = sorted(set(range(instance.graph.vertex_count)) - instance.forbidden)
-    _check_limit(len(allowed), instance.k, node_limit)
-    for subset in _subsets_up_to(allowed, instance.k):
+    check_search_space(len(allowed), [instance.k], max_nodes)
+    for subset in subsets_up_to(allowed, instance.k):
         alloc = Allocation(tuple((i, v) for i, v in enumerate(subset)))
         if evaluate_wwsp(instance, alloc) <= budget:
             return True
     return False
 
 
-def decide_hwsp_brute(
-    instance: HwspInstance, threshold: float, node_limit: int = DEFAULT_NODE_LIMIT
-) -> bool:
-    vertices = sorted(range(instance.graph.vertex_count))
-    _check_limit(len(vertices), instance.k, node_limit)
-    for subset in _subsets_up_to(vertices, instance.k):
+def decide_hwsp_brute(instance: HwspInstance, threshold: float, max_nodes: int = MAX_NODES) -> bool:
+    vertices = range(instance.graph.vertex_count)
+    check_search_space(len(vertices), [instance.k], max_nodes)
+    for subset in subsets_up_to(vertices, instance.k):
         alloc = Allocation(tuple((i, v) for i, v in enumerate(subset)))
         if evaluate_hwsp(instance, alloc) >= threshold:
             return True
     return False
 
 
-def verify_reductions(mvnp: MvnpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> dict:
+def verify_reductions(mvnp: MvnpInstance, max_nodes: int = MAX_NODES) -> dict:
     """Decision answers across all reductions for one interdiction
     instance; 'agree' is true iff all four coincide."""
-    answer = decide_mvnp(mvnp, node_limit)
+    answer = decide_mvnp(mvnp, max_nodes)
     wsp, wsp_budget = mvnp_to_wsp(mvnp)
     wwsp, wwsp_budget = mvnp_to_wwsp(mvnp)
     hwsp, hwsp_threshold = mvnp_to_hwsp(mvnp)
     answers = {
         "mvnp": answer,
-        "wsp": decide_wsp_brute(wsp, wsp_budget, node_limit),
-        "wwsp": decide_wwsp_brute(wwsp, wwsp_budget, node_limit),
-        "hwsp": decide_hwsp_brute(hwsp, hwsp_threshold, node_limit),
+        "wsp": decide_wsp_brute(wsp, wsp_budget, max_nodes),
+        "wwsp": decide_wwsp_brute(wwsp, wwsp_budget, max_nodes),
+        "hwsp": decide_hwsp_brute(hwsp, hwsp_threshold, max_nodes),
     }
     answers["agree"] = len(set(answers.values())) == 1
     return answers

@@ -25,8 +25,29 @@ from wsptools.core import (
 )
 
 
+MAX_NODES = 2_000_000
+
+
 class LimitExceeded(RuntimeError):
     """Search-space estimate above the configured node limit."""
+
+
+def subsets_up_to(items, k: int):
+    """Every subset of items with at most k elements, as tuples: the empty
+    set first, then each size in itertools.combinations order."""
+    for size in range(min(k, len(items)) + 1):
+        yield from itertools.combinations(items, size)
+
+
+def check_search_space(n: int, counts, max_nodes: int) -> None:
+    """Refuse an exhaustive search that picks up to count of n items at
+    each level: the estimate, the product over levels of the number of
+    subsets of at most count items, must not exceed max_nodes."""
+    estimate = math.prod(sum(math.comb(n, s) for s in range(min(k, n) + 1)) for k in counts)
+    if estimate > max_nodes:
+        # an exact integer; past the float range it prints as inf
+        shown = f"{estimate:.3g}" if estimate < 1e308 else "inf"
+        raise LimitExceeded(f"search-space estimate {shown} exceeds limit {max_nodes}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +60,10 @@ class SolverBudget:
     def __post_init__(self):
         if self.max_seconds is None and self.max_iterations is None:
             raise ValueError("at least one budget bound must be set")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
+        if self.max_seconds is not None and not (
+            math.isfinite(self.max_seconds) and self.max_seconds > 0
+        ):
+            raise ValueError(f"max_seconds must be positive and finite, got {self.max_seconds}")
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -120,7 +143,6 @@ def beam_search(
     instance: WspInstance,
     beam_width: int | float = 32,
     expansions_per_node: int | float = 16,
-    seed: int = 0,
 ) -> SolverResult:
     """Level-by-level beam over release times.
 
@@ -138,7 +160,6 @@ def beam_search(
     """
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
-    del seed  # beam search is deterministic; kept for a uniform solver signature
 
     schedule, horizon = instance.schedule, instance.horizon
     # the rank key's "next release" is the release point after the last one
@@ -179,37 +200,21 @@ def beam_search(
     return SolverResult(best, key[0])
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_nodes: int = 2_000_000
-
-
-def _search_space_estimate(instance: WspInstance) -> float:
-    n = instance.graph.vertex_count
-    estimate = 1.0
-    for _, count in instance.schedule:
-        level = sum(math.comb(n, s) for s in range(count + 1))
-        estimate *= level
-    return estimate
-
-
-def brute_force(instance: WspInstance, limits: SearchLimits = SearchLimits()) -> SolverResult:
+def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResult:
     """Provably optimal allocation by exhaustive incremental enumeration.
 
     At each release time every subset of the feasible candidates up to
     the released count is tried, so deliberately unused resources are
     covered.  Refuses with the size estimate when the search space
-    exceeds limits.max_nodes.
+    exceeds max_nodes (see check_search_space).
 
     Each allocation carries its outcome down the recursion; a new one is
     scored by a full kernel run, not repaired, so this oracle does not
     depend on the repair it is used to check.
     """
-    estimate = _search_space_estimate(instance)
-    if estimate > limits.max_nodes:
-        raise LimitExceeded(
-            f"search-space estimate {estimate:.3g} exceeds limit {limits.max_nodes}"
-        )
+    check_search_space(
+        instance.graph.vertex_count, [count for _, count in instance.schedule], max_nodes
+    )
 
     horizon = instance.horizon
     root = compute_arrival_times(instance, EMPTY_ALLOCATION)
@@ -226,11 +231,12 @@ def brute_force(instance: WspInstance, limits: SearchLimits = SearchLimits()) ->
             return
         (release_time, count), first = levels[level]
         candidates = _unburned(outcome, release_time, alloc)
-        recurse(level + 1, alloc, outcome)  # place nothing: same allocation and outcome
-        for size in range(1, min(count, len(candidates)) + 1):
-            for combo in itertools.combinations(candidates, size):
-                child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
-                recurse(level + 1, child, compute_arrival_times(instance, child))
+        for combo in subsets_up_to(candidates, count):
+            if not combo:  # place nothing: same allocation and outcome
+                recurse(level + 1, alloc, outcome)
+                continue
+            child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
+            recurse(level + 1, child, compute_arrival_times(instance, child))
 
     recurse(0, EMPTY_ALLOCATION, root)
     return SolverResult(best_alloc, best_obj)

@@ -82,7 +82,11 @@ def random_mvnp_instance(
     max_cost: int = 5,
 ) -> MvnpInstance:
     """Small interdiction instance with integer costs and a guaranteed
-    source-to-sink arc set (the sink may still be unreachable)."""
+    source-to-sink arc set (the sink may still be unreachable).  Graphs
+    of fewer than 3 vertices are redrawn, so max_vertices must be at
+    least 3."""
+    if max_vertices < 3:
+        raise ValueError(f"max_vertices must be at least 3, got {max_vertices}")
     while True:
         graph = random_digraph(
             rng, max_vertices=max_vertices, arc_prob=0.4, max_cost=max_cost, integer_costs=True

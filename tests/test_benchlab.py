@@ -37,14 +37,8 @@ class TestRecordsCsv:
     def test_append(self, tmp_path):
         path = tmp_path / "runs.csv"
         write_records(path, [rec("i1", "rs", 12)])
-        write_records(path, [rec("i2", "rs", 9)], append=True)
+        write_records(path, [rec("i2", "rs", 9)])
         assert [r.instance for r in read_records(path)] == ["i1", "i2"]
-
-    def test_overwrite(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        write_records(path, [rec("i1", "rs", 12)])
-        write_records(path, [rec("i2", "rs", 9)], append=False)
-        assert [r.instance for r in read_records(path)] == ["i2"]
 
 
 class TestDeviations:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wsptools.cli import dispatch
+import wsptools
+from wsptools.benchlab import ALGORITHMS, SM_DELTA_45_INSTANCES
+from wsptools.cli import build_parser, dispatch
 from wsptools.core import compute_arrival_times, load_instance, objective, solution_from_json
 from wsptools.rothermel import albini_multiplier
 
@@ -48,6 +54,16 @@ class TestParsing:
     def test_bad_choice(self, capsys):
         code, _, _ = run(capsys, "generate", "--wind", "hurricane", "-o", "x.json")
         assert code == 1
+
+    def test_shared_defaults(self):
+        from wsptools.solvers import MAX_NODES
+
+        parser = build_parser()
+        for algo in ALGORITHMS:
+            args = parser.parse_args(["solve", "--algo", algo, "-i", "x", "-o", "y"])
+            assert args.algo == algo and args.max_nodes == MAX_NODES
+        args = parser.parse_args(["report", "--records", "r", "--profiles", "p", "--sm", "s"])
+        assert args.delta == SM_DELTA_45_INSTANCES
 
 
 class TestGenerate:
@@ -104,6 +120,15 @@ class TestSolveAndEvaluate:
         code, _, _ = run(capsys, "solve", "--algo", "beam", "--beam-width", "4",
                          "--expansions", "4", "-i", str(small_instance), "-o", str(sol))
         assert code == 0
+
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    def test_non_finite_time_limit(self, small_instance, tmp_path, capsys, limit):
+        # a seconds bound of nan or inf never stops rs when it is the only bound
+        code, _, err = run(capsys, "solve", "--algo", "rs", "--time-limit", limit,
+                           "--iterations", "1", "-i", str(small_instance),
+                           "-o", str(tmp_path / "sol.json"))
+        assert code == 2
+        assert "max_seconds must be positive and finite" in err
 
     def test_exact_refusal_exit_code(self, small_instance, tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--algo", "exact", "--max-nodes", "10",
@@ -344,6 +369,28 @@ class TestReduce:
                            "--max-vertices", "5", "--seed", "0")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_verify_reductions_negative_samples(self, capsys):
+        code, out, err = run(capsys, "verify-reductions", "--samples", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: --samples must be nonnegative, got -3\n"
+
+    def test_verify_reductions_one_vertex(self, capsys):
+        code, _, err = run(capsys, "verify-reductions", "--max-vertices", "1")
+        assert code == 2
+        assert err == "error: max_vertices must be at least 3, got 1\n"
+
+    def test_verify_reductions_two_vertices_returns(self):
+        # the sampler redraws every graph of at most 2 vertices, so accepting this
+        # would loop forever; a subprocess with a timeout cannot hang the suite
+        src = str(Path(wsptools.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "from wsptools.cli import main; main()",
+             "verify-reductions", "--max-vertices", "2", "--samples", "1"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert "max_vertices must be at least 3" in done.stderr
 
 
 class TestBenchAndReport:

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from wsptools.core import (
@@ -68,7 +70,99 @@ class TestMvnpBasics:
         )
         mvnp = MvnpInstance(graph, 0, 29, k=15, h=100.0)
         with pytest.raises(LimitExceeded):
-            solve_mvnp_brute(mvnp, node_limit=1000)
+            solve_mvnp_brute(mvnp, max_nodes=1000)
+
+
+def subgraph_solve_mvnp_brute(mvnp):
+    """solve_mvnp_brute as it was before it scored removal sets on the
+    original graph: a new graph without the removed vertices per set."""
+    removable = sorted(set(range(mvnp.graph.vertex_count)) - {mvnp.source, mvnp.sink})
+    best_set, best_value = frozenset(), -math.inf
+    for size in range(min(mvnp.k, len(removable)) + 1):
+        for subset in itertools.combinations(removable, size):
+            keep = set(range(mvnp.graph.vertex_count)) - set(subset)
+            sub_arcs = tuple((u, v, t) for u, v, t in mvnp.graph.arcs if u in keep and v in keep)
+            sub = DirectedGraph(vertex_count=mvnp.graph.vertex_count, arcs=sub_arcs)
+            value = single_source_distances(sub, mvnp.source)[mvnp.sink]
+            if value > best_value:
+                best_value, best_set = value, frozenset(subset)
+    return best_set, best_value
+
+
+class TestMvnpRemovalByDelay:
+    """An infinite delay on a vertex's out-arcs scores a removal set with
+    the same set and the same bits as deleting the vertices."""
+
+    @pytest.mark.parametrize("seed,max_vertices,max_k", [(0, 7, 2), (1, 9, 3)])
+    def test_matches_subgraph_solver(self, seed, max_vertices, max_k):
+        rng = np.random.default_rng(seed)
+        values = set()
+        for _ in range(150):
+            mvnp = random_mvnp_instance(rng, max_vertices=max_vertices, max_k=max_k)
+            expected = subgraph_solve_mvnp_brute(mvnp)
+            assert solve_mvnp_brute(mvnp) == expected, mvnp
+            values.add(math.isinf(expected[1]))
+        assert values == {False, True}  # both cut and uncut sinks occur
+
+    def test_real_valued_costs(self):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            mvnp = random_mvnp_instance(rng, max_vertices=6, max_k=2)
+            arcs = tuple((u, v, float(rng.uniform(0.1, 3.0))) for u, v, _ in mvnp.graph.arcs)
+            mvnp = MvnpInstance(DirectedGraph(mvnp.graph.vertex_count, arcs),
+                                mvnp.source, mvnp.sink, mvnp.k, mvnp.h)
+            assert solve_mvnp_brute(mvnp) == subgraph_solve_mvnp_brute(mvnp)
+
+    def test_every_path_crosses_a_removable_vertex(self):
+        # 0 -> 1 -> 2 and 0 -> 1 -> 3 -> 2: vertex 1 cuts the sink off
+        graph = DirectedGraph(4, ((0, 1, 1.0), (1, 2, 5.0), (1, 3, 1.0), (3, 2, 1.0)))
+        mvnp = MvnpInstance(graph, 0, 2, k=1, h=10.0)
+        assert solve_mvnp_brute(mvnp) == (frozenset({1}), math.inf)
+        assert subgraph_solve_mvnp_brute(mvnp) == (frozenset({1}), math.inf)
+
+
+def subsets_count(n, k):
+    return sum(math.comb(n, s) for s in range(min(k, n) + 1))
+
+
+def diamond_mvnp():
+    """Five vertices, two routes and a chord; k = 2 of 3 removable."""
+    graph = DirectedGraph(5, ((0, 1, 1.0), (0, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0),
+                              (3, 4, 1.0), (1, 2, 1.0)))
+    return MvnpInstance(graph, 0, 4, k=2, h=4.0)
+
+
+def oracle_cases():
+    mvnp = diamond_mvnp()
+    wsp, wsp_budget = mvnp_to_wsp(mvnp)
+    wwsp, wwsp_budget = mvnp_to_wwsp(mvnp)
+    hwsp, threshold = mvnp_to_hwsp(mvnp)
+    return {
+        "mvnp": (lambda m: solve_mvnp_brute(mvnp, m), subsets_count(3, 2)),
+        "decide_mvnp": (lambda m: decide_mvnp(mvnp, m), subsets_count(3, 2)),
+        "wsp": (lambda m: decide_wsp_brute(wsp, wsp_budget, m),
+                subsets_count(wsp.graph.vertex_count, 2)),
+        "wwsp": (lambda m: decide_wwsp_brute(wwsp, wwsp_budget, m), subsets_count(3, 2)),
+        "hwsp": (lambda m: decide_hwsp_brute(hwsp, threshold, m),
+                 subsets_count(hwsp.graph.vertex_count, 2)),
+    }
+
+
+class TestRefusalBoundary:
+    @pytest.mark.parametrize("name", ["mvnp", "decide_mvnp", "wsp", "wwsp", "hwsp"])
+    def test_limit_is_inclusive(self, name):
+        run, estimate = oracle_cases()[name]
+        run(estimate)
+        with pytest.raises(LimitExceeded,
+                           match=f"search-space estimate {estimate} exceeds limit {estimate - 1}$"):
+            run(estimate - 1)
+
+    def test_verify_reductions_passes_the_limit_down(self):
+        mvnp = diamond_mvnp()
+        largest = max(estimate for _, estimate in oracle_cases().values())
+        assert verify_reductions(mvnp, max_nodes=largest)["agree"]
+        with pytest.raises(LimitExceeded):
+            verify_reductions(mvnp, max_nodes=largest - 1)
 
 
 class TestTimedReduction:

@@ -16,12 +16,13 @@ from wsptools import solvers
 from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.solvers import (
     LimitExceeded,
-    SearchLimits,
     SolverBudget,
     beam_search,
     brute_force,
+    check_search_space,
     perimeter_candidates,
     random_search,
+    subsets_up_to,
 )
 from wsptools.testkit import random_grid_instance, random_wsp_instance
 
@@ -41,6 +42,42 @@ class TestSolverBudget:
             SolverBudget(max_seconds=0.0)
         with pytest.raises(ValueError):
             SolverBudget(max_iterations=0)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_seconds(self, seconds):
+        # a NaN or infinite time limit never ends a seconds-only search
+        with pytest.raises(ValueError, match="finite"):
+            SolverBudget(max_seconds=seconds)
+        with pytest.raises(ValueError, match="finite"):
+            SolverBudget(max_seconds=seconds, max_iterations=1)
+
+
+class TestSearchCore:
+    def test_subsets_order(self):
+        assert list(subsets_up_to("abc", 2)) == [
+            (), ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"),
+        ]
+
+    def test_subsets_clamped(self):
+        assert list(subsets_up_to([4, 5], 0)) == [()]
+        assert list(subsets_up_to([4, 5], 7)) == [(), (4,), (5,), (4, 5)]
+        assert list(subsets_up_to([], 3)) == [()]
+
+    def test_count_above_n_is_clamped(self):
+        # 2 ** 4 subsets however large the count; no sum over 10 ** 12 terms
+        check_search_space(4, [10 ** 12], 16)
+        with pytest.raises(LimitExceeded):
+            check_search_space(4, [10 ** 12], 15)
+
+    def test_estimate_beyond_float_range(self):
+        # one level of 300 resources on 2000 vertices: over 1e370 subsets, more
+        # than a float holds, so a float estimate would overflow, not refuse
+        instance = WspInstance(
+            DirectedGraph(2000, ((0, 1, 1.0),)), 0, horizon=10.0, delay=5.0,
+            schedule=((1.0, 300),),
+        )
+        with pytest.raises(LimitExceeded, match="estimate inf exceeds limit 2000000"):
+            brute_force(instance)
 
 
 class TestRandomSearch:
@@ -213,7 +250,17 @@ class TestBruteForce:
             schedule=((1.0, 10), (2.0, 10), (3.0, 10)),
         )
         with pytest.raises(LimitExceeded):
-            brute_force(instance, SearchLimits(max_nodes=1000))
+            brute_force(instance, max_nodes=1000)
+
+    def test_limit_boundary(self):
+        # 4 vertices, levels of 2 and 1: (1 + 4 + 6) * (1 + 4) = 55
+        instance = WspInstance(
+            DirectedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))), 0,
+            horizon=10.0, delay=5.0, schedule=((1.0, 2), (2.0, 1)),
+        )
+        assert brute_force(instance, max_nodes=55) == brute_force(instance)
+        with pytest.raises(LimitExceeded, match="estimate 55 exceeds limit 54"):
+            brute_force(instance, max_nodes=54)
 
 
 class TestEvaluationCount:
