@@ -1,8 +1,7 @@
 """Experiment harness and evaluation statistics.
 
-Run records persist as append-only CSV; all statistics (best-known
-values, deviations, performance profiles, blocked rank scores) are pure
-functions of the record set.
+Run records persist as append-only CSV; all statistics (performance
+profiles, blocked rank scores) are pure functions of the record set.
 """
 
 from __future__ import annotations
@@ -87,28 +86,6 @@ def read_records(path) -> list[RunRecord]:
     return records
 
 
-def best_known(records, instance: str) -> int:
-    """Minimum ok objective over all algorithms and replications."""
-    values = [r.objective for r in records if r.instance == instance and r.status == STATUS_OK]
-    if not values:
-        raise ValueError(f"no ok records for instance {instance}")
-    return min(values)
-
-
-def relative_deviation(objective: int, bkv: int) -> float:
-    if bkv < 1:
-        raise ValueError(f"best-known value must be at least 1, got {bkv}")
-    return (objective - bkv) / bkv
-
-
-def absolute_deviation(objective: int, optimum: int) -> int:
-    return objective - optimum
-
-
-def _median(values) -> float:
-    return statistics.median(values)
-
-
 def performance_profiles(records) -> list[ProfileCurve]:
     """Per-algorithm step curves of median-objective performance ratios.
 
@@ -128,7 +105,7 @@ def performance_profiles(records) -> list[ProfileCurve]:
         for i in instances:
             cell = [r.objective for r in ok if r.algorithm == a and r.instance == i]
             if cell:
-                medians[(a, i)] = _median(cell)
+                medians[(a, i)] = statistics.median(cell)
 
     best = {i: min(medians[(a, i)] for a in algorithms if (a, i) in medians) for i in instances}
     ratios = {

@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:inf|infinity|nan))$"
         )
 
+    def _parse_optional(self, arg_string):
+        # argparse tries option prefixes before this pattern, and would read
+        # "-inf" as "-i nf" in a parser with a -i option
+        if self._negative_number_matcher.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -475,7 +482,6 @@ _HANDLERS = {
 
 def dispatch(argv) -> int:
     from wsptools.generator import GenerationError
-    from wsptools.rothermel import DomainError
     from wsptools.solvers import LimitExceeded
 
     parser = build_parser()
@@ -488,10 +494,7 @@ def dispatch(argv) -> int:
     except LimitExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_LIMIT
-    except (StructuralError, DomainError, GenerationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except FileNotFoundError as e:
+    except (ValueError, GenerationError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

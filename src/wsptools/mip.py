@@ -3,16 +3,18 @@
 Three model builders are provided: the arrival-time suppression model
 with timed releases, a simplified fuel-treatment model (single target or
 multi-target), and a weighted-loss model with safety-forbidden vertices.
-Models are plain data (variables, constraints, objective) and can be
-written as LP or MPS text accepted by standard optimizers.
+Models are frozen plain data (variables, constraints, objective),
+checked once when they are made, and can be written as LP or MPS text
+accepted by standard optimizers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from wsptools.core import (
     Allocation,
@@ -48,29 +50,34 @@ class Constraint:
     rhs: float
 
 
-@dataclass
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@dataclass(frozen=True)
 class LinearModel:
+    """A linear model, checked once when it is made.
+
+    Variable and constraint names are LP/MPS identifiers, exported as
+    stored; variable names are unique, and every constraint and objective
+    term names a declared variable. StructuralError otherwise.
+    """
+
     name: str
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective_sense: str = MIN
-    objective_terms: tuple[tuple[float, str], ...] = ()
-    meta: dict = field(default_factory=dict)
+    variables: tuple[Variable, ...]
+    constraints: tuple[Constraint, ...]
+    objective_sense: str
+    objective_terms: tuple[tuple[float, str], ...]  # (coefficient, variable name)
 
-    def add_variable(self, name, kind, lower=0.0, upper=math.inf) -> str:
-        # uniqueness is checked once per model by validate(), which every
-        # builder and export_model run
-        self.variables.append(Variable(name, kind, lower, upper))
-        return name
-
-    def add_constraint(self, name, terms, sense, rhs) -> None:
-        self.constraints.append(Constraint(name, tuple(terms), sense, rhs))
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        for field_name in ("variables", "constraints", "objective_terms"):
+            object.__setattr__(self, field_name, tuple(getattr(self, field_name)))
         names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise StructuralError("variable names not unique")
         declared = set(names)
+        if len(declared) != len(names):
+            raise StructuralError("variable names not unique")
+        for name in itertools.chain(names, (c.name for c in self.constraints)):
+            if not (isinstance(name, str) and _IDENTIFIER.fullmatch(name)):
+                raise StructuralError(f"name {name!r} is not an LP/MPS identifier")
         for c in self.constraints:
             for _, var in c.terms:
                 if var not in declared:
@@ -88,12 +95,6 @@ def _names(prefix: str, count: int, *outer: int) -> list[str]:
     """[_vname(prefix, *outer, v) for v in range(count)], each name built once."""
     head = prefix + "_" + "".join(f"{i:04d}_" for i in outer)
     return [f"{head}{v:04d}" for v in range(count)]
-
-
-def _declare(model: LinearModel, names: list[str], kind: str, lower: float, upper: float):
-    for name in names:
-        model.add_variable(name, kind, lower, upper)
-    return names
 
 
 def _finite(name: str, value) -> None:
@@ -114,30 +115,29 @@ def _per_vertex(name: str, values, n: int) -> list:
     return values
 
 
-def _add_propagation_rows(model, graph, ignition, a, tail_terms, rhs=None) -> None:
+def _propagation_rows(graph, ignition, a, tail_terms, rhs=None) -> list[Constraint]:
     """Ignition row a_s = 0, then per arc (u, v) in sorted order the spread
     row a_v - a_u + tail_terms[u] <= rhs[u] (the travel time when rhs is None)."""
     if not 0 <= ignition < len(a):
         raise StructuralError(f"ignition vertex {ignition} out of range")
-    model.add_constraint("ignition", [(1.0, a[ignition])], EQ, 0.0)
+    rows = [Constraint("ignition", ((1.0, a[ignition]),), EQ, 0.0)]
     for u, v, t in sorted(graph.arcs):
-        model.add_constraint(
-            _vname("spread", u, v),
-            [(1.0, a[v]), (-1.0, a[u]), *tail_terms[u]],
-            LE,
-            t if rhs is None else rhs[u],
-        )
+        terms = ((1.0, a[v]), (-1.0, a[u]), *tail_terms[u])
+        rows.append(Constraint(_vname("spread", u, v), terms, LE, t if rhs is None else rhs[u]))
+    return rows
 
 
-def _add_burn_rows(model, a, y, horizon: float) -> None:
+def _burn_rows(a, y, horizon: float) -> list[Constraint]:
     """y_v + a_v / H >= 1: a vertex reached before the horizon burns."""
     inverse = 1.0 / horizon
-    for name, yv, av in zip(_names("burn", len(a)), y, a):
-        model.add_constraint(name, [(1.0, yv), (inverse, av)], GE, 1.0)
+    return [
+        Constraint(name, ((1.0, yv), (inverse, av)), GE, 1.0)
+        for name, yv, av in zip(_names("burn", len(a)), y, a)
+    ]
 
 
-def _add_sum_row(model, name: str, names, bound) -> None:
-    model.add_constraint(name, [(1.0, x) for x in names], LE, float(bound))
+def _sum_row(name: str, names, bound) -> Constraint:
+    return Constraint(name, tuple((1.0, x) for x in names), LE, float(bound))
 
 
 def _arrival_upper_bound(instance: WspInstance) -> float:
@@ -163,28 +163,21 @@ def build_wsp_model(instance: WspInstance) -> LinearModel:
     horizon, delay = instance.horizon, instance.delay
     a_upper = _arrival_upper_bound(instance)
 
-    model = LinearModel(name="wsp")
-    model.meta["a_upper_bound"] = a_upper
-    a = _declare(model, _names("a", n), CONTINUOUS, 0.0, a_upper)
-    y = _declare(model, _names("y", n), BINARY, 0.0, 1.0)
-    r = [_declare(model, _names("r", n, i), BINARY, 0.0, 1.0) for i in range(T)]
-
-    model.objective_sense = MIN
-    model.objective_terms = tuple((1.0, name) for name in y)
+    a, y = _names("a", n), _names("y", n)
+    r = [_names("r", n, i) for i in range(T)]
+    variables = [Variable(name, CONTINUOUS, 0.0, a_upper) for name in a]
+    variables += [Variable(name, BINARY, 0.0, 1.0) for name in itertools.chain(y, *r)]
 
     delay_terms = [[(-delay, r[i][u]) for i in range(T)] for u in range(n)]
-    _add_propagation_rows(model, instance.graph, instance.ignition, a, delay_terms)
-    for i, (_, count) in enumerate(schedule):
-        _add_sum_row(model, _vname("capacity", i), r[i], count)
-    for name, column in zip(_names("single", n), zip(*r)):
-        _add_sum_row(model, name, column, 1.0)
+    rows = _propagation_rows(instance.graph, instance.ignition, a, delay_terms)
+    rows += [_sum_row(_vname("capacity", i), r[i], count) for i, (_, count) in enumerate(schedule)]
+    rows += [_sum_row(name, column, 1.0) for name, column in zip(_names("single", n), zip(*r))]
     for i, (release_time, _) in enumerate(schedule):
         # a_v - t_i * r_iv >= 0, linear as written since t_i <= H
         for name, av, rv in zip(_names("avail", n, i), a, r[i]):
-            model.add_constraint(name, [(1.0, av), (-release_time, rv)], GE, 0.0)
-    _add_burn_rows(model, a, y, horizon)
-    model.validate()
-    return model
+            rows.append(Constraint(name, ((1.0, av), (-release_time, rv)), GE, 0.0))
+    rows += _burn_rows(a, y, horizon)
+    return LinearModel("wsp", variables, rows, MIN, tuple((1.0, name) for name in y))
 
 
 def build_hof_model(
@@ -213,30 +206,27 @@ def build_hof_model(
     alpha = _per_vertex("alpha", alpha, n)
     beta = _per_vertex("beta", beta, n)
     _finite("k", k)
-    model = LinearModel(name="hof")
-    a = _declare(model, _names("a", n), CONTINUOUS, 0.0, math.inf)
-    r = _declare(model, _names("r", n), BINARY if integral else CONTINUOUS, 0.0, 1.0)
+    a, r = _names("a", n), _names("r", n)
+    variables = [Variable(name, CONTINUOUS) for name in a]
+    variables += [Variable(name, BINARY if integral else CONTINUOUS, 0.0, 1.0) for name in r]
 
-    model.objective_sense = MAX
     if len(targets) == 1:
-        model.objective_terms = ((1.0, a[targets[0]]),)
+        objective = ((1.0, a[targets[0]]),)
+        rows = []
     else:
-        model.add_variable("earliest", CONTINUOUS, 0.0, math.inf)
+        variables.append(Variable("earliest", CONTINUOUS))
         # bounded above by every target arrival so the maximum equals the
         # earliest target arrival
-        for t in sorted(targets):
-            model.add_constraint(
-                _vname("earliest", t), [(1.0, "earliest"), (-1.0, a[t])], LE, 0.0
-            )
-        model.objective_terms = ((1.0, "earliest"),)
+        rows = [
+            Constraint(_vname("earliest", t), ((1.0, "earliest"), (-1.0, a[t])), LE, 0.0)
+            for t in sorted(targets)
+        ]
+        objective = ((1.0, "earliest"),)
 
     treatment_terms = [[(-float(alpha[u]), r[u])] for u in range(n)]
-    _add_propagation_rows(
-        model, graph, ignition, a, treatment_terms, [float(b) for b in beta]
-    )
-    _add_sum_row(model, "budget", r, k)
-    model.validate()
-    return model
+    rows += _propagation_rows(graph, ignition, a, treatment_terms, [float(b) for b in beta])
+    rows.append(_sum_row("budget", r, k))
+    return LinearModel("hof", variables, rows, MAX, objective)
 
 
 def build_wei_model(
@@ -263,24 +253,21 @@ def build_wei_model(
     _finite("flame_threshold", flame_threshold)
     _finite("k", k)
     unsafe = [flame > flame_threshold for flame in flame_lengths]
-    model = LinearModel(name="wei")
-    a = _declare(model, _names("a", n), CONTINUOUS, 0.0, math.inf)
-    y = _declare(model, _names("y", n), BINARY, 0.0, 1.0)
-    r = _names("r", n)
-    for name, fixed in zip(r, unsafe):
-        model.add_variable(name, BINARY, 0.0, 0.0 if fixed else 1.0)
+    a, y, r = _names("a", n), _names("y", n), _names("r", n)
+    variables = [Variable(name, CONTINUOUS) for name in a]
+    variables += [Variable(name, BINARY, 0.0, 1.0) for name in y]
+    variables += [
+        Variable(name, BINARY, 0.0, 0.0 if fixed else 1.0) for name, fixed in zip(r, unsafe)
+    ]
 
-    model.objective_sense = MIN
-    model.objective_terms = tuple((float(w), name) for w, name in zip(weights, y))
-
-    _add_propagation_rows(model, graph, ignition, a, [[(-delay, name)] for name in r])
-    _add_burn_rows(model, a, y, horizon)
-    _add_sum_row(model, "budget", r, k)
-    for v in range(n):
-        if unsafe[v]:
-            model.add_constraint(_vname("safety", v), [(1.0, r[v])], EQ, 0.0)
-    model.validate()
-    return model
+    rows = _propagation_rows(graph, ignition, a, [[(-delay, name)] for name in r])
+    rows += _burn_rows(a, y, horizon)
+    rows.append(_sum_row("budget", r, k))
+    rows += [
+        Constraint(_vname("safety", v), ((1.0, r[v]),), EQ, 0.0) for v in range(n) if unsafe[v]
+    ]
+    objective = tuple((float(w), name) for w, name in zip(weights, y))
+    return LinearModel("wei", variables, rows, MIN, objective)
 
 
 def allocation_to_assignment(instance: WspInstance, alloc: Allocation) -> dict[str, float]:
@@ -351,40 +338,12 @@ def evaluate_objective(model: LinearModel, assignment: dict[str, float]) -> floa
 # ---------------------------------------------------------------------------
 # Export
 
-_NAME_RE = re.compile(r"[^A-Za-z0-9_]")
-
-
-def _sanitize(name: str, owners: dict[str, str], claim: bool = True) -> str:
-    """LP/MPS-safe form of name. With claim, name becomes the owner of its
-    clean form; without, it is only checked against the current owners."""
-    clean = _NAME_RE.sub("_", name)
-    if clean and clean[0].isdigit():
-        clean = "n" + clean
-    if not clean:
-        raise StructuralError(f"name {name!r} empty after sanitation")
-    owner = owners.setdefault(clean, name) if claim else owners.get(clean, name)
-    if owner != name:
-        raise StructuralError(f"name collision after sanitation: {name!r} vs {owner!r}")
-    return clean
-
-
-def _export_names(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
-    """Sanitized variable and constraint names. Variables may not collide
-    with each other; a constraint may not take the clean name of a variable
-    other than its namesake (constraints are not checked against each other)."""
-    owners: dict[str, str] = {}
-    names = {v.name: _sanitize(v.name, owners) for v in model.variables}
-    cnames = {c.name: _sanitize(c.name, owners, claim=False) for c in model.constraints}
-    return names, cnames
-
-
 def _num(x: float) -> str:
     return repr(float(x))
 
 
 def export_model(model: LinearModel, format: str = "lp") -> str:
     """Deterministic LP or MPS interchange text for the model."""
-    model.validate()
     if format == "lp":
         return _export_lp(model)
     if format == "mps":
@@ -404,25 +363,21 @@ def _terms_lp(terms) -> str:
 
 
 def _export_lp(model: LinearModel) -> str:
-    names, cnames = _export_names(model)
-
     lines = []
     lines.append("\\ " + model.name)
     lines.append("Minimize" if model.objective_sense == MIN else "Maximize")
-    obj = _terms_lp([(c, names[v]) for c, v in model.objective_terms])
-    lines.append(" obj: " + obj)
+    lines.append(" obj: " + _terms_lp(model.objective_terms))
     lines.append("Subject To")
     for c in model.constraints:
-        body = _terms_lp([(coef, names[v]) for coef, v in c.terms])
-        lines.append(f" {cnames[c.name]}: {body} {c.sense} {_num(c.rhs)}")
+        lines.append(f" {c.name}: {_terms_lp(c.terms)} {c.sense} {_num(c.rhs)}")
     lines.append("Bounds")
     for v in model.variables:
         if v.kind == BINARY and v.lower == 0.0 and v.upper == 1.0:
             continue
         lo = "-inf" if v.lower == -math.inf else _num(v.lower)
         hi = "+inf" if v.upper == math.inf else _num(v.upper)
-        lines.append(f" {lo} <= {names[v.name]} <= {hi}")
-    binaries = [names[v.name] for v in model.variables if v.kind == BINARY]
+        lines.append(f" {lo} <= {v.name} <= {hi}")
+    binaries = [v.name for v in model.variables if v.kind == BINARY]
     if binaries:
         lines.append("Binaries")
         for name in binaries:
@@ -432,7 +387,6 @@ def _export_lp(model: LinearModel) -> str:
 
 
 def _export_mps(model: LinearModel) -> str:
-    names, cnames = _export_names(model)
     sense_row = {LE: "L", EQ: "E", GE: "G"}
 
     lines = [f"NAME {model.name}"]
@@ -442,7 +396,7 @@ def _export_mps(model: LinearModel) -> str:
     lines.append("ROWS")
     lines.append(" N obj")
     for c in model.constraints:
-        lines.append(f" {sense_row[c.sense]} {cnames[c.name]}")
+        lines.append(f" {sense_row[c.sense]} {c.name}")
 
     # column-major coefficients, in variable declaration order
     by_var: dict[str, list[tuple[str, float]]] = {v.name: [] for v in model.variables}
@@ -450,7 +404,7 @@ def _export_mps(model: LinearModel) -> str:
         by_var[var].append(("obj", coef))
     for c in model.constraints:
         for coef, var in c.terms:
-            by_var[var].append((cnames[c.name], coef))
+            by_var[var].append((c.name, coef))
 
     lines.append("COLUMNS")
     marker = 0
@@ -466,27 +420,26 @@ def _export_mps(model: LinearModel) -> str:
             marker += 1
             in_integer = False
         for row, coef in by_var[v.name]:
-            lines.append(f" {names[v.name]} {row} {_num(coef)}")
+            lines.append(f" {v.name} {row} {_num(coef)}")
     if in_integer:
         lines.append(f" MARKER{marker} 'MARKER' 'INTEND'")
 
     lines.append("RHS")
     for c in model.constraints:
         if c.rhs != 0.0:
-            lines.append(f" RHS {cnames[c.name]} {_num(c.rhs)}")
+            lines.append(f" RHS {c.name} {_num(c.rhs)}")
 
     lines.append("BOUNDS")
     for v in model.variables:
-        name = names[v.name]
         if v.kind == BINARY:
             if v.upper == 0.0:
-                lines.append(f" FX BND {name} 0.0")
+                lines.append(f" FX BND {v.name} 0.0")
             else:
-                lines.append(f" BV BND {name}")
+                lines.append(f" BV BND {v.name}")
             continue
         if v.lower != 0.0:
-            lines.append(f" LO BND {name} {_num(v.lower)}")
+            lines.append(f" LO BND {v.name} {_num(v.lower)}")
         if v.upper != math.inf:
-            lines.append(f" UP BND {name} {_num(v.upper)}")
+            lines.append(f" UP BND {v.name} {_num(v.upper)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -8,13 +8,10 @@ from wsptools.benchlab import (
     SM_DELTA_60_INSTANCES,
     BenchCell,
     RunRecord,
-    absolute_deviation,
-    best_known,
     default_time_limit,
     performance_profiles,
     read_records,
     records_to_blocks,
-    relative_deviation,
     run_benchmark,
     sm_scores,
     write_records,
@@ -39,29 +36,6 @@ class TestRecordsCsv:
         write_records(path, [rec("i1", "rs", 12)])
         write_records(path, [rec("i2", "rs", 9)])
         assert [r.instance for r in read_records(path)] == ["i1", "i2"]
-
-
-class TestDeviations:
-    def test_best_known_ignores_failures(self):
-        records = [
-            rec("i1", "rs", 12),
-            rec("i1", "beam", 10),
-            rec("i1", "exact", -1, status="limit"),
-        ]
-        assert best_known(records, "i1") == 10
-
-    def test_best_known_requires_data(self):
-        with pytest.raises(ValueError):
-            best_known([rec("i1", "rs", -1, status="error")], "i1")
-
-    def test_relative_deviation(self):
-        assert relative_deviation(12, 10) == pytest.approx(0.2)
-        assert relative_deviation(10, 10) == 0.0
-        with pytest.raises(ValueError):
-            relative_deviation(5, 0)
-
-    def test_absolute_deviation(self):
-        assert absolute_deviation(12, 10) == 2
 
 
 class TestPerformanceProfiles:

@@ -130,6 +130,21 @@ class TestSolveAndEvaluate:
         assert code == 2
         assert "max_seconds must be positive and finite" in err
 
+    @pytest.mark.parametrize("limit", ["-inf", "-infinity"])
+    def test_negative_infinite_time_limit_separate_word(self, small_instance, tmp_path,
+                                                        capsys, limit):
+        # argparse's prefix matching would read "-inf" as "-i nf", since solve has -i
+        code, _, err = run(capsys, "solve", "--algo", "rs", "--time-limit", limit,
+                           "--iterations", "1", "-i", str(small_instance),
+                           "-o", str(tmp_path / "sol.json"))
+        assert code == 2
+        assert "max_seconds must be positive and finite" in err
+
+    def test_short_option_with_attached_value(self, small_instance, tmp_path, capsys):
+        code, _, _ = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
+                         f"-i{small_instance}", "-o", str(tmp_path / "sol.json"))
+        assert code == 0
+
     def test_exact_refusal_exit_code(self, small_instance, tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--algo", "exact", "--max-nodes", "10",
                            "-i", str(small_instance), "-o", str(tmp_path / "sol.json"))

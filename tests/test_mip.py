@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -15,7 +16,9 @@ from wsptools.core import (
 )
 from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.mip import (
+    Constraint,
     LinearModel,
+    Variable,
     allocation_to_assignment,
     build_hof_model,
     build_wei_model,
@@ -122,7 +125,7 @@ class TestWspModel:
         instance = WspInstance(graph, 0, horizon=5.0, delay=1.0, schedule=((1.0, 1),))
         model = build_wsp_model(instance)
         assignment = allocation_to_assignment(instance, Allocation(()))
-        assert assignment["a_0002"] == model.meta["a_upper_bound"]
+        assert assignment["a_0002"] == model.variables[2].upper
         assert assignment["y_0002"] == 0.0
         assert validate_assignment(model, assignment) == []
 
@@ -386,64 +389,68 @@ class TestExport:
         assert "OBJSENSE" in export_model(model, "mps")
 
 
-def two_variable_model():
-    model = LinearModel(name="m")
-    model.add_variable("x", "continuous", 0.0, 5.0)
-    model.add_variable("b", "binary", 0.0, 1.0)
-    model.objective_terms = ((1.0, "x"),)
-    model.add_constraint("row", [(1.0, "x"), (2.0, "b")], "<=", 4.0)
-    return model
+X = Variable("x", "continuous", 0.0, 5.0)
+B = Variable("b", "binary", 0.0, 1.0)
+ROW = Constraint("row", ((1.0, "x"), (2.0, "b")), "<=", 4.0)
 
 
-def assert_export_rejected(model, message):
-    for fmt in ("lp", "mps"):
-        with pytest.raises(StructuralError, match=re.escape(message)):
-            export_model(model, fmt)
+def two_variable_model(variables=(), constraints=(), objective=()):
+    """min x over x in [0, 5] and binary b with x + 2b <= 4, plus the
+    given variables, constraints and objective terms."""
+    return LinearModel(
+        "m", (X, B, *variables), (ROW, *constraints), "min", ((1.0, "x"), *objective)
+    )
+
+
+def assert_rejected(message, **parts):
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        two_variable_model(**parts)
 
 
 class TestModelChecks:
-    """Name checks run once per model (validate) and once per export
-    (sanitation), not on every add_variable."""
+    """A model is checked once, when it is made: its names are unique LP/MPS
+    identifiers and every term names a declared variable. Exports write the
+    names as stored and check nothing."""
 
     def test_duplicate_variable_rejected_by_validate_and_export(self):
-        model = two_variable_model()
-        model.add_variable("x", "continuous")
-        with pytest.raises(StructuralError, match="not unique"):
-            model.validate()
-        assert_export_rejected(model, "variable names not unique")
+        assert_rejected("variable names not unique", variables=[Variable("x", "continuous")])
 
     def test_unknown_variable_in_constraint_rejected(self):
-        model = two_variable_model()
-        model.add_constraint("extra", [(1.0, "z")], "<=", 1.0)
-        with pytest.raises(StructuralError, match="constraint extra references unknown variable z"):
-            model.validate()
-        assert_export_rejected(model, "unknown variable z")
+        assert_rejected(
+            "constraint extra references unknown variable z",
+            constraints=[Constraint("extra", ((1.0, "z"),), "<=", 1.0)],
+        )
 
     def test_unknown_variable_in_objective_rejected(self):
-        model = two_variable_model()
-        model.objective_terms = ((1.0, "x"), (1.0, "z"))
-        with pytest.raises(StructuralError, match="objective references unknown variable z"):
-            model.validate()
-        assert_export_rejected(model, "objective references unknown variable z")
+        assert_rejected("objective references unknown variable z", objective=[(1.0, "z")])
 
     def test_variables_colliding_after_sanitation(self):
-        model = two_variable_model()
-        model.add_variable("a-1", "continuous")
-        model.add_variable("a_1", "continuous")
-        model.validate()  # distinct names; only their exported forms collide
-        assert_export_rejected(model, "name collision after sanitation: 'a_1' vs 'a-1'")
+        # exports write names as stored, so one an LP/MPS reader cannot
+        # take is refused when the model is made
+        for name in ("a-1", "", "1x", "x y"):
+            assert_rejected(
+                f"name {name!r} is not an LP/MPS identifier",
+                variables=[Variable(name, "continuous"), Variable("a_1", "continuous")],
+            )
 
     def test_constraint_taking_another_variables_name(self):
-        model = two_variable_model()
-        model.add_variable("a_1", "continuous")
-        model.add_constraint("a-1", [(1.0, "a_1")], ">=", 0.0)
-        assert_export_rejected(model, "name collision after sanitation: 'a-1' vs 'a_1'")
+        for name in ("a-1", "", "1x"):
+            assert_rejected(
+                f"name {name!r} is not an LP/MPS identifier",
+                variables=[Variable("a_1", "continuous")],
+                constraints=[Constraint(name, ((1.0, "a_1"),), ">=", 0.0)],
+            )
 
     def test_constraint_named_like_its_variable_exports(self):
-        model = two_variable_model()
-        model.add_constraint("x", [(1.0, "x")], ">=", 1.0)
+        model = two_variable_model(constraints=[Constraint("x", ((1.0, "x"),), ">=", 1.0)])
         assert " x: 1.0 x >= 1.0\n" in export_model(model, "lp")
         assert " G x\n" in export_model(model, "mps")
+
+    def test_model_is_frozen(self):
+        model = LinearModel("m", [X, B], [ROW], "min", [(1.0, "x")])
+        assert model == two_variable_model()  # lists are stored as tuples
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.variables = ()
 
 
 def golden_models():
