@@ -27,15 +27,7 @@ from wsptools.core import (
     single_source_distances,
 )
 from wsptools.noise import gradient_noise, _mix_seed
-from wsptools.rothermel import (
-    DEFAULT_CONSTANTS,
-    DEFAULT_PARAMS,
-    DomainError,
-    FuelConstants,
-    SpreadParams,
-    albini_multipliers,
-    travel_time,
-)
+from wsptools.rothermel import DomainError, albini_multipliers, travel_time
 
 
 class GenerationError(RuntimeError):
@@ -89,8 +81,6 @@ class GeneratorConfig:
     delay_level: str = "high"
     first_release: str = "early"
     last_release: str = "very_late"
-    constants: FuelConstants = DEFAULT_CONSTANTS
-    params: SpreadParams = DEFAULT_PARAMS
 
     def __post_init__(self):
         if self.n < 2:
@@ -98,6 +88,10 @@ class GeneratorConfig:
         if not (math.isfinite(self.landscape_extent) and self.landscape_extent > 0):
             raise GenerationError(
                 f"landscape extent must be a positive number of feet, got {self.landscape_extent}"
+            )
+        if not math.isfinite(self.wind_direction):
+            raise GenerationError(
+                f"wind direction must be a finite number of radians, got {self.wind_direction}"
             )
         for name, value, table in [
             ("slope_level", self.slope_level, SLOPE_LEVELS),
@@ -247,7 +241,7 @@ def build_travel_times(config: GeneratorConfig, landscape: Landscape) -> Directe
     keys = zip(np.minimum(tails, heads).tolist(), np.maximum(tails, heads).tolist())
     wind = np.array(list(map(landscape.wind_vectors.__getitem__, keys)), dtype=np.float64)
     wind_component = wind[:, 0] * dx + wind[:, 1] * dy
-    multiplier = albini_multipliers(wind_component, slope_tan, config.params, config.constants)
+    multiplier = albini_multipliers(wind_component, slope_tan)
     r_tail = base_ros[tails] * multiplier
     r_head = base_ros[heads] * multiplier
     length = np.array([math.hypot(d, z) for z in dz.tolist()])

@@ -58,8 +58,9 @@ class LinearModel:
     """A linear model, checked once when it is made.
 
     Variable and constraint names are LP/MPS identifiers, exported as
-    stored; variable names are unique, and every constraint and objective
-    term names a declared variable. StructuralError otherwise.
+    stored; variable names are unique, constraint names are unique and
+    never the objective row's name "obj", and every constraint and
+    objective term names a declared variable. StructuralError otherwise.
     """
 
     name: str
@@ -75,9 +76,12 @@ class LinearModel:
         declared = set(names)
         if len(declared) != len(names):
             raise StructuralError("variable names not unique")
-        for name in itertools.chain(names, (c.name for c in self.constraints)):
+        rows = [c.name for c in self.constraints]
+        for name in itertools.chain(names, rows):
             if not (isinstance(name, str) and _IDENTIFIER.fullmatch(name)):
                 raise StructuralError(f"name {name!r} is not an LP/MPS identifier")
+        if len(set(rows)) != len(rows) or "obj" in rows:
+            raise StructuralError("constraint names must be unique and not obj, the objective row")
         for c in self.constraints:
             for _, var in c.terms:
                 if var not in declared:

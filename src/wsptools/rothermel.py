@@ -5,12 +5,12 @@ multiplier, the resulting rate of spread, and the arc travel time from
 the harmonic mean of the cell spread rates.  All quantities are in
 imperial units: feet, ft/min, minutes.  The multiplier and the travel
 time also take arrays, one entry per arc, for the instance generator.
+The fuel bed and the factor coefficients are fixed module constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,69 +19,30 @@ class DomainError(ValueError):
     """Input outside the physical domain of a formula."""
 
 
-@dataclass(frozen=True)
-class FuelConstants:
-    """Empirical coefficients of the slope and wind factor formulas."""
+# Empirical coefficients of the slope factor a_s * beta^-b_s * tan^2 and
+# the wind factor C * U^B (Rothermel 1972, USDA Forest Service Research
+# Paper INT-115).
+A_S, B_S = 5.275, 0.3
+A_W, B_W, C_W, D_W, E_W, F_W, G_W = 7.47, 0.133, 0.55, 0.02526, 0.54, 0.715, 3.59e-4
 
-    a_s: float = 5.275
-    b_s: float = 0.3
-    a_w: float = 7.47
-    b_w: float = 0.133
-    c_w: float = 0.55
-    d_w: float = 0.02526
-    e_w: float = 0.54
-    f_w: float = 0.715
-    g_w: float = 3.59e-4
+# The fuel bed: packing ratio, surface-area-to-volume ratio (ft^2/ft^3)
+# and relative packing ratio.
+BETA, SIGMA, BETA_REL = 0.005, 2000.0, 1.0
 
-
-@dataclass(frozen=True)
-class SpreadParams:
-    """Fuel-bed parameters: packing ratio, surface-area-to-volume ratio
-    (ft^2/ft^3), and relative packing ratio."""
-
-    beta: float = 0.005
-    sigma: float = 2000.0
-    beta_rel: float = 1.0
-
-    def __post_init__(self):
-        if self.beta <= 0 or self.sigma <= 0 or self.beta_rel <= 0:
-            raise DomainError("spread parameters must be strictly positive")
+# The slope factor per squared slope tangent, and (C, B) of the wind factor.
+_K_S = A_S * BETA ** (-B_S)
+_C_W = (A_W * math.exp(-B_W * SIGMA**C_W)) * (BETA_REL ** (-D_W * math.exp(-E_W * SIGMA)))
+_B_W = F_W * SIGMA**G_W
 
 
-DEFAULT_CONSTANTS = FuelConstants()
-DEFAULT_PARAMS = SpreadParams()
-
-
-def _slope_coefficient(beta: float, constants: FuelConstants) -> float:
-    """a_s * beta^-b_s: the slope factor per squared slope tangent."""
+def slope_factor(slope_tangent: float, beta: float = BETA) -> float:
+    """Dimensionless slope factor; quadratic in the slope tangent."""
     if beta <= 0:
         raise DomainError(f"packing ratio must be positive, got {beta}")
-    return constants.a_s * beta ** (-constants.b_s)
+    return A_S * beta ** (-B_S) * slope_tangent**2
 
 
-def _wind_coefficients(params: SpreadParams, constants: FuelConstants) -> tuple[float, float]:
-    """(C, B) of the wind factor C * U^B."""
-    c_w = (constants.a_w * math.exp(-constants.b_w * params.sigma**constants.c_w)) * (
-        params.beta_rel ** (-constants.d_w * math.exp(-constants.e_w * params.sigma))
-    )
-    b_w = constants.f_w * params.sigma**constants.g_w
-    return c_w, b_w
-
-
-def slope_factor(
-    slope_tangent: float,
-    beta: float = DEFAULT_PARAMS.beta,
-    constants: FuelConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """Dimensionless slope factor; quadratic in the slope tangent."""
-    return _slope_coefficient(beta, constants) * slope_tangent**2
-
-
-def wind_factor(
-    wind_speed: float,
-    params: SpreadParams = DEFAULT_PARAMS,
-    constants: FuelConstants = DEFAULT_CONSTANTS,
-) -> float:
+def wind_factor(wind_speed: float) -> float:
     """Dimensionless wind factor for a nonnegative midflame wind speed (ft/min).
 
     Sign handling for backing winds belongs to the directional multiplier;
@@ -89,16 +50,10 @@ def wind_factor(
     """
     if wind_speed < 0:
         raise DomainError(f"wind speed must be nonnegative, got {wind_speed}")
-    c_w, b_w = _wind_coefficients(params, constants)
-    return c_w * wind_speed**b_w
+    return _C_W * wind_speed**_B_W
 
 
-def albini_multipliers(
-    wind_speeds_signed,
-    slope_tangents_signed,
-    params: SpreadParams = DEFAULT_PARAMS,
-    constants: FuelConstants = DEFAULT_CONSTANTS,
-) -> np.ndarray:
+def albini_multipliers(wind_speeds_signed, slope_tangents_signed) -> np.ndarray:
     """Directional spread multiplier r >= 1 for each (wind component,
     slope tangent) pair of two equal-length sequences, as a float64 array.
 
@@ -110,20 +65,18 @@ def albini_multipliers(
       upslope backfire:    1 + max(0, phi_s - phi_w)
       downslope backfire:  1
 
-    The factor constants are computed once per call.  The powers run as
-    Python float operations, and only for pairs whose case uses them:
-    numpy's power is not bitwise equal to Python's on every platform.
+    The powers run as Python float operations, and only for pairs whose
+    case uses them: numpy's power is not bitwise equal to Python's on
+    every platform.
     """
     u = np.asarray(wind_speeds_signed, dtype=np.float64)
     a = np.asarray(slope_tangents_signed, dtype=np.float64)
     cases = [(a >= 0) & (u >= 0), (a < 0) & (u >= 0), (a >= 0) & (u < 0)]
     live = cases[0] | cases[1] | cases[2]
-    c_w, b_w = _wind_coefficients(params, constants)
-    k_s = _slope_coefficient(params.beta, constants)
     phi_w = np.zeros(u.shape)
     phi_s = np.zeros(a.shape)
-    phi_w[live] = [c_w * abs(w) ** b_w for w in u[live].tolist()]
-    phi_s[live] = [k_s * t**2 for t in a[live].tolist()]
+    phi_w[live] = [_C_W * abs(w) ** _B_W for w in u[live].tolist()]
+    phi_s[live] = [_K_S * t**2 for t in a[live].tolist()]
     wind_excess = phi_w - phi_s
     slope_excess = phi_s - phi_w
     # max(0.0, x) is x only where x > 0.0
@@ -138,29 +91,18 @@ def albini_multipliers(
     )
 
 
-def albini_multiplier(
-    wind_speed_signed: float,
-    slope_tangent_signed: float,
-    params: SpreadParams = DEFAULT_PARAMS,
-    constants: FuelConstants = DEFAULT_CONSTANTS,
-) -> float:
+def albini_multiplier(wind_speed_signed: float, slope_tangent_signed: float) -> float:
     """Directional spread multiplier r >= 1 of one pair (see albini_multipliers)."""
-    return float(
-        albini_multipliers([wind_speed_signed], [slope_tangent_signed], params, constants)[0]
-    )
+    return float(albini_multipliers([wind_speed_signed], [slope_tangent_signed])[0])
 
 
 def rate_of_spread(
-    base_rate: float,
-    wind_speed_signed: float,
-    slope_tangent_signed: float,
-    params: SpreadParams = DEFAULT_PARAMS,
-    constants: FuelConstants = DEFAULT_CONSTANTS,
+    base_rate: float, wind_speed_signed: float, slope_tangent_signed: float
 ) -> float:
     """Directional rate of spread (ft/min): base rate times the multiplier."""
     if base_rate <= 0:
         raise DomainError(f"base rate of spread must be positive, got {base_rate}")
-    return base_rate * albini_multiplier(wind_speed_signed, slope_tangent_signed, params, constants)
+    return base_rate * albini_multiplier(wind_speed_signed, slope_tangent_signed)
 
 
 def travel_time(distance_3d, rate_tail, rate_head):

@@ -98,6 +98,16 @@ class TestGenerate:
         arrivals = sorted(compute_arrival_times(instance).arrival)
         assert instance.schedule[0][0] >= arrivals[1] > 0.0
 
+    @pytest.mark.parametrize("direction", ["nan", "inf", "-inf"])
+    def test_nonfinite_wind_direction_is_domain_error(self, tmp_path, capsys, direction):
+        # a nan direction makes every wind vector nan, which no multiplier case selects
+        path = tmp_path / "x.json"
+        code, _, err = run(capsys, "generate", "--grid-side", "6",
+                           "--wind-direction", direction, "-o", str(path))
+        assert code == 2
+        assert "wind direction must be a finite number" in err
+        assert not path.exists()
+
     def test_zero_extent_is_domain_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "--grid-side", "5", "--extent", "0",
                            "-o", str(tmp_path / "x.json"))
@@ -279,6 +289,7 @@ class TestExportAux:
             (dict(HOF_AUX, targets=["0"]), "target '0'"),
             (dict(HOF_AUX, k="2"), "k must be a finite number"),
             (dict(HOF_AUX, integral="yes"), "integral"),
+            (dict(HOF_AUX, targets=[3, 3]), "constraint names must be unique"),
         ],
     )
     def test_malformed_hof_aux(self, small_instance, tmp_path, capsys, aux, message):

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -29,13 +31,7 @@ from wsptools.generator import (
 )
 from wsptools import noise
 from wsptools.noise import gradient_noise
-from wsptools.rothermel import (
-    DomainError,
-    FuelConstants,
-    SpreadParams,
-    rate_of_spread,
-    travel_time,
-)
+from wsptools.rothermel import DomainError, rate_of_spread, travel_time
 
 
 class TestNoise:
@@ -155,6 +151,13 @@ class TestConfig:
         # zero gave a ZeroDivisionError, a negative extent a meaningless instance
         with pytest.raises(GenerationError, match="landscape extent"):
             GeneratorConfig(landscape_extent=extent)
+
+    @pytest.mark.parametrize("direction", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_wind_direction(self, direction):
+        # nan makes every wind vector nan, so every multiplier would be 1.0
+        # and the wind silently ignored; math.cos fails on an infinity
+        with pytest.raises(GenerationError, match=f"wind direction .* got {direction}"):
+            GeneratorConfig(wind_direction=direction)
 
 
 class TestLandscapeFields:
@@ -366,6 +369,36 @@ class TestGenerateInstance:
         assert inst.meta["generator"]["seed"] == 5
         assert inst.meta["generator"]["nonstandard_grid"] is False
 
+    # meta["generator"] key of each GeneratorConfig field; the other keys
+    # record what generation derived
+    META_KEYS = {"landscape_extent": "landscape_extent_ft", "wind_direction": "wind_direction_rad"}
+    DERIVED_KEYS = {
+        "version", "cell_spacing_ft", "horizon_min", "delay_min", "resource_count",
+        "release_times_min", "nonstandard_grid",
+    }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GeneratorConfig(seed=5, n=9, slope_level="steep", wind_direction=-2.7),
+            GeneratorConfig(
+                seed=8, n=12, landscape_extent=10000.0, wind_level="strong",
+                decision_points=5, resources_level="many", delay_level="low",
+                first_release="late", last_release="early",
+            ),
+            GeneratorConfig(seed=3, n=3, wind_direction=1.3, first_release="very_late"),
+        ],
+        ids=lambda c: f"s{c.seed}-n{c.n}",
+    )
+    def test_regenerates_from_meta(self, config):
+        text = instance_to_json(generate_instance(config))
+        meta = json.loads(text)["meta"]["generator"]
+        names = [f.name for f in dataclasses.fields(GeneratorConfig)]
+        keys = {name: self.META_KEYS.get(name, name) for name in names}
+        assert set(keys.values()) == set(meta) - self.DERIVED_KEYS
+        rebuilt = GeneratorConfig(**{name: meta[key] for name, key in keys.items()})
+        assert instance_to_json(generate_instance(rebuilt)) == text
+
     def test_nonstandard_grid_is_flagged(self):
         inst = generate_instance(GeneratorConfig(seed=5, n=12))
         assert inst.meta["generator"]["nonstandard_grid"] is True
@@ -560,18 +593,23 @@ def scalar_landscape(config):
     return Landscape(heights=heights, base_ros=base_ros, wind_vectors=wind)
 
 
-def scalar_rate_of_spread(base_rate, u, a, params, constants):
+# The factor coefficients and the fuel bed (beta, sigma, beta_rel) as
+# literals of their own, so the reference reads nothing of wsptools.rothermel.
+A_S, B_S = 5.275, 0.3
+A_W, B_W, C_W, D_W, E_W, F_W, G_W = 7.47, 0.133, 0.55, 0.02526, 0.54, 0.715, 3.59e-4
+BETA, SIGMA, BETA_REL = 0.005, 2000.0, 1.0
+
+
+def scalar_rate_of_spread(base_rate, u, a):
     if base_rate <= 0:
         raise DomainError(f"base rate of spread must be positive, got {base_rate}")
 
     def phi_s(a):
-        return constants.a_s * params.beta ** (-constants.b_s) * a**2
+        return A_S * BETA ** (-B_S) * a**2
 
     def phi_w(u):
-        c_w = (constants.a_w * math.exp(-constants.b_w * params.sigma**constants.c_w)) * (
-            params.beta_rel ** (-constants.d_w * math.exp(-constants.e_w * params.sigma))
-        )
-        return c_w * u ** (constants.f_w * params.sigma**constants.g_w)
+        c_w = (A_W * math.exp(-B_W * SIGMA**C_W)) * (BETA_REL ** (-D_W * math.exp(-E_W * SIGMA)))
+        return c_w * u ** (F_W * SIGMA**G_W)
 
     if a >= 0 and u >= 0:
         r = 1.0 + phi_w(u) + phi_s(a)
@@ -598,12 +636,8 @@ def scalar_arcs(config, landscape):
                 slope_tan = dz / d
                 wind = landscape.wind_vectors[(min(u, v), max(u, v))]
                 component = wind[0] * (nx - x) + wind[1] * (ny - y)
-                r_tail = scalar_rate_of_spread(
-                    landscape.base_ros[u], component, slope_tan, config.params, config.constants
-                )
-                r_head = scalar_rate_of_spread(
-                    landscape.base_ros[v], component, slope_tan, config.params, config.constants
-                )
+                r_tail = scalar_rate_of_spread(landscape.base_ros[u], component, slope_tan)
+                r_head = scalar_rate_of_spread(landscape.base_ros[v], component, slope_tan)
                 length = math.hypot(d, dz)
                 arcs.append((u, v, length * (r_tail + r_head) / (2.0 * r_tail * r_head)))
     return tuple(arcs)
@@ -624,10 +658,8 @@ BITWISE_CONFIGS = [
         for direction in (0.0, 1.3, -2.7)
     )
 ] + [
-    GeneratorConfig(
-        seed=5, n=20, slope_level="steep", params=SpreadParams(sigma=1.0, beta_rel=2.0)
-    ),
-    GeneratorConfig(seed=6, n=9, wind_level="strong", constants=FuelConstants(a_s=9.0, f_w=0.9)),
+    GeneratorConfig(seed=5, n=20, slope_level="steep"),
+    GeneratorConfig(seed=6, n=9, wind_level="strong"),
     GeneratorConfig(seed=7, n=10, slope_level="steep", landscape_extent=900.0),
 ]
 

@@ -415,6 +415,21 @@ class TestModelChecks:
     def test_duplicate_variable_rejected_by_validate_and_export(self):
         assert_rejected("variable names not unique", variables=[Variable("x", "continuous")])
 
+    def test_repeated_constraint_name_rejected(self):
+        # both rows would be written under one name, which LP and MPS
+        # readers take as one row or refuse
+        assert_rejected(
+            "constraint names must be unique",
+            constraints=[Constraint("row", ((1.0, "x"),), ">=", 1.0)],
+        )
+
+    def test_constraint_named_obj_rejected(self):
+        # obj names the objective row in both exports
+        assert_rejected(
+            "not obj, the objective row",
+            constraints=[Constraint("obj", ((1.0, "x"),), ">=", 1.0)],
+        )
+
     def test_unknown_variable_in_constraint_rejected(self):
         assert_rejected(
             "constraint extra references unknown variable z",

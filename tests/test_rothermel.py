@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from wsptools.rothermel import (
-    DEFAULT_PARAMS,
+    A_S,
+    A_W,
+    B_S,
+    B_W,
+    BETA,
+    BETA_REL,
+    C_W,
+    D_W,
+    E_W,
+    F_W,
+    G_W,
+    SIGMA,
     DomainError,
-    FuelConstants,
-    SpreadParams,
     albini_multiplier,
     albini_multipliers,
     rate_of_spread,
@@ -54,12 +63,6 @@ class TestWindFactor:
         with pytest.raises(DomainError):
             wind_factor(-1.0)
 
-    def test_beta_rel_term_active_for_nondefault_params(self):
-        # with a tiny sigma the beta_rel exponent is no longer negligible
-        params = SpreadParams(beta=0.005, sigma=1.0, beta_rel=2.0)
-        base = SpreadParams(beta=0.005, sigma=1.0, beta_rel=1.0)
-        assert wind_factor(50.0, params) != wind_factor(50.0, base)
-
 
 class TestAlbiniMultiplier:
     def test_downslope_backfire_is_one(self):
@@ -73,12 +76,11 @@ class TestAlbiniMultiplier:
         assert albini_multiplier(120.0, 0.4) == expected
 
     def test_matches_case_table_oracle(self, rng):
-        params, constants = DEFAULT_PARAMS, FuelConstants()
         for _ in range(200):
             u = float(rng.uniform(-900, 900))
             a = float(rng.uniform(-2, 2))
-            phi_w = wind_factor(abs(u), params, constants)
-            phi_s = slope_factor(abs(a), params.beta, constants)
+            phi_w = wind_factor(abs(u))
+            phi_s = slope_factor(abs(a))
             if a >= 0 and u >= 0:
                 expected = 1 + phi_w + phi_s
             elif a < 0 and u >= 0:
@@ -106,12 +108,11 @@ class TestAlbiniMultipliers:
         # zeros of both signs sit on the case boundaries
         u = np.concatenate([rng.uniform(-900, 900, 300), [0.0, -0.0, 0.0, -0.0, 5.0, -5.0]])
         a = np.concatenate([rng.uniform(-2, 2, 300), [0.0, -0.0, -0.3, 0.3, 0.0, -0.0]])
-        params, constants = SpreadParams(sigma=3.0, beta_rel=1.5), FuelConstants(a_s=8.0)
-        values = albini_multipliers(u, a, params, constants)
+        values = albini_multipliers(u, a)
         assert values.shape == u.shape
         for ui, ai, value in zip(u.tolist(), a.tolist(), values.tolist()):
-            phi_w = wind_factor(abs(ui), params, constants)
-            phi_s = slope_factor(ai, params.beta, constants)
+            phi_w = wind_factor(abs(ui))
+            phi_s = slope_factor(ai)
             if ai >= 0 and ui >= 0:
                 expected = 1.0 + phi_w + phi_s
             elif ai < 0 and ui >= 0:
@@ -195,21 +196,9 @@ class TestTravelTime:
 
 class TestConstants:
     def test_defaults_match_reference_table(self):
-        c = FuelConstants()
-        assert (c.a_s, c.b_s) == (5.275, 0.3)
-        assert (c.a_w, c.b_w, c.c_w) == (7.47, 0.133, 0.55)
-        assert (c.d_w, c.e_w, c.f_w, c.g_w) == (0.02526, 0.54, 0.715, 3.59e-4)
+        assert (A_S, B_S) == (5.275, 0.3)
+        assert (A_W, B_W, C_W) == (7.47, 0.133, 0.55)
+        assert (D_W, E_W, F_W, G_W) == (0.02526, 0.54, 0.715, 3.59e-4)
 
     def test_default_params(self):
-        p = SpreadParams()
-        assert (p.beta, p.sigma, p.beta_rel) == (0.005, 2000.0, 1.0)
-
-    def test_constants_are_threaded(self):
-        doubled = FuelConstants(a_s=10.55)
-        assert slope_factor(1.0, 0.005, doubled) == pytest.approx(
-            2 * PHI_S_TAN1_BETA_0005, rel=1e-12
-        )
-
-    def test_rejects_nonpositive_params(self):
-        with pytest.raises(DomainError):
-            SpreadParams(beta=-1.0)
+        assert (BETA, SIGMA, BETA_REL) == (0.005, 2000.0, 1.0)
