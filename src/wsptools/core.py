@@ -168,7 +168,7 @@ class FireOutcome:
     changed: frozenset[int] | None = field(default=None, compare=False, repr=False)
 
     def burned_count(self, t: float) -> int:
-        return sum(1 for a in self.arrival if a < t)
+        return len([a for a in self.arrival if a < t])
 
     def burned_delta(self, parent: FireOutcome, t: float) -> int:
         """burned_count(t) - parent.burned_count(t); for an outcome repaired

@@ -85,9 +85,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 2:
             raise GenerationError("grid side must be at least 2")
-        if not (math.isfinite(self.landscape_extent) and self.landscape_extent > 0):
+        if not self.n <= self.landscape_extent <= self.n * 2.0**53:
             raise GenerationError(
-                f"landscape extent must be a positive number of feet, got {self.landscape_extent}"
+                f"landscape extent must be between n = {self.n} and n * 2**53 feet,"
+                f" got {self.landscape_extent}"
             )
         if not math.isfinite(self.wind_direction):
             raise GenerationError(

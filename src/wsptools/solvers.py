@@ -8,6 +8,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -102,8 +103,13 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
             break
         iterations += 1
         alloc, outcome, obj = EMPTY_ALLOCATION, empty_outcome, empty_obj
-        for (release_time, count), first in zip(instance.schedule, instance.first_resources):
-            candidates = _unburned(outcome, release_time, alloc)
+        candidates = range(instance.graph.vertex_count)
+        for (t, count), first in zip(instance.schedule, instance.first_resources):
+            # Filter the previous level's open list: that level protected only
+            # vertices of arrival >= its time, so every earlier arrival keeps
+            # its bits (delays only raise arrivals) and burned stays burned.
+            arrival, protected = outcome.arrival, alloc.protected
+            candidates = [v for v in candidates if arrival[v] >= t and v not in protected]
             take = min(count, len(candidates))
             if take == 0:
                 continue
@@ -124,19 +130,24 @@ def perimeter_candidates(
     partial_alloc: Allocation,
     t: float,
     outcome: FireOutcome,
+    limit: int | None = None,
 ) -> list[int]:
     """Feasible protection targets at release time t, fire-perimeter first.
 
     Returns the unburned, unprotected, non-ignition vertices ordered by
-    (has a burned in-neighbor, earlier arrival, lower id).  outcome must
-    be the arrival times under partial_alloc.
+    (has a burned in-neighbor, earlier arrival, lower id), or the first
+    limit of them, ranking the rest only as far as the fire front falls
+    short.  outcome must be the arrival times under partial_alloc.
     """
-    arrival = outcome.arrival
-    out_arcs = instance.graph.out_arcs
+    arrival, out_arcs = outcome.arrival, instance.graph.out_arcs
+    closed = partial_alloc.protected | {instance.ignition}
     near_fire = {head for u, a in enumerate(arrival) if a < t for _, head, _ in out_arcs[u]}
-    candidates = [v for v in _unburned(outcome, t, partial_alloc) if v != instance.ignition]
-    candidates.sort(key=lambda v: (0 if v in near_fire else 1, arrival[v], v))
-    return candidates
+    ranked = sorted((arrival[v], v) for v in near_fire if arrival[v] >= t and v not in closed)
+    if limit is None or len(ranked) < limit:
+        rest = ((a, v) for v, a in enumerate(arrival)
+                if a >= t and v not in near_fire and v not in closed)
+        ranked += sorted(rest) if limit is None else heapq.nsmallest(limit - len(ranked), rest)
+    return [v for _, v in ranked[:limit]]
 
 
 def beam_search(
@@ -158,30 +169,33 @@ def beam_search(
     the next level.  A child's burned counts are its parent's plus the
     change over the vertices the repair changed.
     """
-    if beam_width < 1:
-        raise ValueError("beam_width must be at least 1")
+    if beam_width < 1 or expansions_per_node < 1:
+        raise ValueError("beam_width and expansions_per_node must be at least 1")
 
     schedule, horizon = instance.schedule, instance.horizon
     # the rank key's "next release" is the release point after the last one
     # an allocation uses: the first for the root, i + 1 for children made at
     # level i, with the horizon after the last level
     times = [t for t, _ in schedule] + [horizon]
+    expansions = int(expansions_per_node) if math.isfinite(expansions_per_node) else None
     root = compute_arrival_times(instance, EMPTY_ALLOCATION)
     beam = [((root.burned_count(horizon), root.burned_count(times[0]), ()), EMPTY_ALLOCATION, root)]
     for level, ((release_time, count), first) in enumerate(zip(schedule, instance.first_resources)):
         next_time = times[level + 1]
+        # the first e combinations of k candidates draw on the first k - 1 + e only
+        limit = None if expansions is None else count - 1 + expansions
         children = []
         for parent in beam:
             (burned_h, _, _), alloc, outcome = parent
-            candidates = perimeter_candidates(instance, alloc, release_time, outcome)
+            candidates = perimeter_candidates(instance, alloc, release_time, outcome, limit)
             take = min(count, len(candidates))
             if take == 0:
                 children.append(parent)
                 continue
             burned_next = outcome.burned_count(next_time)
             combos = itertools.combinations(candidates, take)
-            if math.isfinite(expansions_per_node):
-                combos = itertools.islice(combos, int(expansions_per_node))
+            if expansions is not None:
+                combos = itertools.islice(combos, expansions)
             for combo in combos:
                 child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
                 child_outcome = compute_arrival_times(instance, child, parent=(alloc, outcome))

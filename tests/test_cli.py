@@ -114,6 +114,16 @@ class TestGenerate:
         assert code == 2
         assert "landscape extent" in err
 
+    @pytest.mark.parametrize("extent", ["1e-300", "1e300"])
+    def test_extent_out_of_bounds_is_domain_error(self, tmp_path, capsys, extent):
+        # 1e-300 wrote a 1-ft spacing, 1e300 a 300-digit cell_spacing_ft
+        path = tmp_path / "x.json"
+        code, _, err = run(capsys, "generate", "--grid-side", "5", "--extent", extent,
+                           "-o", str(path))
+        assert code == 2
+        assert "landscape extent must be between n = 5" in err
+        assert not path.exists()
+
 
 class TestSolveAndEvaluate:
     def test_random_search_round_trip(self, small_instance, tmp_path, capsys):

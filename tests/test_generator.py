@@ -146,11 +146,19 @@ class TestConfig:
         with pytest.raises(GenerationError):
             GeneratorConfig(n=1)
 
-    @pytest.mark.parametrize("extent", [0.0, -100.0, math.nan, math.inf])
+    # zero gave a ZeroDivisionError, a negative extent a meaningless instance;
+    # under n ft the spacing rounded up to 1 ft while meta kept the extent,
+    # past n * 2**53 ft it was an integer no double can hold
+    @pytest.mark.parametrize("extent", [0.0, -100.0, math.nan, math.inf, 1e-300,
+                                        math.nextafter(30.0, 0.0),
+                                        math.nextafter(30 * 2.0**53, math.inf), 1e300])
     def test_rejects_bad_extent(self, extent):
-        # zero gave a ZeroDivisionError, a negative extent a meaningless instance
         with pytest.raises(GenerationError, match="landscape extent"):
             GeneratorConfig(landscape_extent=extent)
+
+    def test_extent_bounds_are_inclusive(self):
+        assert GeneratorConfig(n=9, landscape_extent=9.0).cell_spacing == 1
+        assert GeneratorConfig(n=9, landscape_extent=9 * 2.0**53).cell_spacing == 2**53
 
     @pytest.mark.parametrize("direction", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_wind_direction(self, direction):

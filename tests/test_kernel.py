@@ -8,6 +8,8 @@ equality with the kernel as it was first written.
 
 import dataclasses
 import heapq
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -248,18 +250,23 @@ def test_random_repairs_bitwise(rng):
         )
 
 
-def test_repair_with_equal_arrival_tight_arcs():
+def equal_arrival_instance() -> WspInstance:
     """Arcs of 1e-300 after an arrival of 100.0 cost nothing in floats, so
-    tight arcs join vertices of equal arrival.  Vertices 2 and 3 reach 100.0
-    through 1 and support each other; protecting 1 must raise both, though
-    each still has a tight in-arc from the other.  Vertex 5 keeps 100.0
-    through 4 while its tight arc from 1 breaks."""
+    tight arcs join vertices of equal arrival."""
     tiny = 1e-300
     graph = DirectedGraph(6, (
         (0, 1, 50.0), (1, 2, 50.0), (1, 3, 50.0), (2, 3, tiny), (3, 2, tiny),
         (0, 2, 200.0), (0, 3, 200.0), (0, 4, 100.0), (4, 5, tiny), (1, 5, 50.0),
     ))
-    instance = WspInstance(graph, 0, horizon=1000.0, delay=10.0, schedule=())
+    return WspInstance(graph, 0, horizon=1000.0, delay=10.0, schedule=())
+
+
+def test_repair_with_equal_arrival_tight_arcs():
+    """Vertices 2 and 3 reach 100.0 through 1 and support each other;
+    protecting 1 must raise both, though each still has a tight in-arc from
+    the other.  Vertex 5 keeps 100.0 through 4 while its tight arc from 1
+    breaks."""
+    instance = equal_arrival_instance()
     parent_outcome = compute_arrival_times(instance)
     assert parent_outcome.arrival == (0.0, 50.0, 100.0, 100.0, 100.0, 100.0)
     for protected in [(1,), (1, 4), (1, 2), (1, 3), (4, 1, 2, 3)]:
@@ -270,6 +277,30 @@ def test_repair_with_equal_arrival_tight_arcs():
                                      parent=(EMPTY_ALLOCATION, parent_outcome))
     assert repaired.arrival == (0.0, 50.0, 110.0, 110.0, 100.0, 100.0)
     assert repaired.changed == {2, 3}
+
+
+def test_protection_at_or_after_t_keeps_earlier_arrivals():
+    """random_search narrows its open list level by level on this fact:
+    protecting vertices of arrival >= t leaves every arrival below t with
+    its bits, so burned stays burned.  A release at 100.0 may protect all of
+    2 to 5 (ties are allowed), which are joined by tight 1e-300 arcs."""
+    instance = equal_arrival_instance()
+    root = compute_arrival_times(instance)
+    times = sorted({50.0, 100.0, math.nextafter(100.0, INF), *root.arrival})
+    for i, t in enumerate(times):
+        open_at_t = [v for v, a in enumerate(root.arrival) if a >= t]
+        for protected in itertools.chain.from_iterable(
+                itertools.combinations(open_at_t, size) for size in range(len(open_at_t) + 1)):
+            alloc = _vertices_alloc(protected)
+            for after in (compute_arrival_times(instance, alloc),
+                          compute_arrival_times(instance, alloc, parent=(EMPTY_ALLOCATION, root))):
+                assert [b for a, b in zip(root.arrival, after.arrival) if a < t] == \
+                    [a for a in root.arrival if a < t]
+                for later in times[i:]:
+                    open_later = [v for v, b in enumerate(after.arrival)
+                                  if b >= later and v not in protected]
+                    assert [v for v in open_at_t if after.arrival[v] >= later
+                            and v not in protected] == open_later
 
 
 class TestRepairInputs:

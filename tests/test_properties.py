@@ -1,5 +1,5 @@
-"""Property tests of the instance file format and the fire-arrival kernel
-(needs hypothesis)."""
+"""Property tests of the instance file format, the fire-arrival kernel and
+the solvers' candidate lists (needs hypothesis)."""
 
 import json
 import math
@@ -16,6 +16,7 @@ from wsptools.core import (
     instance_from_json,
     instance_to_json,
 )
+from wsptools.solvers import perimeter_candidates
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -96,6 +97,64 @@ def test_more_protection_never_lowers_arrivals_and_repair_is_exact(case):
     assert repaired.changed == {
         v for v, (a, b) in enumerate(zip(parent.arrival, full.arrival)) if a != b
     }
+
+
+@st.composite
+def grid_front_cases(draw):
+    """A grid instance with tied arrivals, a protected vertex set, its
+    outcome and a time t: an arrival, one just past it, or any time."""
+    side = draw(st.integers(min_value=2, max_value=5))
+    arcs = tuple((y * side + x, ny * side + nx, draw(arc_times))
+                 for y in range(side) for x in range(side)
+                 for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                 if 0 <= nx < side and 0 <= ny < side)
+    n = side * side
+    instance = WspInstance(DirectedGraph(n, arcs), ignition=draw(st.integers(0, n - 1)),
+                           horizon=math.inf, delay=draw(delays), schedule=())
+    protected = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    alloc = Allocation(tuple(enumerate(protected)))
+    outcome = compute_arrival_times(instance, alloc)
+    arrival = draw(st.sampled_from(outcome.arrival))
+    t = draw(st.sampled_from([arrival, math.nextafter(arrival, math.inf)])
+             | st.floats(0.0, 500.0))
+    return instance, alloc, outcome, t
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(grid_front_cases(), st.integers(min_value=1, max_value=30))
+def test_perimeter_limit_is_a_prefix(case, limit):
+    instance, alloc, outcome, t = case
+    arrival = outcome.arrival
+    near_fire = {v for u, a in enumerate(arrival) if a < t
+                 for _, v, _ in instance.graph.out_arcs[u]}
+    # the order as first written: one keyed sort of every open vertex
+    expected = sorted((v for v, a in enumerate(arrival) if a >= t and v != instance.ignition
+                       and v not in alloc.protected),
+                      key=lambda v: (v not in near_fire, arrival[v], v))
+    assert perimeter_candidates(instance, alloc, t, outcome) == expected
+    assert perimeter_candidates(instance, alloc, t, outcome, limit) == expected[:limit]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(grid_front_cases(), st.data())
+def test_protecting_at_or_after_t_keeps_earlier_arrivals(case, data):
+    """random_search narrows its open list level by level on this fact: a
+    vertex of arrival below t keeps it, bit for bit, when the new
+    protections all have arrival >= t, so a vertex open later was open at t."""
+    instance, alloc, outcome, t = case
+    arrival, n = outcome.arrival, instance.graph.vertex_count
+    open_at_t = [v for v in range(n) if arrival[v] >= t and v not in alloc.protected]
+    added = data.draw(st.lists(st.sampled_from(open_at_t), unique=True) if open_at_t
+                      else st.just([]))
+    child = alloc.extended((n + i, v) for i, v in enumerate(added))
+    for after in (compute_arrival_times(instance, child),
+                  compute_arrival_times(instance, child, parent=(alloc, outcome))):
+        assert [b for a, b in zip(arrival, after.arrival) if a < t] == \
+            [a for a in arrival if a < t]
+        later = data.draw(st.sampled_from([t, math.nextafter(t, math.inf)])
+                          | st.floats(min_value=t, allow_nan=False))
+        assert [v for v in open_at_t if after.arrival[v] >= later and v not in child.protected] \
+            == [v for v in range(n) if after.arrival[v] >= later and v not in child.protected]
 
 
 mistyped = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(), max_size=2) \

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -140,6 +141,28 @@ class TestPerimeterCandidates:
         outcome = compute_arrival_times(instance)
         assert perimeter_candidates(instance, EMPTY_ALLOCATION, 1.0, outcome) == [1, 2, 3]
 
+    def test_limit_fills_past_a_short_front(self):
+        # burned before t=2: {0}; the front is {1, 4}, the rest rank by arrival
+        graph = DirectedGraph(6, ((0, 1, 3.0), (0, 4, 2.5), (1, 2, 1.0), (4, 3, 0.5),
+                                  (4, 5, 0.5), (2, 5, 9.0)))
+        instance = WspInstance(graph, 0, horizon=20.0, delay=1.0, schedule=((2.0, 1),))
+        outcome = compute_arrival_times(instance)
+        ranked = perimeter_candidates(instance, EMPTY_ALLOCATION, 2.0, outcome)
+        assert ranked == [4, 1, 3, 5, 2]
+        for limit in range(1, 8):
+            assert perimeter_candidates(instance, EMPTY_ALLOCATION, 2.0, outcome,
+                                        limit) == ranked[:limit]
+
+    def test_combinations_prefix(self):
+        # beam_search ranks only count - 1 + expansions candidates: the first
+        # e combinations of k items never use an item past the k - 1 + e-th
+        items = list(range(30))
+        for k in range(1, 5):
+            for e in range(1, 21):
+                first = itertools.islice(itertools.combinations(items, k), e)
+                prefix = itertools.islice(itertools.combinations(items[: k - 1 + e], k), e)
+                assert list(first) == list(prefix)
+
 
 class TestBeamSearch:
     def test_no_resources_returns_free_burn(self):
@@ -150,6 +173,12 @@ class TestBeamSearch:
     def test_rejects_zero_width(self, figure_instance):
         with pytest.raises(ValueError):
             beam_search(figure_instance, beam_width=0)
+
+    @pytest.mark.parametrize("expansions", [0, 0.5, -1])
+    def test_rejects_fewer_than_one_expansion(self, figure_instance, expansions):
+        # 0 emptied the beam ("min() arg is an empty sequence"), -1 broke islice
+        with pytest.raises(ValueError, match="expansions_per_node must be at least 1"):
+            beam_search(figure_instance, expansions_per_node=expansions)
 
     def test_feasible_and_consistent(self, rng):
         for _ in range(8):
