@@ -10,6 +10,7 @@ import csv
 import math
 import os
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 
@@ -18,16 +19,11 @@ from dataclasses import dataclass
 SM_DELTA_60_INSTANCES = 335.0
 SM_DELTA_45_INSTANCES = 244.0
 
-# Time limit scaling: seconds per grid cell.
-SECONDS_PER_CELL = 1.5
-
 CSV_COLUMNS = ["instance", "algorithm", "seed", "objective", "wall_seconds", "status"]
 
 STATUS_OK = "ok"
 STATUS_LIMIT = "limit"
 STATUS_ERROR = "error"
-
-ALGORITHMS = ("rs", "beam", "exact")
 
 
 @dataclass(frozen=True)
@@ -46,15 +42,6 @@ class ProfileCurve:
 
     algorithm: str
     breakpoints: tuple[tuple[float, float], ...]  # (tau, P(tau))
-
-    def value_at(self, tau: float) -> float:
-        best = 0.0
-        for point, p in self.breakpoints:
-            if point <= tau:
-                best = p
-            else:
-                break
-        return best
 
 
 def write_records(path, records) -> None:
@@ -212,16 +199,11 @@ def records_to_blocks(records) -> dict[str, dict[str, list[float]]]:
 # Benchmark execution
 
 
-def default_time_limit(vertex_count: int) -> float:
-    """Time limit scaled with instance size: 1.5 s per grid cell."""
-    return SECONDS_PER_CELL * vertex_count
-
-
 @dataclass(frozen=True)
 class BenchCell:
     instance_path: str
     instance_id: str
-    algorithm: str  # one of ALGORITHMS
+    algorithm: str  # a key of solvers.SOLVERS
     seed: int
     time_limit: float | None = None
 
@@ -231,37 +213,21 @@ class BenchCell:
 
 
 def _run_cell(cell: BenchCell) -> RunRecord:
+    """Run one cell under SolverBudget(cell.time_limit), the default budget if None."""
     from wsptools.core import load_instance
-    from wsptools.solvers import (
-        LimitExceeded,
-        SolverBudget,
-        beam_search,
-        brute_force,
-        random_search,
-    )
+    from wsptools.solvers import SOLVERS, LimitExceeded, SolverBudget
 
     instance = load_instance(cell.instance_path)
-    limit = cell.time_limit
-    if limit is None:
-        limit = default_time_limit(instance.graph.vertex_count)
     start = time.monotonic()
     try:
-        if cell.algorithm == "rs":
-            result = random_search(instance, SolverBudget(max_seconds=limit), seed=cell.seed)
-        elif cell.algorithm == "beam":
-            result = beam_search(instance)
-        elif cell.algorithm == "exact":
-            result = brute_force(instance)
-        else:
-            raise ValueError(f"unknown algorithm {cell.algorithm}")
-        status = STATUS_OK
-        objective = result.objective
+        result = SOLVERS[cell.algorithm](instance, SolverBudget(cell.time_limit), cell.seed)
+        status, objective = STATUS_OK, result.objective
     except LimitExceeded:
-        status = STATUS_LIMIT
-        objective = -1
-    except Exception:
-        status = STATUS_ERROR
-        objective = -1
+        status, objective = STATUS_LIMIT, -1
+    except Exception as e:
+        print(f"error: cell {cell.instance_id} {cell.algorithm} seed {cell.seed}: "
+              f"{type(e).__name__}: {e}", file=sys.stderr)
+        status, objective = STATUS_ERROR, -1
     wall = time.monotonic() - start
     return RunRecord(
         instance=cell.instance_id,

@@ -59,8 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from wsptools.benchlab import ALGORITHMS, SM_DELTA_45_INSTANCES
-    from wsptools.solvers import MAX_NODES
+    from wsptools.benchlab import SM_DELTA_45_INSTANCES
+    from wsptools.solvers import SOLVERS, SolverBudget
 
     parser = _Parser(prog="wsptools", description=__doc__)
     parser.add_argument(
@@ -96,13 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output instance file (JSON)")
 
     p = sub.add_parser("solve", help="solve an instance")
-    p.add_argument("--algo", required=True, choices=ALGORITHMS)
+    p.add_argument("--algo", required=True, choices=list(SOLVERS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", type=float, default=None, help="time limit (seconds)")
-    p.add_argument("--iterations", type=int, default=None, help="iteration limit")
-    p.add_argument("--beam-width", type=int, default=32)
-    p.add_argument("--expansions", type=int, default=16, help="child combinations per beam node")
-    p.add_argument("--max-nodes", type=int, default=MAX_NODES,
+    p.add_argument("--time-limit", type=float, default=None, help="random-search limit (seconds)")
+    p.add_argument("--iterations", type=int, default=None, help="random-search limit (iterations)")
+    p.add_argument("--beam-width", type=int, default=SolverBudget.beam_width)
+    p.add_argument("--expansions", type=int, default=SolverBudget.expansions,
+                   help="child combinations per beam node")
+    p.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes,
                    help="exact-solver search-space refusal limit")
     p.add_argument("-i", "--input", required=True, help="instance file")
     p.add_argument("-o", "--output", required=True, help="solution file (JSON)")
@@ -180,20 +181,18 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _budget(args):
+    from wsptools.solvers import SolverBudget
+
+    return SolverBudget(args.time_limit, args.iterations, args.beam_width, args.expansions,
+                        args.max_nodes)
+
+
 def _cmd_solve(args) -> int:
-    from wsptools.solvers import SolverBudget, beam_search, brute_force, random_search
+    from wsptools.solvers import SOLVERS
 
     instance = load_instance(args.input)
-    if args.algo == "rs":
-        iterations = args.iterations
-        if args.time_limit is None and iterations is None:
-            iterations = 1000
-        budget = SolverBudget(args.time_limit, iterations)
-        result = random_search(instance, budget, seed=args.seed)
-    elif args.algo == "beam":
-        result = beam_search(instance, args.beam_width, args.expansions)
-    else:
-        result = brute_force(instance, args.max_nodes)
+    result = SOLVERS[args.algo](instance, _budget(args), args.seed)
     with open(args.output, "w") as f:
         f.write(solution_to_json(args.input, result.allocation, result.objective))
     print(f"objective {result.objective}", file=sys.stderr)
@@ -359,12 +358,13 @@ def _cmd_verify_reductions(args) -> int:
 def _load_plan(path) -> dict:
     """The bench plan object: lists of instance paths, algorithm names and
     integer seeds, and an optional positive time limit in seconds."""
-    from wsptools.benchlab import ALGORITHMS
+    from wsptools.solvers import SOLVERS
 
+    names = tuple(SOLVERS)
     plan = _load_json_object(path, "plan")
     for key, valid, expected in [
         ("instances", lambda v: isinstance(v, str), "instance file paths"),
-        ("algorithms", lambda v: v in ALGORITHMS, f"names among {ALGORITHMS}"),
+        ("algorithms", lambda v: v in names, f"names among {names}"),
         ("seeds", lambda v: type(v) is int, "integers"),
     ]:
         values = _json_list(plan, key)

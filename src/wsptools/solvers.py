@@ -44,6 +44,8 @@ def check_search_space(n: int, counts, max_nodes: int) -> None:
     """Refuse an exhaustive search that picks up to count of n items at
     each level: the estimate, the product over levels of the number of
     subsets of at most count items, must not exceed max_nodes."""
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     estimate = math.prod(sum(math.comb(n, s) for s in range(min(k, n) + 1)) for k in counts)
     if estimate > max_nodes:
         # an exact integer; past the float range it prints as inf
@@ -53,14 +55,22 @@ def check_search_space(n: int, counts, max_nodes: int) -> None:
 
 @dataclass(frozen=True)
 class SolverBudget:
-    """Stop after max_seconds or max_iterations, whichever comes first."""
+    """Every work bound of the solvers, with its default.
+
+    rs stops after max_seconds or max_iterations, whichever comes first,
+    and runs 1000 iterations when neither is set; beam reads beam_width
+    and expansions, exact reads max_nodes.
+    """
 
     max_seconds: float | None = None
     max_iterations: int | None = None
+    beam_width: int | float = 32
+    expansions: int | float = 16
+    max_nodes: int = MAX_NODES
 
     def __post_init__(self):
         if self.max_seconds is None and self.max_iterations is None:
-            raise ValueError("at least one budget bound must be set")
+            object.__setattr__(self, "max_iterations", 1000)
         if self.max_seconds is not None and not (
             math.isfinite(self.max_seconds) and self.max_seconds > 0
         ):
@@ -152,8 +162,8 @@ def perimeter_candidates(
 
 def beam_search(
     instance: WspInstance,
-    beam_width: int | float = 32,
-    expansions_per_node: int | float = 16,
+    beam_width: int | float = SolverBudget.beam_width,
+    expansions_per_node: int | float = SolverBudget.expansions,
 ) -> SolverResult:
     """Level-by-level beam over release times.
 
@@ -254,3 +264,15 @@ def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResu
 
     recurse(0, EMPTY_ALLOCATION, root)
     return SolverResult(best_alloc, best_obj)
+
+
+# name -> (instance, budget, seed) -> SolverResult.  Each entry looks its
+# solver up as a module global when called, so a wrapper installed on the
+# module attribute sees every run.
+SOLVERS = {
+    "rs": lambda instance, budget, seed: random_search(instance, budget, seed),
+    "beam": lambda instance, budget, seed: beam_search(
+        instance, budget.beam_width, budget.expansions
+    ),
+    "exact": lambda instance, budget, seed: brute_force(instance, budget.max_nodes),
+}

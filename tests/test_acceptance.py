@@ -47,13 +47,9 @@ from wsptools.rothermel import (
     wind_factor,
 )
 from wsptools.solvers import beam_search, brute_force, SolverBudget, random_search
-from wsptools.testkit import (
-    random_allocation,
-    random_digraph,
-    random_grid_instance,
-    random_mvnp_instance,
-    random_wsp_instance,
-)
+from wsptools.testkit import random_digraph, random_mvnp_instance
+
+from helpers import profile_value, random_allocation, random_grid_instance, random_wsp_instance
 
 from conftest import nine_vertex_instance
 
@@ -297,7 +293,7 @@ def test_criterion_09_statistics():
         values = [p for _, p in curve.breakpoints]
         if any(not 0.0 <= p <= 1.0 for p in values) or values != sorted(values):
             failures.append(f"{curve.algorithm}: curve not monotone in [0, 1]")
-        coverage += curve.value_at(1.0)
+        coverage += profile_value(curve, 1.0)
     # every instance has at least one ratio-1 algorithm
     if coverage < 1.0 - 1e-12:
         failures.append(f"best-ratio coverage only {coverage}")

@@ -3,12 +3,10 @@ import math
 import pytest
 
 from wsptools.benchlab import (
-    SECONDS_PER_CELL,
     SM_DELTA_45_INSTANCES,
     SM_DELTA_60_INSTANCES,
     BenchCell,
     RunRecord,
-    default_time_limit,
     performance_profiles,
     read_records,
     records_to_blocks,
@@ -17,7 +15,8 @@ from wsptools.benchlab import (
     write_records,
 )
 from wsptools.core import save_instance
-from wsptools.testkit import random_grid_instance
+
+from helpers import profile_value, random_grid_instance
 
 
 def rec(instance, algorithm, objective, seed=0, wall=0.1, status="ok"):
@@ -52,10 +51,10 @@ class TestPerformanceProfiles:
         curves = {c.algorithm: c for c in performance_profiles(self.records())}
         a, b = curves["A"], curves["B"]
         # A is best on both instances: P(1) = 1
-        assert a.value_at(1.0) == 1.0
+        assert profile_value(a, 1.0) == 1.0
         # B matches the best on i2 only, catches up at ratio 2
-        assert b.value_at(1.0) == 0.5
-        assert b.value_at(2.0) == 1.0
+        assert profile_value(b, 1.0) == 0.5
+        assert profile_value(b, 2.0) == 1.0
 
     def test_curves_are_step_functions(self):
         for curve in performance_profiles(self.records()):
@@ -63,12 +62,12 @@ class TestPerformanceProfiles:
             ps = [p for _, p in curve.breakpoints]
             assert taus == sorted(taus)
             assert ps == sorted(ps)
-            assert curve.value_at(0.5) == 0.0
+            assert profile_value(curve, 0.5) == 0.0
 
     def test_missing_cell_never_reaches_one(self):
         records = [rec("i1", "A", 10), rec("i2", "A", 10), rec("i1", "B", 10)]
         curves = {c.algorithm: c for c in performance_profiles(records)}
-        assert curves["B"].value_at(1e9) == 0.5
+        assert profile_value(curves["B"], 1e9) == 0.5
 
     def test_requires_ok_records(self):
         with pytest.raises(ValueError):
@@ -126,10 +125,6 @@ class TestRankScores:
 
 
 class TestBenchmarkRunner:
-    def test_time_limit_scales_with_cells(self):
-        assert default_time_limit(400) == 600.0
-        assert SECONDS_PER_CELL == 1.5
-
     def _cells(self, rng, tmp_path):
         instance = random_grid_instance(rng, side=3, schedule_spec=((1.0, 1),))
         path = tmp_path / "inst.json"
@@ -162,11 +157,13 @@ class TestBenchmarkRunner:
         rest = run_benchmark(cells, out)
         assert [r.algorithm for r in rest] == ["beam", "exact"]
 
-    def test_unknown_algorithm_recorded_as_error(self, rng, tmp_path):
+    def test_unknown_algorithm_recorded_as_error(self, rng, tmp_path, capsys):
         instance = random_grid_instance(rng, side=3)
         path = tmp_path / "inst.json"
         save_instance(instance, path)
         out = tmp_path / "runs.csv"
-        records = run_benchmark([BenchCell(str(path), "inst", "magic", seed=0)], out)
+        records = run_benchmark([BenchCell(str(path), "inst", "magic", seed=4)], out)
         assert records[0].status == "error"
         assert records[0].objective == -1
+        # one stderr line names the cell and the exception
+        assert capsys.readouterr().err == "error: cell inst magic seed 4: KeyError: 'magic'\n"

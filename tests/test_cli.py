@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import wsptools
-from wsptools.benchlab import ALGORITHMS, SM_DELTA_45_INSTANCES
-from wsptools.cli import build_parser, dispatch
+from wsptools import solvers
+from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records
+from wsptools.cli import _budget, _load_plan, build_parser, dispatch
 from wsptools.core import compute_arrival_times, load_instance, objective, solution_from_json
 from wsptools.rothermel import albini_multiplier
 
@@ -55,13 +56,21 @@ class TestParsing:
         code, _, _ = run(capsys, "generate", "--wind", "hurricane", "-o", "x.json")
         assert code == 1
 
-    def test_shared_defaults(self):
-        from wsptools.solvers import MAX_NODES
-
+    def test_shared_defaults(self, tmp_path, monkeypatch):
+        # --algo choices and plan validation read solvers.SOLVERS, so a new
+        # entry reaches both; the solve flags default to SolverBudget()
+        table = {**solvers.SOLVERS, "extra": solvers.SOLVERS["rs"]}
+        monkeypatch.setattr(solvers, "SOLVERS", table)
         parser = build_parser()
-        for algo in ALGORITHMS:
+        for algo in table:
             args = parser.parse_args(["solve", "--algo", algo, "-i", "x", "-o", "y"])
-            assert args.algo == algo and args.max_nodes == MAX_NODES
+            assert args.algo == algo
+            assert _budget(args) == solvers.SolverBudget()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["solve", "--algo", "greedy", "-i", "x", "-o", "y"])
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"instances": [], "algorithms": list(table), "seeds": []}))
+        assert _load_plan(plan)["algorithms"] == list(table)
         args = parser.parse_args(["report", "--records", "r", "--profiles", "p", "--sm", "s"])
         assert args.delta == SM_DELTA_45_INSTANCES
 
@@ -170,6 +179,14 @@ class TestSolveAndEvaluate:
                            "-i", str(small_instance), "-o", str(tmp_path / "sol.json"))
         assert code == 3
         assert "refused" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_exact_limit_below_one_is_domain_error(self, small_instance, tmp_path, capsys,
+                                                   limit):
+        code, _, err = run(capsys, "solve", "--algo", "exact", "--max-nodes", limit,
+                           "-i", str(small_instance), "-o", str(tmp_path / "sol.json"))
+        assert code == 2
+        assert f"max_nodes must be at least 1, got {limit}" in err
 
     def test_evaluate_agrees_with_solver(self, small_instance, tmp_path, capsys):
         sol = tmp_path / "sol.json"
@@ -456,6 +473,22 @@ class TestBenchAndReport:
         assert json.loads(out)["significant_pairs"] == []
         assert profiles.read_text().startswith("algorithm,tau,fraction")
         assert sm.read_text().startswith("treatment,score")
+
+    def test_rs_cell_without_time_limit_replays_solve(self, small_instance, tmp_path, capsys):
+        # with no plan time_limit an rs cell runs the default 1000 iterations,
+        # the same run as solve without --time-limit or --iterations
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "instances": [str(small_instance)], "algorithms": ["rs"], "seeds": [2],
+        }))
+        records = tmp_path / "records.csv"
+        assert run(capsys, "bench", "--plan", str(plan), "--out", str(records))[0] == 0
+        sol = tmp_path / "sol.json"
+        assert run(capsys, "solve", "--algo", "rs", "--seed", "2",
+                   "-i", str(small_instance), "-o", str(sol))[0] == 0
+        [record] = read_records(records)
+        assert record.status == "ok"
+        assert record.objective == solution_from_json(sol.read_text())[2]
 
 
 class TestBenchPlan:

@@ -22,7 +22,8 @@ from wsptools.core import (
     solution_to_json,
 )
 from wsptools.generator import GeneratorConfig, generate_instance
-from wsptools.testkit import random_allocation, random_wsp_instance
+
+from helpers import random_allocation, random_wsp_instance
 
 
 def bellman_ford_arrivals(instance, alloc):

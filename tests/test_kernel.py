@@ -27,7 +27,8 @@ from wsptools.core import (
 )
 from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.solvers import SolverBudget, beam_search, brute_force, random_search
-from wsptools.testkit import random_allocation, random_grid_instance, random_wsp_instance
+
+from helpers import random_allocation, random_grid_instance, random_wsp_instance
 
 
 def reference_arrival_times(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None):
@@ -152,7 +153,7 @@ def test_solver_results_pinned(seed, rs_expected, beam_expected):
     assert (beam.allocation, beam.objective) == beam_expected
 
 
-# (seed, side, schedule, horizon, delay) of a testkit grid and the
+# (seed, side, schedule, horizon, delay) of a random_grid_instance and the
 # brute_force (assignments, objective) on it, recorded before the solvers
 # took resource ids from WspInstance.first_resources; seeds 2 and 4 leave
 # the first resources of a release point unused

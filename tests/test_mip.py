@@ -28,7 +28,8 @@ from wsptools.mip import (
     validate_assignment,
 )
 from wsptools.solvers import brute_force
-from wsptools.testkit import random_grid_instance
+
+from helpers import random_grid_instance
 
 
 def single_arc_instance():

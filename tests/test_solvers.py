@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -16,6 +17,7 @@ from wsptools.core import (
 from wsptools import solvers
 from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.solvers import (
+    SOLVERS,
     LimitExceeded,
     SolverBudget,
     beam_search,
@@ -25,7 +27,8 @@ from wsptools.solvers import (
     random_search,
     subsets_up_to,
 )
-from wsptools.testkit import random_grid_instance, random_wsp_instance
+
+from helpers import random_grid_instance, random_wsp_instance
 
 
 def no_resource_instance():
@@ -34,9 +37,10 @@ def no_resource_instance():
 
 
 class TestSolverBudget:
-    def test_requires_some_bound(self):
-        with pytest.raises(ValueError):
-            SolverBudget()
+    def test_no_bound_means_1000_iterations(self):
+        assert SolverBudget().max_iterations == 1000
+        assert SolverBudget(max_seconds=1.0).max_iterations is None
+        assert SolverBudget(max_iterations=5).max_iterations == 5
 
     def test_rejects_nonpositive_bounds(self):
         with pytest.raises(ValueError):
@@ -53,6 +57,25 @@ class TestSolverBudget:
             SolverBudget(max_seconds=seconds, max_iterations=1)
 
 
+class TestSolverTable:
+    def test_entries_pass_their_bounds(self, rng):
+        instance = random_grid_instance(rng, side=5, schedule_spec=((1.0, 2), (2.5, 1)))
+        rs = SOLVERS["rs"](instance, SolverBudget(max_iterations=7), 3)
+        assert rs == random_search(instance, SolverBudget(max_iterations=7), seed=3)
+        beam = SOLVERS["beam"](instance, SolverBudget(beam_width=2, expansions=3), 0)
+        assert beam == beam_search(instance, 2, 3)
+        assert SOLVERS["exact"](instance, SolverBudget(), 0) == brute_force(instance)
+        with pytest.raises(LimitExceeded):
+            SOLVERS["exact"](instance, SolverBudget(max_nodes=1), 0)
+
+    def test_defaults_come_from_the_budget(self):
+        assert SolverBudget().max_nodes == solvers.MAX_NODES
+        beam = inspect.signature(beam_search).parameters
+        assert beam["beam_width"].default == SolverBudget.beam_width
+        assert beam["expansions_per_node"].default == SolverBudget.expansions
+        assert inspect.signature(brute_force).parameters["max_nodes"].default == solvers.MAX_NODES
+
+
 class TestSearchCore:
     def test_subsets_order(self):
         assert list(subsets_up_to("abc", 2)) == [
@@ -63,6 +86,11 @@ class TestSearchCore:
         assert list(subsets_up_to([4, 5], 0)) == [()]
         assert list(subsets_up_to([4, 5], 7)) == [(), (4,), (5,), (4, 5)]
         assert list(subsets_up_to([], 3)) == [()]
+
+    @pytest.mark.parametrize("max_nodes", [0, -5])
+    def test_rejects_limit_below_one(self, max_nodes):
+        with pytest.raises(ValueError, match=f"max_nodes must be at least 1, got {max_nodes}"):
+            check_search_space(4, [1], max_nodes)
 
     def test_count_above_n_is_clamped(self):
         # 2 ** 4 subsets however large the count; no sum over 10 ** 12 terms

@@ -50,3 +50,20 @@ def test_traced_solve_books_kernel_calls(tracer):
     assert trace.counts[("core.arrival.distinct", 0)] == 58
     assert table["solvers.beam"]["calls"] == 1
     assert table["solvers.perimeter"]["calls"] > 0
+
+
+def test_traced_solver_table_books_the_wrapped_solver(tracer):
+    # SOLVERS looks beam_search up when called, so the tracer's wrapper sees
+    # CLI and bench runs that go through the table
+    instance = generate_instance(GeneratorConfig(seed=0, n=20))
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        trace.begin_request(0)
+        solvers.SOLVERS["beam"](instance, solvers.SolverBudget(beam_width=2, expansions=3), 0)
+        trace.end_request()
+    finally:
+        trace.uninstall()
+    table = trace.per_call(1, [1.0])
+    assert table["core.arrival"]["calls"] == 58
+    assert table["solvers.beam"]["calls"] == 1
