@@ -126,6 +126,11 @@ class WspInstance:
         """Release time of resource id (0-based)."""
         return self.schedule[self.release_point_of(resource)][0]
 
+    @cached_property
+    def free_burn(self) -> FireOutcome:
+        """Fire arrivals with nothing protected, computed on first use and kept."""
+        return fire_arrivals(self.graph, self.ignition, {})
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -271,7 +276,8 @@ def _repair(
                 if nd < best:
                     best = nd
         dist[v] = best
-        heap.append((best, v))
+        if best < INF:  # an infinite label relaxes nothing
+            heap.append((best, v))
     heapify(heap)
     _settle(out_arcs, dist, heap, delays)
     return FireOutcome(tuple(dist), frozenset([v for v in affected if dist[v] != arrival[v]]))
@@ -325,7 +331,10 @@ def compute_arrival_times(
     vertex alloc protects.  parent, if given, is (parent_alloc,
     parent_outcome): an allocation whose protected vertices alloc protects
     too, and its outcome on this instance, to repair the arrivals from.
+    With neither, the result is instance.free_burn.
     """
+    if parent is None and not alloc.assignments:
+        return instance.free_burn
     if parent is not None:
         parent = (dict.fromkeys(parent[0].protected, instance.delay), parent[1])
     delays = dict.fromkeys(alloc.protected, instance.delay)

@@ -44,7 +44,7 @@ def check_search_space(n: int, counts, max_nodes: int) -> None:
     """Refuse an exhaustive search that picks up to count of n items at
     each level: the estimate, the product over levels of the number of
     subsets of at most count items, must not exceed max_nodes."""
-    if max_nodes < 1:
+    if not max_nodes >= 1:  # NaN included
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     estimate = math.prod(sum(math.comb(n, s) for s in range(min(k, n) + 1)) for k in counts)
     if estimate > max_nodes:
@@ -75,8 +75,10 @@ class SolverBudget:
             math.isfinite(self.max_seconds) and self.max_seconds > 0
         ):
             raise ValueError(f"max_seconds must be positive and finite, got {self.max_seconds}")
-        if self.max_iterations is not None and self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+        if self.max_iterations is not None and not self.max_iterations > 0:
+            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
+        if math.isnan(self.beam_width) or math.isnan(self.expansions):
+            raise ValueError("beam_width and expansions must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -175,11 +177,11 @@ def beam_search(
     expansions_per_node may be math.inf for exhaustive behavior.
 
     Every allocation is evaluated once, when it is created, by repairing
-    its parent's outcome; a node carries its rank key and fire outcome to
-    the next level.  A child's burned counts are its parent's plus the
-    change over the vertices the repair changed.
+    the outcome of the allocation one protection shorter; a node carries
+    its rank key and fire outcome to the next level.  A node's burned
+    counts are that allocation's plus the change the repair made.
     """
-    if beam_width < 1 or expansions_per_node < 1:
+    if not (beam_width >= 1 and expansions_per_node >= 1):
         raise ValueError("beam_width and expansions_per_node must be at least 1")
 
     schedule, horizon = instance.schedule, instance.horizon
@@ -202,19 +204,22 @@ def beam_search(
             if take == 0:
                 children.append(parent)
                 continue
-            burned_next = outcome.burned_count(next_time)
-            combos = itertools.combinations(candidates, take)
-            if expansions is not None:
-                combos = itertools.islice(combos, expansions)
+            combos = itertools.islice(itertools.combinations(candidates, take), expansions)
+            # stack[i]: node of the last combination's first i vertices (shared by siblings)
+            stack, last = [((burned_h, outcome.burned_count(next_time), None), alloc, outcome)], ()
             for combo in combos:
-                child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
-                child_outcome = compute_arrival_times(instance, child, parent=(alloc, outcome))
-                key = (
-                    burned_h + child_outcome.burned_delta(outcome, horizon),
-                    burned_next + child_outcome.burned_delta(outcome, next_time),
-                    tuple(sorted(v for _, v in child.assignments)),
-                )
-                children.append((key, child, child_outcome))
+                size = next((i for i, (u, v) in enumerate(zip(last, combo)) if u != v), 0)
+                del stack[size + 1:]
+                for size in range(size, take):
+                    (p_h, p_next, _), p_alloc, p_outcome = stack[-1]
+                    node = p_alloc.extended([(first + size, combo[size])])
+                    node_outcome = compute_arrival_times(instance, node, parent=(p_alloc, p_outcome))
+                    key = (p_h + node_outcome.burned_delta(p_outcome, horizon),
+                           p_next + node_outcome.burned_delta(p_outcome, next_time),
+                           tuple(sorted(v for _, v in node.assignments)))
+                    stack.append((key, node, node_outcome))
+                children.append(stack[-1])
+                last = combo
         children.sort(key=itemgetter(0))
         if math.isfinite(beam_width):
             children = children[: int(beam_width)]

@@ -7,9 +7,20 @@ reduction-verification command also draws from.
 
 from __future__ import annotations
 
+import itertools
+import math
+from operator import itemgetter
+
 import numpy as np
 
-from wsptools.core import Allocation, DirectedGraph, WspInstance
+from wsptools.core import (
+    EMPTY_ALLOCATION,
+    Allocation,
+    DirectedGraph,
+    WspInstance,
+    compute_arrival_times,
+)
+from wsptools.solvers import SolverResult, perimeter_candidates
 from wsptools.testkit import random_digraph
 
 
@@ -65,3 +76,48 @@ def profile_value(curve, tau: float) -> float:
     """P(tau) of a performance-profile step curve: the fraction at the last
     breakpoint at or below tau, 0 before the first."""
     return max((p for point, p in curve.breakpoints if point <= tau), default=0.0)
+
+
+def child_by_child_beam(instance: WspInstance, beam_width, expansions_per_node):
+    """beam_search as it was before siblings shared their prefixes: each
+    child is repaired from its parent's outcome in one step.  Returns the
+    result and the final level's (key, allocation, outcome) nodes."""
+    if beam_width < 1 or expansions_per_node < 1:
+        raise ValueError("beam_width and expansions_per_node must be at least 1")
+
+    schedule, horizon = instance.schedule, instance.horizon
+    times = [t for t, _ in schedule] + [horizon]
+    expansions = int(expansions_per_node) if math.isfinite(expansions_per_node) else None
+    root = compute_arrival_times(instance, EMPTY_ALLOCATION)
+    beam = [((root.burned_count(horizon), root.burned_count(times[0]), ()), EMPTY_ALLOCATION, root)]
+    for level, ((release_time, count), first) in enumerate(zip(schedule, instance.first_resources)):
+        next_time = times[level + 1]
+        limit = None if expansions is None else count - 1 + expansions
+        children = []
+        for parent in beam:
+            (burned_h, _, _), alloc, outcome = parent
+            candidates = perimeter_candidates(instance, alloc, release_time, outcome, limit)
+            take = min(count, len(candidates))
+            if take == 0:
+                children.append(parent)
+                continue
+            burned_next = outcome.burned_count(next_time)
+            combos = itertools.combinations(candidates, take)
+            if expansions is not None:
+                combos = itertools.islice(combos, expansions)
+            for combo in combos:
+                child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
+                child_outcome = compute_arrival_times(instance, child, parent=(alloc, outcome))
+                key = (
+                    burned_h + child_outcome.burned_delta(outcome, horizon),
+                    burned_next + child_outcome.burned_delta(outcome, next_time),
+                    tuple(sorted(v for _, v in child.assignments)),
+                )
+                children.append((key, child, child_outcome))
+        children.sort(key=itemgetter(0))
+        if math.isfinite(beam_width):
+            children = children[: int(beam_width)]
+        beam = children
+
+    key, best, _ = min(beam, key=itemgetter(0))
+    return SolverResult(best, key[0]), beam

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from wsptools import solvers
+from wsptools import core, solvers
 from wsptools.core import (
     EMPTY_ALLOCATION,
     INF,
@@ -109,6 +109,16 @@ class TestFireArrivals:
             assert compute_arrival_times(instance, alloc) == fire_arrivals(
                 instance.graph, instance.ignition, delays
             )
+
+    def test_free_burn_is_computed_once(self, rng):
+        for _ in range(20):
+            instance = random_wsp_instance(rng, max_vertices=30)
+            free_burn = instance.free_burn
+            assert compute_arrival_times(instance) is free_burn
+            assert compute_arrival_times(instance, EMPTY_ALLOCATION) is free_burn
+            assert free_burn == fire_arrivals(instance.graph, instance.ignition, {})
+            assert free_burn.arrival == reference_arrival_times(instance)
+            assert free_burn.changed is None
 
     @pytest.mark.parametrize("source, delays, message", [
         (9, {}, "source vertex 9 out of range"),
@@ -222,6 +232,41 @@ def test_solver_repairs_bitwise(seed, n, rs_iterations, beam, repairs):
     assert any(outcome.changed for *_, outcome in repairs)
     for record in repairs:
         assert_repair_exact(*record)
+
+
+@pytest.fixture
+def heap_pops(monkeypatch):
+    """The number of heappop calls the kernel has made so far."""
+    pops, heappop = [0], core.heappop
+
+    def counting_heappop(heap):
+        pops[0] += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(core, "heappop", counting_heappop)
+    return pops
+
+
+def test_repair_never_pushes_an_infinite_label(heap_pops):
+    """Vertex 2 loses its only finite in-arc; its (inf, 2) seed would
+    relax nothing, so the one pop is the candidate walk's."""
+    graph = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+    parent = fire_arrivals(graph, 0, {})
+    heap_pops[0] = 0
+    repaired = fire_arrivals(graph, 0, {1: INF}, ({}, parent))
+    assert repaired.arrival == (0.0, 1.0, INF)
+    assert repaired.changed == {2}
+    assert heap_pops[0] == 1
+
+
+def test_beam_heap_pops_pinned(heap_pops):
+    """Deterministic work gate on a fresh instance, free burn included:
+    2556 pops before beam repaired along shared combination prefixes and
+    the repair stopped pushing infinite labels."""
+    instance = generate_instance(GeneratorConfig(seed=0, n=20))
+    heap_pops[0] = 0
+    beam_search(instance, 2, 3)
+    assert heap_pops[0] == 1781
 
 
 def test_random_repairs_bitwise(rng):

@@ -1,12 +1,17 @@
 """Property tests of the instance file format, the fire-arrival kernel and
-the solvers' candidate lists (needs hypothesis)."""
+the solvers' candidate lists and beam (needs hypothesis)."""
 
+import builtins
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
+from helpers import child_by_child_beam
 from test_core import indented_json
 
+from wsptools import solvers
 from wsptools.core import (
     Allocation,
     DirectedGraph,
@@ -16,7 +21,8 @@ from wsptools.core import (
     instance_from_json,
     instance_to_json,
 )
-from wsptools.solvers import perimeter_candidates
+from wsptools.generator import GeneratorConfig, generate_instance
+from wsptools.solvers import beam_search, perimeter_candidates
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -155,6 +161,60 @@ def test_protecting_at_or_after_t_keeps_earlier_arrivals(case, data):
                           | st.floats(min_value=t, allow_nan=False))
         assert [v for v in open_at_t if after.arrival[v] >= later and v not in child.protected] \
             == [v for v in range(n) if after.arrival[v] >= later and v not in child.protected]
+
+
+@st.composite
+def beam_cases(draw):
+    """An instance with 1 to 3 release points of 1 to 3 resources each, and
+    a beam width and expansion count, each finite or math.inf: a random
+    grid with tied arrivals, or a generated landscape with its release
+    times.  Unbounded expansions run on grids of at most 16 vertices."""
+    counts = st.integers(min_value=1, max_value=3)
+    if draw(st.booleans()):
+        side = draw(st.integers(min_value=2, max_value=4))
+        arcs = tuple((y * side + x, ny * side + nx, draw(arc_times))
+                     for y in range(side) for x in range(side)
+                     for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                     if 0 <= nx < side and 0 <= ny < side)
+        horizon = draw(st.floats(1.0, 30.0))
+        times = sorted(draw(st.sets(st.floats(0.0, horizon, exclude_min=True),
+                                    min_size=1, max_size=3)))
+        instance = WspInstance(DirectedGraph(side * side, arcs),
+                               ignition=draw(st.integers(0, side * side - 1)), horizon=horizon,
+                               delay=draw(delays), schedule=tuple((t, draw(counts)) for t in times))
+        expansions = st.integers(1, 6) | st.just(math.inf)
+    else:
+        instance = generate_instance(GeneratorConfig(seed=draw(st.integers(0, 10**6)),
+                                                     n=draw(st.integers(3, 8)),
+                                                     decision_points=draw(st.integers(1, 3))))
+        instance = dataclasses.replace(
+            instance, schedule=tuple((t, draw(counts)) for t, _ in instance.schedule))
+        expansions = st.integers(1, 6)
+    expansions = draw(st.just(1) | expansions)
+    width = draw(st.integers(1, 6) | (st.just(math.inf) if expansions <= 3 else st.nothing()))
+    return instance, width, expansions
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(beam_cases())
+def test_beam_equals_the_child_by_child_beam(case):
+    """Repairing along shared combination prefixes changes no key, node or
+    result of the beam that repairs each child from its parent."""
+    instance, width, expansions = case
+    final = []
+
+    def recording_min(*args, **kwargs):
+        if "key" in kwargs:  # the pick of the best final node
+            final.extend(args[0])
+        return builtins.min(*args, **kwargs)
+
+    with mock.patch.object(solvers, "min", recording_min, create=True):
+        result = beam_search(instance, width, expansions)
+    expected, expected_final = child_by_child_beam(instance, width, expansions)
+    assert result == expected
+    assert [key for key, _, _ in final] == [key for key, _, _ in expected_final]
+    assert [(alloc.assignments, outcome.arrival) for _, alloc, outcome in final] == \
+        [(alloc.assignments, outcome.arrival) for _, alloc, outcome in expected_final]
 
 
 mistyped = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(), max_size=2) \

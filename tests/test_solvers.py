@@ -48,6 +48,13 @@ class TestSolverBudget:
         with pytest.raises(ValueError):
             SolverBudget(max_iterations=0)
 
+    @pytest.mark.parametrize("field", ["max_iterations", "beam_width", "expansions"])
+    def test_rejects_nan_bounds(self, field):
+        # a NaN iteration bound never ends rs; a NaN width or expansion
+        # count passed the beam's checks and ran it unbounded
+        with pytest.raises(ValueError, match="NaN|positive"):
+            SolverBudget(**{field: math.nan})
+
     @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_seconds(self, seconds):
         # a NaN or infinite time limit never ends a seconds-only search
@@ -91,6 +98,11 @@ class TestSearchCore:
     def test_rejects_limit_below_one(self, max_nodes):
         with pytest.raises(ValueError, match=f"max_nodes must be at least 1, got {max_nodes}"):
             check_search_space(4, [1], max_nodes)
+
+    def test_rejects_nan_limit(self):
+        # NaN < 1 and estimate > NaN are both false: the search ran unbounded
+        with pytest.raises(ValueError, match="max_nodes must be at least 1, got nan"):
+            check_search_space(4, [1], math.nan)
 
     def test_count_above_n_is_clamped(self):
         # 2 ** 4 subsets however large the count; no sum over 10 ** 12 terms
@@ -207,6 +219,12 @@ class TestBeamSearch:
         # 0 emptied the beam ("min() arg is an empty sequence"), -1 broke islice
         with pytest.raises(ValueError, match="expansions_per_node must be at least 1"):
             beam_search(figure_instance, expansions_per_node=expansions)
+
+    @pytest.mark.parametrize("width, expansions", [(math.nan, 3), (2, math.nan)])
+    def test_rejects_nan_width_or_expansions(self, figure_instance, width, expansions):
+        # NaN < 1 is false, so NaN ran the unbounded beam
+        with pytest.raises(ValueError, match="must be at least 1"):
+            beam_search(figure_instance, width, expansions)
 
     def test_feasible_and_consistent(self, rng):
         for _ in range(8):
@@ -353,12 +371,14 @@ class TestEvaluationCount:
             return random_grid_instance(np.random.default_rng(0), 3)
         return generate_instance(GeneratorConfig(seed=0, n=20))
 
-    @pytest.mark.parametrize("name, pinned", [("figure", 16), ("n20", 58)])
-    def test_beam_evaluates_each_child_once(self, name, pinned, counted, request):
+    @pytest.mark.parametrize("name, pinned", [("figure", 16), ("n20", 77)])
+    def test_beam_evaluates_each_prefix_once(self, name, pinned, counted, request):
         evaluated, repaired, extensions = counted
         beam_search(self.instance(name, request), 2, 3)
+        # one evaluation of the empty allocation, then one per prefix of a
+        # level's combinations: siblings share their common prefixes
         assert len(evaluated) == len(set(evaluated)) == 1 + extensions[0] == pinned
-        # every child is repaired from its parent's outcome
+        # every prefix is repaired from the prefix one protection shorter
         assert repaired[0] == extensions[0]
 
     @pytest.mark.parametrize("name, pinned", [("figure", 16), ("n20", 51)])

@@ -46,8 +46,8 @@ def test_traced_solve_books_kernel_calls(tracer):
     assert solvers.compute_arrival_times is compute_arrival_times
     table = trace.per_call(1, [1.0])
     # the pinned beam count of tests/test_solvers.py::TestEvaluationCount
-    assert table["core.arrival"]["calls"] == 58
-    assert trace.counts[("core.arrival.distinct", 0)] == 58
+    assert table["core.arrival"]["calls"] == 77
+    assert trace.counts[("core.arrival.distinct", 0)] == 77
     assert table["solvers.beam"]["calls"] == 1
     assert table["solvers.perimeter"]["calls"] > 0
 
@@ -65,5 +65,5 @@ def test_traced_solver_table_books_the_wrapped_solver(tracer):
     finally:
         trace.uninstall()
     table = trace.per_call(1, [1.0])
-    assert table["core.arrival"]["calls"] == 58
+    assert table["core.arrival"]["calls"] == 77
     assert table["solvers.beam"]["calls"] == 1
