@@ -4,22 +4,22 @@ Run records persist as append-only CSV; all statistics (performance
 profiles, blocked rank scores) are pure functions of the record set.
 """
 
-from __future__ import annotations
-
 import csv
-import math
+import itertools
 import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import astuple, dataclass, fields
+
+from wsptools.core import StructuralError, load_instance
+from wsptools.solvers import SOLVERS, LimitExceeded, SolverBudget
 
 # Significance thresholds for pairwise rank-score differences at a
 # family-wise error rate of 0.001, for the two experimental group sizes.
 SM_DELTA_60_INSTANCES = 335.0
 SM_DELTA_45_INSTANCES = 244.0
-
-CSV_COLUMNS = ["instance", "algorithm", "seed", "objective", "wall_seconds", "status"]
 
 STATUS_OK = "ok"
 STATUS_LIMIT = "limit"
@@ -28,12 +28,18 @@ STATUS_ERROR = "error"
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One benchmark run.  The fields are the records CSV's columns, in
+    order, and each field's type parses its column."""
+
     instance: str
     algorithm: str
     seed: int
     objective: int
     wall_seconds: float
     status: str = STATUS_OK
+
+
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
 @dataclass(frozen=True)
@@ -47,74 +53,65 @@ class ProfileCurve:
 def write_records(path, records) -> None:
     """Append records to the CSV at path, with a header if it is new or empty."""
     exists = os.path.exists(path) and os.path.getsize(path) > 0
-    mode = "a" if exists else "w"
-    with open(path, mode, newline="") as f:
+    with open(path, "a" if exists else "w", newline="") as f:
         writer = csv.writer(f)
-        if mode == "w":
+        if not exists:
             writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r.instance, r.algorithm, r.seed, r.objective, r.wall_seconds, r.status])
+        writer.writerows(astuple(r) for r in records)
 
 
 def read_records(path) -> list[RunRecord]:
-    records = []
+    """The records in the CSV at path.  Columns beyond RunRecord's fields
+    are ignored; a missing column, a short row or a field its type cannot
+    parse raises StructuralError naming the file and line."""
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            records.append(
-                RunRecord(
-                    instance=row["instance"],
-                    algorithm=row["algorithm"],
-                    seed=int(row["seed"]),
-                    objective=int(row["objective"]),
-                    wall_seconds=float(row["wall_seconds"]),
-                    status=row["status"],
-                )
-            )
+        reader = csv.DictReader(f)
+        header = reader.fieldnames or CSV_COLUMNS  # an empty file holds no records
+        missing = [name for name in CSV_COLUMNS if name not in header]
+        if missing:
+            raise StructuralError(f"records file {path} line 1: header lacks {', '.join(missing)}")
+        records = []
+        for row in reader:
+            where = f"records file {path} line {reader.line_num}"
+            if None in row.values():
+                raise StructuralError(f"{where}: fewer fields than the header")
+            try:
+                records.append(RunRecord(*(f.type(row[f.name]) for f in fields(RunRecord))))
+            except ValueError as e:
+                raise StructuralError(f"{where}: {e}") from None
     return records
 
 
 def performance_profiles(records) -> list[ProfileCurve]:
     """Per-algorithm step curves of median-objective performance ratios.
 
-    For each (algorithm, instance) the replications are aggregated by the
-    median; ratios are relative to the best median on that instance.
-    Missing cells score ratio +inf and never enter the curve at finite
-    tau.
+    For each (algorithm, instance) the ok replications are aggregated by
+    the median; ratios are relative to the best median on that instance,
+    so every ok objective must be at least 1.  Missing cells score ratio
+    +inf and never enter the curve at finite tau.
     """
-    ok = [r for r in records if r.status == STATUS_OK]
-    if not ok:
+    blocks = records_to_blocks(records)
+    if not blocks:
         raise ValueError("no ok records")
-    algorithms = sorted({r.algorithm for r in ok})
-    instances = sorted({r.instance for r in ok})
+    ratios: dict[str, Counter] = {}
+    for instance, cells in blocks.items():
+        medians = {}
+        for algorithm, values in cells.items():
+            if min(values) < 1:
+                raise ValueError(f"{algorithm} on {instance} has ok objective {min(values):g};"
+                                 " performance ratios need objectives of at least 1")
+            medians[algorithm] = statistics.median(values)
+        best = min(medians.values())
+        for algorithm, median in medians.items():
+            ratios.setdefault(algorithm, Counter())[median / best] += 1
 
-    medians: dict[tuple[str, str], float] = {}
-    for a in algorithms:
-        for i in instances:
-            cell = [r.objective for r in ok if r.algorithm == a and r.instance == i]
-            if cell:
-                medians[(a, i)] = statistics.median(cell)
-
-    best = {i: min(medians[(a, i)] for a in algorithms if (a, i) in medians) for i in instances}
-    ratios = {
-        a: [medians[(a, i)] / best[i] if (a, i) in medians else math.inf for i in instances]
-        for a in algorithms
-    }
-
-    n = len(instances)
     curves = []
-    for a in algorithms:
-        finite = sorted(r for r in ratios[a] if math.isfinite(r))
-        points = []
-        count = 0
-        idx = 0
-        while idx < len(finite):
-            j = idx
-            while j < len(finite) and finite[j] == finite[idx]:
-                j += 1
-            count = j
-            points.append((finite[idx], count / n))
-            idx = j
-        curves.append(ProfileCurve(algorithm=a, breakpoints=tuple(points)))
+    for algorithm in sorted(ratios):
+        count, points = 0, []
+        for tau, k in sorted(ratios[algorithm].items()):
+            count += k
+            points.append((tau, count / len(blocks)))
+        curves.append(ProfileCurve(algorithm=algorithm, breakpoints=tuple(points)))
     return curves
 
 
@@ -199,58 +196,31 @@ def records_to_blocks(records) -> dict[str, dict[str, list[float]]]:
 # Benchmark execution
 
 
-@dataclass(frozen=True)
-class BenchCell:
-    instance_path: str
-    instance_id: str
-    algorithm: str  # a key of solvers.SOLVERS
-    seed: int
-    time_limit: float | None = None
-
-    @property
-    def key(self) -> tuple[str, str, int]:
-        return (self.instance_id, self.algorithm, self.seed)
-
-
-def _run_cell(cell: BenchCell) -> RunRecord:
-    """Run one cell under SolverBudget(cell.time_limit), the default budget if None."""
-    from wsptools.core import load_instance
-    from wsptools.solvers import SOLVERS, LimitExceeded, SolverBudget
-
-    instance = load_instance(cell.instance_path)
-    start = time.monotonic()
-    try:
-        result = SOLVERS[cell.algorithm](instance, SolverBudget(cell.time_limit), cell.seed)
-        status, objective = STATUS_OK, result.objective
-    except LimitExceeded:
-        status, objective = STATUS_LIMIT, -1
-    except Exception as e:
-        print(f"error: cell {cell.instance_id} {cell.algorithm} seed {cell.seed}: "
-              f"{type(e).__name__}: {e}", file=sys.stderr)
-        status, objective = STATUS_ERROR, -1
-    wall = time.monotonic() - start
-    return RunRecord(
-        instance=cell.instance_id,
-        algorithm=cell.algorithm,
-        seed=cell.seed,
-        objective=objective,
-        wall_seconds=wall,
-        status=status,
-    )
-
-
-def run_benchmark(cells, out_path) -> list[RunRecord]:
-    """Execute benchmark cells one after another, appending records to
-    out_path as they finish.  Cells already present in the CSV are
-    skipped, so an interrupted run can be resumed."""
+def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[RunRecord]:
+    """Run the plan's cells, every (instance path, algorithm, seed) in that
+    nesting order, under SolverBudget(time_limit), the default budget if
+    None, appending each record to out_path as it finishes.  Cells already
+    in the CSV are skipped, so an interrupted run can be resumed."""
     done = set()
     if os.path.exists(out_path):
         done = {(r.instance, r.algorithm, r.seed) for r in read_records(out_path)}
-    pending = [c for c in cells if c.key not in done]
-
     records: list[RunRecord] = []
-    for cell in pending:
-        record = _run_cell(cell)
+    for cell in itertools.product(instances, algorithms, seeds):
+        if cell in done:
+            continue
+        path, algorithm, seed = cell
+        instance = load_instance(path)
+        start = time.monotonic()
+        try:
+            result = SOLVERS[algorithm](instance, SolverBudget(time_limit), seed)
+            status, objective = STATUS_OK, result.objective
+        except LimitExceeded:
+            status, objective = STATUS_LIMIT, -1
+        except Exception as e:
+            print(f"error: cell {path} {algorithm} seed {seed}: {type(e).__name__}: {e}",
+                  file=sys.stderr)
+            status, objective = STATUS_ERROR, -1
+        record = RunRecord(path, algorithm, seed, objective, time.monotonic() - start, status)
         write_records(out_path, [record])
         records.append(record)
     return records

@@ -59,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from wsptools import generator as gen
     from wsptools.benchlab import SM_DELTA_45_INSTANCES
     from wsptools.solvers import SOLVERS, SolverBudget
 
@@ -70,29 +71,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # generate's choices are the generator's level tables and its defaults
+    # GeneratorConfig's fields; "medium" is the level of GeneratorConfig.n
+    config = gen.GeneratorConfig
     p = sub.add_parser("generate", help="generate a grid instance")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--grid", default="medium", choices=["small", "medium", "large", "huge"],
+    p.add_argument("--seed", type=int, default=config.seed, help="generator seed")
+    p.add_argument("--grid", default="medium", choices=list(gen.GRID_LEVELS),
                    help="grid side: 20/30/40/80 cells")
     p.add_argument("--grid-side", type=int, default=None,
                    help="explicit grid side, overrides --grid (flagged in meta)")
-    p.add_argument("--wind", default="light", choices=["light", "moderate", "strong"],
+    p.add_argument("--wind", default=config.wind_level, choices=list(gen.WIND_LEVELS),
                    help="midflame wind-speed interval (ft/min)")
-    p.add_argument("--wind-direction", type=float, default=0.0,
+    p.add_argument("--wind-direction", type=float, default=config.wind_direction,
                    help="predominant wind direction (radians, 0 = +x)")
-    p.add_argument("--slope", default="moderate", choices=["flat", "moderate", "steep"],
+    p.add_argument("--slope", default=config.slope_level, choices=list(gen.SLOPE_LEVELS),
                    help="terrain steepness (max elevation in ft)")
-    p.add_argument("--delay", default="high", choices=["low", "medium", "high"],
+    p.add_argument("--delay", default=config.delay_level, choices=list(gen.DELAY_LEVELS),
                    help="suppression delay relative to the horizon (minutes)")
-    p.add_argument("--resources", default="moderate", choices=["few", "moderate", "many"],
+    p.add_argument("--resources", default=config.resources_level,
+                   choices=list(gen.RESOURCE_LEVELS),
                    help="resource count relative to the grid side")
-    p.add_argument("--decisions", type=int, default=10, help="number of release points")
-    p.add_argument("--first-release", default="early", choices=["early", "late", "very_late"],
-                   help="first release burn percentile")
-    p.add_argument("--last-release", default="very_late",
-                   choices=["very_early", "early", "late", "very_late"],
-                   help="last release burn percentile")
-    p.add_argument("--extent", type=float, default=26240.0, help="landscape extent (ft)")
+    p.add_argument("--decisions", type=int, default=config.decision_points,
+                   help="number of release points")
+    p.add_argument("--first-release", default=config.first_release,
+                   choices=list(gen.FIRST_RELEASE_LEVELS), help="first release burn percentile")
+    p.add_argument("--last-release", default=config.last_release,
+                   choices=list(gen.LAST_RELEASE_LEVELS), help="last release burn percentile")
+    p.add_argument("--extent", type=float, default=config.landscape_extent,
+                   help="landscape extent (ft)")
     p.add_argument("-o", "--output", required=True, help="output instance file (JSON)")
 
     p = sub.add_parser("solve", help="solve an instance")
@@ -380,23 +386,11 @@ def _load_plan(path) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    from wsptools.benchlab import BenchCell, run_benchmark
+    from wsptools.benchlab import run_benchmark
 
     plan = _load_plan(args.plan)
-    cells = []
-    for path in plan["instances"]:
-        for algo in plan["algorithms"]:
-            for seed in plan["seeds"]:
-                cells.append(
-                    BenchCell(
-                        instance_path=path,
-                        instance_id=path,
-                        algorithm=algo,
-                        seed=seed,
-                        time_limit=plan.get("time_limit"),
-                    )
-                )
-    records = run_benchmark(cells, args.out)
+    records = run_benchmark(plan["instances"], plan["algorithms"], plan["seeds"],
+                            plan.get("time_limit"), args.out)
     print(f"ran {len(records)} cells", file=sys.stderr)
     return EXIT_OK
 
@@ -411,6 +405,8 @@ def _cmd_report(args) -> int:
         sm_scores,
     )
 
+    if not (math.isfinite(args.delta) and args.delta >= 0):
+        raise ValueError(f"--delta must be a finite number at least 0, got {args.delta}")
     records = read_records(args.records)
     curves = performance_profiles(records)
     with open(args.profiles, "w", newline="") as f:

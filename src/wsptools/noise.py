@@ -19,12 +19,6 @@ _TABLE_MASK = _TABLE_SIZE - 1
 # Normalizes raw 2D gradient noise (range +-sqrt(2)/2) to [-1, 1].
 _NORM = 2.0 / math.sqrt(2.0)
 
-# Permutation tables by (seed, channel).  An instance reads four channels
-# of one seed, so a few entries give every hit; the oldest entry is
-# dropped beyond that, since a process may generate any number of seeds.
-PERM_CACHE_SIZE = 8
-_perm_cache: dict[tuple[int, int], np.ndarray] = {}
-
 
 def _mix_seed(seed: int, channel: int) -> int:
     # splitmix-style mix so nearby (seed, channel) pairs decorrelate
@@ -36,15 +30,8 @@ def _mix_seed(seed: int, channel: int) -> int:
 
 
 def _permutation(seed: int, channel: int) -> np.ndarray:
-    key = (seed, channel)
-    table = _perm_cache.get(key)
-    if table is None:
-        rng = np.random.default_rng(_mix_seed(seed, channel))
-        table = rng.permutation(_TABLE_SIZE).astype(np.int64)
-        if len(_perm_cache) >= PERM_CACHE_SIZE:
-            _perm_cache.pop(next(iter(_perm_cache)), None)
-        _perm_cache[key] = table
-    return table
+    rng = np.random.default_rng(_mix_seed(seed, channel))
+    return rng.permutation(_TABLE_SIZE).astype(np.int64)
 
 
 # Unit gradients at 16 angles, as x and y component tables.

@@ -5,7 +5,7 @@ import pytest
 from wsptools.benchlab import (
     SM_DELTA_45_INSTANCES,
     SM_DELTA_60_INSTANCES,
-    BenchCell,
+    CSV_COLUMNS,
     RunRecord,
     performance_profiles,
     read_records,
@@ -14,7 +14,7 @@ from wsptools.benchlab import (
     sm_scores,
     write_records,
 )
-from wsptools.core import save_instance
+from wsptools.core import StructuralError, save_instance
 
 from helpers import profile_value, random_grid_instance
 
@@ -35,6 +35,47 @@ class TestRecordsCsv:
         write_records(path, [rec("i1", "rs", 12)])
         write_records(path, [rec("i2", "rs", 9)])
         assert [r.instance for r in read_records(path)] == ["i1", "i2"]
+
+    def test_columns_are_the_record_fields(self, tmp_path):
+        assert CSV_COLUMNS == ["instance", "algorithm", "seed", "objective", "wall_seconds",
+                               "status"]
+        path = tmp_path / "runs.csv"
+        write_records(path, [rec("i1", "rs", 12, seed=3, wall=0.25, status="limit")])
+        assert path.read_bytes() == (
+            b"instance,algorithm,seed,objective,wall_seconds,status\r\n"
+            b"i1,rs,3,12,0.25,limit\r\n"
+        )
+
+    def test_extra_columns_are_ignored(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("version,instance,algorithm,seed,objective,wall_seconds,status,stop\n"
+                        "2,i1,rs,3,12,0.25,ok,budget\n")
+        assert read_records(path) == [rec("i1", "rs", 12, seed=3, wall=0.25)]
+
+    def test_empty_file_holds_no_records(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("")
+        assert read_records(path) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("instance,algorithm,seed,objective,status\ni1,rs,0,3,ok\n",
+             "line 1: header lacks wall_seconds"),
+            ("instance,algorithm,seed,objective,wall_seconds,status\n"
+             "i1,rs,0,3,0.1,ok\ni1,beam,0,3,0.1\n", "line 3: fewer fields than the header"),
+            ("instance,algorithm,seed,objective,wall_seconds,status\ni1,rs,zero,3,0.1,ok\n",
+             "line 2: invalid literal for int() with base 10: 'zero'"),
+            ("instance,algorithm,seed,objective,wall_seconds,status\ni1,rs,0,3,fast,ok\n",
+             "line 2: could not convert string to float: 'fast'"),
+        ],
+    )
+    def test_malformed_csv(self, tmp_path, text, message):
+        path = tmp_path / "runs.csv"
+        path.write_text(text)
+        with pytest.raises(StructuralError) as info:
+            read_records(path)
+        assert str(info.value) == f"records file {path} {message}"
 
 
 class TestPerformanceProfiles:
@@ -72,6 +113,13 @@ class TestPerformanceProfiles:
     def test_requires_ok_records(self):
         with pytest.raises(ValueError):
             performance_profiles([rec("i1", "A", -1, status="error")])
+
+    @pytest.mark.parametrize("low", [0, -3])
+    def test_ok_objective_below_one_rejected(self, low):
+        # a ratio to a best median of 0 is undefined; the ignition always burns
+        records = [rec("i1", "A", 4), rec("i1", "B", low), rec("i1", "B", 2, seed=1)]
+        with pytest.raises(ValueError, match="B on i1 has ok objective"):
+            performance_profiles(records)
 
 
 class TestRankScores:
@@ -125,45 +173,45 @@ class TestRankScores:
 
 
 class TestBenchmarkRunner:
-    def _cells(self, rng, tmp_path):
+    def _instance(self, rng, tmp_path):
         instance = random_grid_instance(rng, side=3, schedule_spec=((1.0, 1),))
         path = tmp_path / "inst.json"
         save_instance(instance, path)
-        return [
-            BenchCell(str(path), "inst", "rs", seed=0, time_limit=0.1),
-            BenchCell(str(path), "inst", "beam", seed=0, time_limit=0.1),
-            BenchCell(str(path), "inst", "exact", seed=0, time_limit=0.1),
-        ]
+        return str(path)
 
     def test_run_and_resume(self, rng, tmp_path):
-        cells = self._cells(rng, tmp_path)
+        path = self._instance(rng, tmp_path)
+        plan = ([path], ["rs", "beam", "exact"], [0], 0.1)
         out = tmp_path / "runs.csv"
-        first = run_benchmark(cells, out)
+        first = run_benchmark(*plan, out)
         assert len(first) == 3
-        assert all(r.status == "ok" for r in first)
+        assert all(r.status == "ok" and r.instance == path for r in first)
         # exact must be at least as good as the heuristics
         by_algo = {r.algorithm: r.objective for r in first}
         assert by_algo["exact"] <= by_algo["rs"]
         assert by_algo["exact"] <= by_algo["beam"]
         # a second invocation skips completed cells
-        again = run_benchmark(cells, out)
+        again = run_benchmark(*plan, out)
         assert again == []
         assert len(read_records(out)) == 3
 
     def test_partial_resume_runs_only_missing(self, rng, tmp_path):
-        cells = self._cells(rng, tmp_path)
+        path = self._instance(rng, tmp_path)
         out = tmp_path / "runs.csv"
-        run_benchmark(cells[:1], out)
-        rest = run_benchmark(cells, out)
-        assert [r.algorithm for r in rest] == ["beam", "exact"]
+        run_benchmark([path], ["rs"], [0], 0.1, out)
+        rest = run_benchmark([path], ["rs", "beam", "exact"], [1, 0], 0.1, out)
+        # the cells run in plan order: instance, then algorithm, then seed
+        assert [(r.algorithm, r.seed) for r in rest] == [
+            ("rs", 1), ("beam", 1), ("beam", 0), ("exact", 1), ("exact", 0)
+        ]
 
     def test_unknown_algorithm_recorded_as_error(self, rng, tmp_path, capsys):
         instance = random_grid_instance(rng, side=3)
         path = tmp_path / "inst.json"
         save_instance(instance, path)
         out = tmp_path / "runs.csv"
-        records = run_benchmark([BenchCell(str(path), "inst", "magic", seed=4)], out)
+        records = run_benchmark([str(path)], ["magic"], [4], None, out)
         assert records[0].status == "error"
         assert records[0].objective == -1
         # one stderr line names the cell and the exception
-        assert capsys.readouterr().err == "error: cell inst magic seed 4: KeyError: 'magic'\n"
+        assert capsys.readouterr().err == f"error: cell {path} magic seed 4: KeyError: 'magic'\n"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import wsptools
-from wsptools import solvers
+from wsptools import generator, solvers
 from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records
 from wsptools.cli import _budget, _load_plan, build_parser, dispatch
 from wsptools.core import compute_arrival_times, load_instance, objective, solution_from_json
@@ -73,6 +73,29 @@ class TestParsing:
         assert _load_plan(plan)["algorithms"] == list(table)
         args = parser.parse_args(["report", "--records", "r", "--profiles", "p", "--sm", "s"])
         assert args.delta == SM_DELTA_45_INSTANCES
+
+    def test_generate_flags_read_generator_tables(self, monkeypatch):
+        # the level flags take their choices from the generator's tables, and
+        # every generate flag defaults to the GeneratorConfig field it sets
+        monkeypatch.setattr(generator, "WIND_LEVELS", {**generator.WIND_LEVELS, "gale": (1, 2)})
+        parser = build_parser()
+        assert parser.parse_args(["generate", "--wind", "gale", "-o", "x"]).wind == "gale"
+        args = parser.parse_args(["generate", "-o", "x"])
+        config = generator.GeneratorConfig()
+        assert generator.GRID_LEVELS[args.grid] == config.n
+        assert (args.seed, args.extent, args.slope, args.wind, args.wind_direction,
+                args.decisions, args.resources, args.delay, args.first_release,
+                args.last_release) == (
+            config.seed, config.landscape_extent, config.slope_level, config.wind_level,
+            config.wind_direction, config.decision_points, config.resources_level,
+            config.delay_level, config.first_release, config.last_release)
+        for flag, table in [
+            ("--grid", "GRID_LEVELS"), ("--slope", "SLOPE_LEVELS"), ("--delay", "DELAY_LEVELS"),
+            ("--resources", "RESOURCE_LEVELS"), ("--first-release", "FIRST_RELEASE_LEVELS"),
+            ("--last-release", "LAST_RELEASE_LEVELS"),
+        ]:
+            for level in getattr(generator, table):
+                assert parser.parse_args(["generate", flag, level, "-o", "x"])
 
 
 class TestGenerate:
@@ -489,6 +512,59 @@ class TestBenchAndReport:
         [record] = read_records(records)
         assert record.status == "ok"
         assert record.objective == solution_from_json(sol.read_text())[2]
+
+
+    def _report(self, capsys, tmp_path, records, *extra):
+        return run(capsys, "report", "--records", str(records),
+                   "--profiles", str(tmp_path / "profiles.csv"),
+                   "--sm", str(tmp_path / "sm.csv"), *extra)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("instance,algorithm,seed,objective,status\ni1,rs,0,3,ok\n",
+             "line 1: header lacks wall_seconds"),
+            ("instance,algorithm,seed,objective,wall_seconds,status\ni1,rs,0,3\n",
+             "line 2: fewer fields than the header"),
+            ("instance,algorithm,seed,objective,wall_seconds,status\ni1,rs,0,many,0.1,ok\n",
+             "line 2: invalid literal for int()"),
+        ],
+    )
+    def test_malformed_records_csv(self, small_instance, tmp_path, capsys, text, message):
+        records = tmp_path / "records.csv"
+        records.write_text(text)
+        code, _, err = self._report(capsys, tmp_path, records)
+        assert code == 2
+        assert f"error: records file {records} {message}" in err
+        assert "Traceback" not in err
+        # a bench resume reads the same file before it runs any cell
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "instances": [str(small_instance)], "algorithms": ["rs"], "seeds": [0],
+        }))
+        code, _, err = run(capsys, "bench", "--plan", str(plan), "--out", str(records))
+        assert code == 2
+        assert f"error: records file {records} {message}" in err
+        assert records.read_text() == text
+
+    def test_ok_objective_below_one(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text("instance,algorithm,seed,objective,wall_seconds,status\n"
+                           "i1,rs,0,0,0.1,ok\ni1,beam,0,2,0.1,ok\n")
+        code, _, err = self._report(capsys, tmp_path, records)
+        assert code == 2
+        assert "rs on i1 has ok objective 0" in err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+    def test_delta_must_be_finite_and_nonnegative(self, tmp_path, capsys, delta):
+        records = tmp_path / "records.csv"
+        records.write_text("instance,algorithm,seed,objective,wall_seconds,status\n"
+                           "i1,rs,0,3,0.1,ok\ni1,beam,0,2,0.1,ok\n")
+        code, out, err = self._report(capsys, tmp_path, records, f"--delta={delta}")
+        assert code == 2
+        assert out == ""
+        assert "--delta must be a finite number at least 0" in err
+        assert self._report(capsys, tmp_path, records, "--delta=0")[0] == 0
 
 
 class TestBenchPlan:

@@ -80,15 +80,14 @@ class TestNoise:
             gradient_noise(2, 0, float(x), 0.5) for x in range(-3, 4)
         ]
 
-    def test_permutation_cache_is_bounded(self):
+    def test_seed_regenerates_after_other_seeds(self):
         def config(seed):
             return GeneratorConfig(seed=seed, n=6, decision_points=2)
 
         first = instance_to_json(generate_instance(config(0)))
         for seed in range(1, 51):
             generate_instance(config(seed))
-            assert len(noise._perm_cache) <= noise.PERM_CACHE_SIZE
-        # seed 0's tables were evicted and are rebuilt identically
+        # the noise tables are a function of (seed, channel) alone
         assert instance_to_json(generate_instance(config(0))) == first
 
 
