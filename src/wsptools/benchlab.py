@@ -181,14 +181,14 @@ def sm_scores(
     return scores, significant
 
 
-def records_to_blocks(records) -> dict[str, dict[str, list[float]]]:
-    """Group ok records as blocks=instances, treatments=algorithms."""
+def records_to_blocks(records, failed: float | None = None) -> dict[str, dict[str, list[float]]]:
+    """Group records as blocks=instances, treatments=algorithms.  A limit
+    or error record is left out, or counts as the value failed if given."""
     blocks: dict[str, dict[str, list[float]]] = {}
     for r in records:
-        if r.status != STATUS_OK:
-            continue
-        cell = blocks.setdefault(r.instance, {}).setdefault(r.algorithm, [])
-        cell.append(float(r.objective))
+        if r.status == STATUS_OK or failed is not None:
+            cell = blocks.setdefault(r.instance, {}).setdefault(r.algorithm, [])
+            cell.append(float(r.objective) if r.status == STATUS_OK else failed)
     return blocks
 
 

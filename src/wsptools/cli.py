@@ -409,15 +409,14 @@ def _cmd_report(args) -> int:
         raise ValueError(f"--delta must be a finite number at least 0, got {args.delta}")
     records = read_records(args.records)
     curves = performance_profiles(records)
+    # a limit or error replication ranks below every ok objective in its block
+    scores, significant = sm_scores(records_to_blocks(records, math.inf), delta=args.delta)
     with open(args.profiles, "w", newline="") as f:
         writer = _csv.writer(f)
         writer.writerow(["algorithm", "tau", "fraction"])
         for curve in curves:
             for tau, p in curve.breakpoints:
                 writer.writerow([curve.algorithm, tau, p])
-
-    blocks = records_to_blocks(records)
-    scores, significant = sm_scores(blocks, delta=args.delta)
     with open(args.sm, "w", newline="") as f:
         writer = _csv.writer(f)
         writer.writerow(["treatment", "score"])

@@ -137,27 +137,42 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
     return SolverResult(best_alloc, best_obj)
 
 
+def _fire_state(out_arcs, arrival, t: float, fire=None) -> tuple[list[int], set[int]]:
+    """(open, front) at time t: the vertices of arrival >= t in id order
+    (protected ones too: they still burn and spread) and the set of them
+    with an in-neighbor of arrival < t.  fire, if given, is this state at
+    an earlier time t' under arrivals that burn the same vertices before
+    t'; only its open vertices are filtered, and the out-neighbors of
+    those that burned since join its front.
+    """
+    open_, front = fire or (range(len(arrival)), ())
+    front = {v for v in front if arrival[v] >= t}
+    front |= {x for u in open_ if arrival[u] < t for _, x, _ in out_arcs[u] if arrival[x] >= t}
+    return [v for v in open_ if arrival[v] >= t], front
+
+
 def perimeter_candidates(
     instance: WspInstance,
     partial_alloc: Allocation,
     t: float,
     outcome: FireOutcome,
     limit: int | None = None,
+    fire: tuple[list[int], set[int]] | None = None,
 ) -> list[int]:
     """Feasible protection targets at release time t, fire-perimeter first.
 
     Returns the unburned, unprotected, non-ignition vertices ordered by
     (has a burned in-neighbor, earlier arrival, lower id), or the first
     limit of them, ranking the rest only as far as the fire front falls
-    short.  outcome must be the arrival times under partial_alloc.
+    short.  outcome must be the arrival times under partial_alloc, and
+    fire, if given, its _fire_state at t; it is built from outcome if not.
     """
-    arrival, out_arcs = outcome.arrival, instance.graph.out_arcs
+    arrival = outcome.arrival
+    open_, front = fire or _fire_state(instance.graph.out_arcs, arrival, t)
     closed = partial_alloc.protected | {instance.ignition}
-    near_fire = {head for u, a in enumerate(arrival) if a < t for _, head, _ in out_arcs[u]}
-    ranked = sorted((arrival[v], v) for v in near_fire if arrival[v] >= t and v not in closed)
+    ranked = sorted((arrival[v], v) for v in front if v not in closed)
     if limit is None or len(ranked) < limit:
-        rest = ((a, v) for v, a in enumerate(arrival)
-                if a >= t and v not in near_fire and v not in closed)
+        rest = ((arrival[v], v) for v in open_ if v not in front and v not in closed)
         ranked += sorted(rest) if limit is None else heapq.nsmallest(limit - len(ranked), rest)
     return [v for _, v in ranked[:limit]]
 
@@ -178,8 +193,9 @@ def beam_search(
 
     Every allocation is evaluated once, when it is created, by repairing
     the outcome of the allocation one protection shorter; a node carries
-    its rank key and fire outcome to the next level.  A node's burned
-    counts are that allocation's plus the change the repair made.
+    its rank key, fire outcome and the _fire_state it advances from to the
+    next level.  A node's burned counts are that allocation's plus the
+    change the repair made.
     """
     if not (beam_width >= 1 and expansions_per_node >= 1):
         raise ValueError("beam_width and expansions_per_node must be at least 1")
@@ -191,41 +207,51 @@ def beam_search(
     times = [t for t, _ in schedule] + [horizon]
     expansions = int(expansions_per_node) if math.isfinite(expansions_per_node) else None
     root = compute_arrival_times(instance, EMPTY_ALLOCATION)
-    beam = [((root.burned_count(horizon), root.burned_count(times[0]), ()), EMPTY_ALLOCATION, root)]
+    key = (root.burned_count(horizon), root.burned_count(times[0]), ())
+    beam = [(key, EMPTY_ALLOCATION, root, None)]
     for level, ((release_time, count), first) in enumerate(zip(schedule, instance.first_resources)):
         next_time = times[level + 1]
         # the first e combinations of k candidates draw on the first k - 1 + e only
         limit = None if expansions is None else count - 1 + expansions
         children = []
-        for parent in beam:
-            (burned_h, _, _), alloc, outcome = parent
-            candidates = perimeter_candidates(instance, alloc, release_time, outcome, limit)
+        for key, alloc, outcome, fire in beam:
+            # a level protects only vertices of arrival >= its time, so before the
+            # parent's level a node burns what its parent burns: its state advances
+            arrival = outcome.arrival
+            fire = _fire_state(instance.graph.out_arcs, arrival, release_time, fire)
+            candidates = perimeter_candidates(instance, alloc, release_time, outcome, limit,
+                                              fire=fire)
             take = min(count, len(candidates))
             if take == 0:
-                children.append(parent)
+                children.append((key, alloc, outcome, fire))
                 continue
             combos = itertools.islice(itertools.combinations(candidates, take), expansions)
-            # stack[i]: node of the last combination's first i vertices (shared by siblings)
-            stack, last = [((burned_h, outcome.burned_count(next_time), None), alloc, outcome)], ()
+            burned_next = len(arrival) - len([v for v in fire[0] if arrival[v] >= next_time])
+            # stack[i]: (burned at H, burned at next_time, allocation, outcome)
+            # of the last combination's first i vertices, shared by siblings
+            stack, last = [(key[0], burned_next, alloc, outcome)], ()
             for combo in combos:
                 size = next((i for i, (u, v) in enumerate(zip(last, combo)) if u != v), 0)
                 del stack[size + 1:]
                 for size in range(size, take):
-                    (p_h, p_next, _), p_alloc, p_outcome = stack[-1]
+                    burned_h, burned_next, p_alloc, p_outcome = stack[-1]
                     node = p_alloc.extended([(first + size, combo[size])])
                     node_outcome = compute_arrival_times(instance, node, parent=(p_alloc, p_outcome))
-                    key = (p_h + node_outcome.burned_delta(p_outcome, horizon),
-                           p_next + node_outcome.burned_delta(p_outcome, next_time),
-                           tuple(sorted(v for _, v in node.assignments)))
-                    stack.append((key, node, node_outcome))
-                children.append(stack[-1])
+                    old, new = p_outcome.arrival, node_outcome.arrival
+                    for v in node_outcome.changed:
+                        burned_h += (new[v] < horizon) - (old[v] < horizon)
+                        burned_next += (new[v] < next_time) - (old[v] < next_time)
+                    stack.append((burned_h, burned_next, node, node_outcome))
+                burned_h, burned_next, node, node_outcome = stack[-1]
+                vertices = tuple(sorted(v for _, v in node.assignments))
+                children.append(((burned_h, burned_next, vertices), node, node_outcome, fire))
                 last = combo
         children.sort(key=itemgetter(0))
         if math.isfinite(beam_width):
             children = children[: int(beam_width)]
         beam = children
 
-    key, best, _ = min(beam, key=itemgetter(0))
+    key, best, _ = min([node[:3] for node in beam], key=itemgetter(0))
     return SolverResult(best, key[0])
 
 

@@ -170,6 +170,20 @@ class TestRankScores:
             rec("i1", "rs", -1, status="error"),
         ]
         assert records_to_blocks(records) == {"i1": {"rs": [12.0], "beam": [10.0]}}
+        assert records_to_blocks(records, math.inf) == {
+            "i1": {"rs": [12.0, math.inf], "beam": [10.0]}}
+
+    def test_failures_rank_last_with_average_ranks(self):
+        records = [
+            rec("i1", "rs", 12), rec("i1", "beam", 10), rec("i1", "exact", 9),
+            rec("i2", "rs", 12), rec("i2", "beam", -1, status="error"),
+            rec("i2", "exact", -1, status="limit"),
+        ]
+        scores, _ = sm_scores(records_to_blocks(records, math.inf), delta=0.0)
+        # i1: exact 1, beam 2, rs 3; i2: rs 1, the tied failures (2 + 3) / 2
+        assert scores == {"beam": 4.5, "exact": 3.5, "rs": 4.0}
+        with pytest.raises(ValueError, match="block i2 has treatments"):
+            sm_scores(records_to_blocks(records), delta=0.0)
 
 
 class TestBenchmarkRunner:

@@ -555,6 +555,38 @@ class TestBenchAndReport:
         assert code == 2
         assert "rs on i1 has ok objective 0" in err
 
+    def test_unbalanced_design_writes_no_file(self, tmp_path, capsys):
+        # the profiles were written before the scores rejected the design
+        records = tmp_path / "records.csv"
+        records.write_text("instance,algorithm,seed,objective,wall_seconds,status\n"
+                           "i1,rs,0,3,0.1,ok\ni1,rs,1,4,0.1,ok\ni1,beam,0,2,0.1,ok\n")
+        code, out, err = self._report(capsys, tmp_path, records)
+        assert code == 2
+        assert "unbalanced cell" in err
+        assert out == ""
+        assert not (tmp_path / "profiles.csv").exists()
+        assert not (tmp_path / "sm.csv").exists()
+
+    def test_failed_replication_ranks_last(self, tmp_path, capsys):
+        # exact hit max_nodes on i2; it used to leave i2 without an exact cell
+        records = tmp_path / "records.csv"
+        records.write_text("instance,algorithm,seed,objective,wall_seconds,status\n"
+                           "i1,rs,0,10,0.1,ok\ni1,beam,0,12,0.1,ok\ni1,exact,0,9,0.1,ok\n"
+                           "i2,rs,0,18,0.1,ok\ni2,beam,0,20,0.1,ok\ni2,exact,0,-1,0.1,limit\n")
+        code, out, _ = self._report(capsys, tmp_path, records, "--delta", "1.5")
+        assert code == 0
+        # ranks on i1: exact 1, rs 2, beam 3; on i2: rs 1, beam 2, exact 3
+        assert (tmp_path / "sm.csv").read_text().splitlines() == [
+            "treatment,score", "beam,5.0", "exact,4.0", "rs,3.0"]
+        assert json.loads(out)["significant_pairs"] == [["beam", "rs"]]
+        # the profiles use ok objectives only: exact has no ratio on i2
+        assert (tmp_path / "profiles.csv").read_text().splitlines() == [
+            "algorithm,tau,fraction",
+            "beam,1.1111111111111112,0.5", "beam,1.3333333333333333,1.0",
+            "exact,1.0,0.5",
+            "rs,1.0,0.5", "rs,1.1111111111111112,1.0",
+        ]
+
     @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
     def test_delta_must_be_finite_and_nonnegative(self, tmp_path, capsys, delta):
         records = tmp_path / "records.csv"

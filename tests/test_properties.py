@@ -217,6 +217,31 @@ def test_beam_equals_the_child_by_child_beam(case):
         [(alloc.assignments, outcome.arrival) for _, alloc, outcome in expected_final]
 
 
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(beam_cases())
+def test_beam_carries_the_fire_state_of_every_node(case):
+    """The (open, front) beam hands perimeter_candidates, advanced from the
+    node's beam parent, is the state built from scratch on the node's
+    outcome: the vertices of arrival >= t, and those with an in-neighbor
+    of arrival < t."""
+    instance, width, expansions = case
+    calls = []
+
+    def recording_candidates(instance, alloc, t, outcome, limit=None, fire=None):
+        calls.append((t, outcome, fire))
+        return perimeter_candidates(instance, alloc, t, outcome, limit, fire)
+
+    with mock.patch.object(solvers, "perimeter_candidates", recording_candidates):
+        result = beam_search(instance, width, expansions)
+    assert result == child_by_child_beam(instance, width, expansions)[0]
+    in_arcs = instance.graph.in_arcs
+    assert calls
+    for t, outcome, (open_, front) in calls:
+        arrival = outcome.arrival
+        assert open_ == [v for v, a in enumerate(arrival) if a >= t]
+        assert front == {v for v in open_ if any(arrival[w] < t for w, _, _ in in_arcs[v])}
+
+
 mistyped = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(), max_size=2) \
     | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
 bad_int = mistyped | st.floats()

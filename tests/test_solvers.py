@@ -9,6 +9,7 @@ from wsptools.core import (
     EMPTY_ALLOCATION,
     Allocation,
     DirectedGraph,
+    FireOutcome,
     WspInstance,
     check_feasibility,
     compute_arrival_times,
@@ -399,3 +400,44 @@ class TestEvaluationCount:
         # that places a resource; placing nothing reuses the outcome
         assert len(evaluated) == 1 + extensions[0] == pinned
         assert repaired[0] == 0
+
+
+class TestBeamWork:
+    """Deterministic gate on beam's work outside the kernel: each node
+    carries its fire state, so no step scans every vertex per parent."""
+
+    @staticmethod
+    def instance():
+        return generate_instance(GeneratorConfig(seed=0, n=20))
+
+    def test_burned_count_runs_only_on_the_root(self, monkeypatch):
+        instance = self.instance()
+        counted, burned_count = [], FireOutcome.burned_count
+
+        def counting_burned_count(outcome, t):
+            counted.append(outcome)
+            return burned_count(outcome, t)
+
+        monkeypatch.setattr(FireOutcome, "burned_count", counting_burned_count)
+        beam_search(instance, 2, 3)
+        # the root's counts at H and at the first release; every other count
+        # comes from a carried open list or a repair's changed vertices
+        assert len(counted) == 2
+        assert all(outcome is instance.free_burn for outcome in counted)
+
+    def test_perimeter_candidates_runs_once_per_expanded_parent(self, monkeypatch):
+        instance = self.instance()
+        calls, rank = [], perimeter_candidates
+
+        def recording_candidates(instance, alloc, t, outcome, limit=None, fire=None):
+            calls.append((t, alloc, fire))
+            return rank(instance, alloc, t, outcome, limit, fire)
+
+        monkeypatch.setattr(solvers, "perimeter_candidates", recording_candidates)
+        beam_search(instance, 2, 3)
+        levels = [t for t, _ in instance.schedule]
+        # the root, then two parents at each of the other levels
+        assert len(levels) == 10
+        assert [t for t, _, _ in calls] == levels[:1] + [t for t in levels[1:] for _ in (0, 1)]
+        assert len({(t, alloc) for t, alloc, _ in calls}) == len(calls) == 19
+        assert all(fire is not None for _, _, fire in calls)

@@ -2,12 +2,14 @@
 
 perfbench/tracer.py wraps each function its TARGETS table names, looked
 up with getattr, so `run.py --trace 1` and `selfcheck.py` break when one
-of those names goes.  These tests load the tracer by path and leave
-perfbench/ as it is.
+of those names goes.  perfbench/workloads.py checks every solve request
+against the digests in references.json.  These tests load both modules
+by path and leave perfbench/ as it is.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,15 +18,32 @@ from wsptools import solvers
 from wsptools.core import compute_arrival_times
 from wsptools.generator import GeneratorConfig, generate_instance
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_by_path(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_by_path("tracer")
+
+
+def test_solve_pool_matches_the_benchmark_references():
+    # a change to a beam or rs result fails here before any benchmark run
+    workloads = load_by_path("workloads")
+    references = json.loads((PERFBENCH / "references.json").read_text())["solve"]
+    for j in range(workloads.SOLVE_POOL):
+        instance = generate_instance(workloads.grid_config(j, workloads.SOLVE_GRID))
+        beam = workloads.result_digest(workloads.run_beam(instance))
+        assert beam == references["beam"][j], j
+        rs_seed = 7 * j % workloads.RS_SEEDS
+        rs = workloads.result_digest(workloads.run_rs(instance, rs_seed))
+        assert rs == references["rs"][j][rs_seed], (j, rs_seed)
 
 
 def test_every_target_resolves(tracer):
