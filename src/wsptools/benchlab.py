@@ -38,6 +38,10 @@ class RunRecord:
     wall_seconds: float
     status: str = STATUS_OK
 
+    def __post_init__(self):
+        if self.status not in (STATUS_OK, STATUS_LIMIT, STATUS_ERROR):
+            raise ValueError(f"status {self.status!r} is not one of ok, limit, error")
+
 
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
@@ -51,11 +55,16 @@ class ProfileCurve:
 
 
 def write_records(path, records) -> None:
-    """Append records to the CSV at path, with a header if it is new or empty."""
-    exists = os.path.exists(path) and os.path.getsize(path) > 0
-    with open(path, "a" if exists else "w", newline="") as f:
+    """Append records to the CSV at path, with a header if it is new or
+    empty.  An existing header must be CSV_COLUMNS, the order rows take."""
+    with open(path, "a+", newline="") as f:
+        f.seek(0)
+        header = next(csv.reader(f), None)
+        if header not in (None, CSV_COLUMNS):
+            raise StructuralError(f"records file {path} line 1: rows are appended as "
+                                  f"{','.join(CSV_COLUMNS)}, and the header differs")
         writer = csv.writer(f)
-        if not exists:
+        if header is None:
             writer.writerow(CSV_COLUMNS)
         writer.writerows(astuple(r) for r in records)
 
@@ -63,7 +72,8 @@ def write_records(path, records) -> None:
 def read_records(path) -> list[RunRecord]:
     """The records in the CSV at path.  Columns beyond RunRecord's fields
     are ignored; a missing column, a short row or a field its type cannot
-    parse raises StructuralError naming the file and line."""
+    parse (a status outside ok, limit and error too) raises StructuralError
+    naming the file and line."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or CSV_COLUMNS  # an empty file holds no records
@@ -161,13 +171,8 @@ def sm_scores(
 
     scores = {t: 0.0 for t in treatments}
     for cells in blocks.values():
-        flat = []
-        owners = []
-        for t in treatments:
-            for v in cells[t]:
-                flat.append(v)
-                owners.append(t)
-        ranks = _average_ranks(flat)
+        owners = [t for t in treatments for _ in cells[t]]
+        ranks = _average_ranks([v for t in treatments for v in cells[t]])
         for t in treatments:
             mean_rank = sum(r for r, o in zip(ranks, owners) if o == t) / c
             scores[t] += mean_rank
@@ -204,6 +209,7 @@ def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[Ru
     done = set()
     if os.path.exists(out_path):
         done = {(r.instance, r.algorithm, r.seed) for r in read_records(out_path)}
+        write_records(out_path, [])  # refuses a header the new rows would not line up with
     records: list[RunRecord] = []
     for cell in itertools.product(instances, algorithms, seeds):
         if cell in done:

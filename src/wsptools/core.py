@@ -137,18 +137,15 @@ class Allocation:
     """Injective partial map from resource ids to protected vertex ids."""
 
     assignments: tuple[tuple[int, int], ...]
+    protected: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        resources = [r for r, _ in self.assignments]
-        vertices = [v for _, v in self.assignments]
-        if len(set(resources)) != len(resources):
+        protected = frozenset([v for _, v in self.assignments])
+        if len({r for r, _ in self.assignments}) != len(self.assignments):
             raise StructuralError("a resource appears twice in the allocation")
-        if len(set(vertices)) != len(vertices):
+        if len(protected) != len(self.assignments):
             raise StructuralError("a vertex is protected twice")
-
-    @cached_property
-    def protected(self) -> frozenset[int]:
-        return frozenset(v for _, v in self.assignments)
+        object.__setattr__(self, "protected", protected)
 
     def extended(self, pairs) -> "Allocation":
         return Allocation(self.assignments + tuple(pairs))
@@ -216,11 +213,11 @@ def _repair(
     graph: DirectedGraph,
     arrival: tuple[float, ...],
     delays: dict[int, float],
-    parent_delays: dict[int, float],
+    added: frozenset[int],
 ) -> FireOutcome:
-    """The outcome under delays, given the arrivals under parent_delays,
-    a sub-map of delays (Ramalingam & Reps 1996; Frigioni,
-    Marchetti-Spaccamela & Nanni 2000).
+    """The outcome under delays, given the arrivals under the parent
+    delays, delays without the vertices added (Ramalingam & Reps 1996;
+    Frigioni, Marchetti-Spaccamela & Nanni 2000).
 
     Delays only raise arc costs, so arrivals only rise.  A vertex keeps
     its arrival a_v while an in-arc from a vertex w that keeps its own is
@@ -228,10 +225,10 @@ def _repair(
     other vertices are affected, and only they are recomputed:
 
     1. Walk candidates in order of arrival, starting from the heads of
-       the tight arcs leaving the newly delayed vertices.  A candidate
-       with no tight in-arc from an unaffected tail of strictly smaller
-       arrival is affected, and the heads of its tight out-arcs (under
-       the parent's costs) become candidates.
+       the tight arcs leaving the added vertices.  A candidate with no
+       tight in-arc from an unaffected tail of strictly smaller arrival
+       is affected, and the heads of its tight out-arcs (under the
+       parent's costs) become candidates.
     2. Reset each affected vertex to its best in-arc from an unaffected
        tail.
     3. Settle the affected vertices with _settle.  An unaffected vertex
@@ -245,7 +242,7 @@ def _repair(
     out affected later, so such a vertex is recomputed instead.
     """
     in_arcs, out_arcs = graph.in_arcs, graph.out_arcs
-    candidates = [(arrival[v], v) for u in delays.keys() - parent_delays.keys()
+    candidates = [(arrival[v], v) for u in added
                   for _, v, t in out_arcs[u] if arrival[u] + t == arrival[v]]
     heapify(candidates)
     affected: set[int] = set()
@@ -261,7 +258,7 @@ def _repair(
                 break
         else:
             affected.add(v)
-            extra = parent_delays.get(v, 0.0)
+            extra = 0.0 if v in added else delays.get(v, 0.0)
             for _, x, t in out_arcs[v]:
                 if a_v + t + extra == arrival[x]:
                     heappush(candidates, (arrival[x], x))
@@ -287,7 +284,7 @@ def fire_arrivals(
     graph: DirectedGraph,
     source: int,
     delays: dict[int, float],
-    parent: tuple[dict[int, float], FireOutcome] | None = None,
+    parent: tuple[frozenset[int], FireOutcome] | None = None,
 ) -> FireOutcome:
     """Shortest-path fire arrival times from source; +inf if unreachable.
 
@@ -297,11 +294,11 @@ def fire_arrivals(
     +inf: the vertex's out-arcs then never finish, so no fire spreads
     through it.
 
-    parent, if given, is (parent_delays, parent_outcome): a sub-map of
-    delays with the same values, and its outcome from the same source.
-    The arrivals are then repaired from parent_outcome (see _repair),
-    with the same bits as a full run, and the result's changed holds the
-    vertices whose arrival differs from the parent's.
+    parent, if given, is (added, parent_outcome): a set of vertices in
+    delays, and the outcome from the same source under delays without
+    them.  The arrivals are then repaired from parent_outcome (see
+    _repair), with the same bits as a full run, and the result's changed
+    holds the vertices whose arrival differs from the parent's.
     """
     n = graph.vertex_count
     if not (0 <= source < n):
@@ -313,12 +310,12 @@ def fire_arrivals(
         dist = [INF] * n
         dist[source] = 0.0
         return FireOutcome(tuple(_settle(graph.out_arcs, dist, [(0.0, source)], delays)))
-    parent_delays, parent_outcome = parent
-    if not parent_delays.items() <= delays.items():
-        raise StructuralError("the parent delays are not a sub-map of the delays")
+    added, parent_outcome = parent
+    if not added <= delays.keys():
+        raise StructuralError("an added vertex has no delay")
     if len(parent_outcome.arrival) != n:
         raise StructuralError("parent outcome length mismatch")
-    return _repair(graph, parent_outcome.arrival, delays, parent_delays)
+    return _repair(graph, parent_outcome.arrival, delays, added)
 
 
 def compute_arrival_times(
@@ -336,7 +333,9 @@ def compute_arrival_times(
     if parent is None and not alloc.assignments:
         return instance.free_burn
     if parent is not None:
-        parent = (dict.fromkeys(parent[0].protected, instance.delay), parent[1])
+        if not parent[0].protected <= alloc.protected:
+            raise StructuralError("the parent protects a vertex the allocation does not")
+        parent = (alloc.protected - parent[0].protected, parent[1])
     delays = dict.fromkeys(alloc.protected, instance.delay)
     return fire_arrivals(instance.graph, instance.ignition, delays, parent)
 

@@ -35,11 +35,9 @@ _C_W = (A_W * math.exp(-B_W * SIGMA**C_W)) * (BETA_REL ** (-D_W * math.exp(-E_W 
 _B_W = F_W * SIGMA**G_W
 
 
-def slope_factor(slope_tangent: float, beta: float = BETA) -> float:
+def slope_factor(slope_tangent: float) -> float:
     """Dimensionless slope factor; quadratic in the slope tangent."""
-    if beta <= 0:
-        raise DomainError(f"packing ratio must be positive, got {beta}")
-    return A_S * beta ** (-B_S) * slope_tangent**2
+    return _K_S * slope_tangent**2
 
 
 def wind_factor(wind_speed: float) -> float:

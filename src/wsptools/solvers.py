@@ -87,12 +87,6 @@ class SolverResult:
     objective: int
 
 
-def _unburned(outcome: FireOutcome, t: float, alloc: Allocation) -> list[int]:
-    """Vertices still open at time t: arrival >= t and not protected by alloc."""
-    protected = alloc.protected
-    return [v for v, a in enumerate(outcome.arrival) if a >= t and v not in protected]
-
-
 def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) -> SolverResult:
     """Repeatedly build random incremental allocations, keep the best.
 
@@ -285,7 +279,9 @@ def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResu
                 best_alloc = alloc
             return
         (release_time, count), first = levels[level]
-        candidates = _unburned(outcome, release_time, alloc)
+        # every open vertex: the oracle does not rely on the level filter of rs and beam
+        candidates = [v for v, a in enumerate(outcome.arrival)
+                      if a >= release_time and v not in alloc.protected]
         for combo in subsets_up_to(candidates, count):
             if not combo:  # place nothing: same allocation and outcome
                 recurse(level + 1, alloc, outcome)

@@ -211,8 +211,8 @@ def test_criterion_06_physics_spot_checks():
         failures.append("wind factor at zero")
     if albini_multiplier(-5.0, -0.2) != 1.0:
         failures.append("downslope backfire multiplier")
-    if abs(slope_factor(1.0, 0.005) - 25.854221349058093) > 1e-9:
-        failures.append(f"slope factor reference: {slope_factor(1.0, 0.005)!r}")
+    if abs(slope_factor(1.0) - 25.854221349058093) > 1e-9:
+        failures.append(f"slope factor reference: {slope_factor(1.0)!r}")
     if abs(wind_factor(100.0) - 0.033864572923739816) > 1e-9:
         failures.append(f"wind factor reference: {wind_factor(100.0)!r}")
     if travel_time(800.0, 10.0, 10.0) != 80.0:

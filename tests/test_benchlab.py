@@ -68,6 +68,8 @@ class TestRecordsCsv:
              "line 2: invalid literal for int() with base 10: 'zero'"),
             ("instance,algorithm,seed,objective,wall_seconds,status\ni1,rs,0,3,fast,ok\n",
              "line 2: could not convert string to float: 'fast'"),
+            ("instance,algorithm,seed,objective,wall_seconds,status\ni1,rs,0,3,0.1,okay\n",
+             "line 2: status 'okay' is not one of ok, limit, error"),
         ],
     )
     def test_malformed_csv(self, tmp_path, text, message):
@@ -76,6 +78,21 @@ class TestRecordsCsv:
         with pytest.raises(StructuralError) as info:
             read_records(path)
         assert str(info.value) == f"records file {path} {message}"
+
+    @pytest.mark.parametrize("header", [
+        "version,instance,algorithm,seed,objective,wall_seconds,status",
+        "algorithm,instance,seed,objective,wall_seconds,status",
+    ])
+    def test_append_refuses_another_header(self, tmp_path, header):
+        # rows are written in CSV_COLUMNS order: an extra column left the
+        # file unreadable, a reordered one swapped instance and algorithm
+        path = tmp_path / "runs.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(StructuralError) as info:
+            write_records(path, [rec("i1", "rs", 12)])
+        assert str(info.value) == (f"records file {path} line 1: rows are appended as "
+                                   f"{','.join(CSV_COLUMNS)}, and the header differs")
+        assert path.read_text() == header + "\n"
 
 
 class TestPerformanceProfiles:
@@ -218,6 +235,16 @@ class TestBenchmarkRunner:
         assert [(r.algorithm, r.seed) for r in rest] == [
             ("rs", 1), ("beam", 1), ("beam", 0), ("exact", 1), ("exact", 0)
         ]
+
+    def test_resume_refuses_another_header_before_any_cell(self, rng, tmp_path, capsys):
+        path = self._instance(rng, tmp_path)
+        out = tmp_path / "runs.csv"
+        text = "algorithm,instance,seed,objective,wall_seconds,status\nrs,i1,0,3,0.1,ok\n"
+        out.write_text(text)
+        with pytest.raises(StructuralError, match="and the header differs"):
+            run_benchmark([path], ["magic"], [0], None, out)
+        assert capsys.readouterr().err == ""  # the failing cell never ran
+        assert out.read_text() == text
 
     def test_unknown_algorithm_recorded_as_error(self, rng, tmp_path, capsys):
         instance = random_grid_instance(rng, side=3)

@@ -528,6 +528,8 @@ class TestBenchAndReport:
              "line 2: fewer fields than the header"),
             ("instance,algorithm,seed,objective,wall_seconds,status\ni1,rs,0,many,0.1,ok\n",
              "line 2: invalid literal for int()"),
+            ("instance,algorithm,seed,objective,wall_seconds,status\ni1,rs,0,3,0.1,okay\n",
+             "line 2: status 'okay' is not one of ok, limit, error"),
         ],
     )
     def test_malformed_records_csv(self, small_instance, tmp_path, capsys, text, message):
@@ -546,6 +548,24 @@ class TestBenchAndReport:
         assert code == 2
         assert f"error: records file {records} {message}" in err
         assert records.read_text() == text
+
+    @pytest.mark.parametrize("header", [
+        "instance,algorithm,seed,objective,wall_seconds,status,stop",
+        "instance,seed,algorithm,objective,wall_seconds,status",
+    ])
+    def test_bench_refuses_a_header_rows_would_not_match(self, small_instance, tmp_path,
+                                                         capsys, header):
+        records = tmp_path / "records.csv"
+        records.write_text(header + "\n")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "instances": [str(small_instance)], "algorithms": ["rs"], "seeds": [0],
+        }))
+        code, _, err = run(capsys, "bench", "--plan", str(plan), "--out", str(records))
+        assert code == 2
+        assert f"error: records file {records} line 1: rows are appended as" in err
+        assert "Traceback" not in err
+        assert records.read_text() == header + "\n"
 
     def test_ok_objective_below_one(self, tmp_path, capsys):
         records = tmp_path / "records.csv"

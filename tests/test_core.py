@@ -269,6 +269,22 @@ class TestAllocation:
         with pytest.raises(StructuralError):
             Allocation(((0, 3), (0, 4)))
 
+    def test_protected_is_the_vertex_set_outside_eq_hash_and_repr(self):
+        alloc, vertices = EMPTY_ALLOCATION, set()
+        for resource, vertex in enumerate([5, 2, 9, 0, 7]):
+            alloc = alloc.extended([(resource, vertex)])
+            vertices.add(vertex)
+            assert alloc.protected == vertices
+            assert isinstance(alloc.protected, frozenset)
+        alloc = alloc.extended([(5, 1), (6, 4)])
+        assert alloc.protected == {5, 2, 9, 0, 7, 1, 4}
+        same = Allocation(alloc.assignments)
+        assert same == alloc and hash(same) == hash(alloc)
+        assert repr(alloc) == f"Allocation(assignments={alloc.assignments!r})"
+        # the same vertices under other resources: another allocation
+        other = Allocation(tuple((r + 1, v) for r, v in alloc.assignments))
+        assert other.protected == alloc.protected and other != alloc
+
     def test_resource_release_lookup(self, figure_instance):
         assert figure_instance.resource_release_time(0) == 2.0
         assert figure_instance.resource_release_time(2) == 4.0

@@ -95,7 +95,8 @@ class TestFireArrivals:
             parent_delays = {v: d for v, d in delays.items() if rng.random() < 0.5}
             parent_outcome = fire_arrivals(graph, source, parent_delays)
             full = fire_arrivals(graph, source, delays)
-            repaired = fire_arrivals(graph, source, delays, (parent_delays, parent_outcome))
+            added = delays.keys() - parent_delays.keys()
+            repaired = fire_arrivals(graph, source, delays, (added, parent_outcome))
             assert repaired.arrival == full.arrival
             assert repaired.changed == {
                 v for v, (a, b) in enumerate(zip(parent_outcome.arrival, full.arrival)) if a != b
@@ -253,7 +254,7 @@ def test_repair_never_pushes_an_infinite_label(heap_pops):
     graph = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
     parent = fire_arrivals(graph, 0, {})
     heap_pops[0] = 0
-    repaired = fire_arrivals(graph, 0, {1: INF}, ({}, parent))
+    repaired = fire_arrivals(graph, 0, {1: INF}, (frozenset({1}), parent))
     assert repaired.arrival == (0.0, 1.0, INF)
     assert repaired.changed == {2}
     assert heap_pops[0] == 1
@@ -357,16 +358,16 @@ class TestRepairInputs:
             compute_arrival_times(figure_instance, _vertices_alloc((2, 5)),
                                   parent=(parent_alloc, parent_outcome))
 
-    def test_rejects_parent_delays_not_a_sub_map(self, figure_instance):
+    def test_rejects_added_vertex_without_a_delay(self, figure_instance):
         graph, source = figure_instance.graph, figure_instance.ignition
-        parent_delays = {2: 1.0, 4: 3.0}
-        parent = (parent_delays, fire_arrivals(graph, source, parent_delays))
-        # a parent delay with another value, or on a vertex without one
-        for delays in ({2: 1.0, 4: 2.0, 5: 1.0}, {2: 1.0, 5: 3.0}):
-            with pytest.raises(StructuralError, match="parent"):
-                fire_arrivals(graph, source, delays, parent)
-        repaired = fire_arrivals(graph, source, {2: 1.0, 4: 3.0, 5: 1.0}, parent)
-        assert repaired.arrival == fire_arrivals(graph, source, {2: 1.0, 4: 3.0, 5: 1.0}).arrival
+        delays = {2: 1.0, 4: 3.0, 5: 1.0}
+        parent_outcome = fire_arrivals(graph, source, {2: 1.0, 4: 3.0})
+        # a vertex of the graph, or one out of its range, that delays lacks
+        for added in ({3, 5}, {5, 9}):
+            with pytest.raises(StructuralError, match="added vertex has no delay"):
+                fire_arrivals(graph, source, delays, (frozenset(added), parent_outcome))
+        repaired = fire_arrivals(graph, source, delays, (frozenset({5}), parent_outcome))
+        assert repaired.arrival == fire_arrivals(graph, source, delays).arrival
 
     def test_rejects_outcome_of_another_size(self, figure_instance):
         with pytest.raises(StructuralError, match="length"):

@@ -36,15 +36,11 @@ class TestSlopeFactor:
         assert slope_factor(0.0) == 0.0
 
     def test_frozen_reference_value(self):
-        assert slope_factor(1.0, 0.005) == pytest.approx(PHI_S_TAN1_BETA_0005, abs=1e-9)
+        assert slope_factor(1.0) == pytest.approx(PHI_S_TAN1_BETA_0005, abs=1e-9)
 
     def test_even_in_tangent(self):
         for a in np.linspace(-2.0, 2.0, 17):
             assert slope_factor(a) == slope_factor(-a)
-
-    def test_rejects_nonpositive_beta(self):
-        with pytest.raises(DomainError):
-            slope_factor(1.0, 0.0)
 
 
 class TestWindFactor:
