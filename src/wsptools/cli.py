@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 
 from wsptools import INSTANCE_FORMAT_VERSION, __version__
 from wsptools.core import (
@@ -71,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # generate's choices are the generator's level tables and its defaults
-    # GeneratorConfig's fields; "medium" is the level of GeneratorConfig.n
+    # generate's choices are the generator's level tables; each flag but
+    # --grid/--grid-side sets the GeneratorConfig field named by its dest and
+    # takes that field's default; "medium" is the level of GeneratorConfig.n
     config = gen.GeneratorConfig
     p = sub.add_parser("generate", help="generate a grid instance")
     p.add_argument("--seed", type=int, default=config.seed, help="generator seed")
@@ -80,32 +82,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid side: 20/30/40/80 cells")
     p.add_argument("--grid-side", type=int, default=None,
                    help="explicit grid side, overrides --grid (flagged in meta)")
-    p.add_argument("--wind", default=config.wind_level, choices=list(gen.WIND_LEVELS),
-                   help="midflame wind-speed interval (ft/min)")
+    p.add_argument("--wind", dest="wind_level", default=config.wind_level,
+                   choices=list(gen.WIND_LEVELS), help="midflame wind-speed interval (ft/min)")
     p.add_argument("--wind-direction", type=float, default=config.wind_direction,
                    help="predominant wind direction (radians, 0 = +x)")
-    p.add_argument("--slope", default=config.slope_level, choices=list(gen.SLOPE_LEVELS),
-                   help="terrain steepness (max elevation in ft)")
-    p.add_argument("--delay", default=config.delay_level, choices=list(gen.DELAY_LEVELS),
+    p.add_argument("--slope", dest="slope_level", default=config.slope_level,
+                   choices=list(gen.SLOPE_LEVELS), help="terrain steepness (max elevation in ft)")
+    p.add_argument("--delay", dest="delay_level", default=config.delay_level,
+                   choices=list(gen.DELAY_LEVELS),
                    help="suppression delay relative to the horizon (minutes)")
-    p.add_argument("--resources", default=config.resources_level,
+    p.add_argument("--resources", dest="resources_level", default=config.resources_level,
                    choices=list(gen.RESOURCE_LEVELS),
                    help="resource count relative to the grid side")
-    p.add_argument("--decisions", type=int, default=config.decision_points,
-                   help="number of release points")
+    p.add_argument("--decisions", dest="decision_points", type=int,
+                   default=config.decision_points, help="number of release points")
     p.add_argument("--first-release", default=config.first_release,
                    choices=list(gen.FIRST_RELEASE_LEVELS), help="first release burn percentile")
     p.add_argument("--last-release", default=config.last_release,
                    choices=list(gen.LAST_RELEASE_LEVELS), help="last release burn percentile")
-    p.add_argument("--extent", type=float, default=config.landscape_extent,
-                   help="landscape extent (ft)")
+    p.add_argument("--extent", dest="landscape_extent", type=float,
+                   default=config.landscape_extent, help="landscape extent (ft)")
     p.add_argument("-o", "--output", required=True, help="output instance file (JSON)")
 
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("--algo", required=True, choices=list(SOLVERS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", type=float, default=None, help="random-search limit (seconds)")
-    p.add_argument("--iterations", type=int, default=None, help="random-search limit (iterations)")
+    # each bound flag sets the SolverBudget field named by its dest
+    p.add_argument("--time-limit", dest="max_seconds", type=float, default=None,
+                   help="random-search limit (seconds)")
+    p.add_argument("--iterations", dest="max_iterations", type=int, default=None,
+                   help="random-search limit (iterations)")
     p.add_argument("--beam-width", type=int, default=SolverBudget.beam_width)
     p.add_argument("--expansions", type=int, default=SolverBudget.expansions,
                    help="child combinations per beam node")
@@ -169,17 +175,7 @@ def _cmd_generate(args) -> int:
 
     n = args.grid_side if args.grid_side is not None else GRID_LEVELS[args.grid]
     config = GeneratorConfig(
-        seed=args.seed,
-        n=n,
-        landscape_extent=args.extent,
-        slope_level=args.slope,
-        wind_level=args.wind,
-        wind_direction=args.wind_direction,
-        decision_points=args.decisions,
-        resources_level=args.resources,
-        delay_level=args.delay,
-        first_release=args.first_release,
-        last_release=args.last_release,
+        n=n, **{f.name: getattr(args, f.name) for f in fields(GeneratorConfig) if f.name != "n"}
     )
     instance = generate_instance(config)
     save_instance(instance, args.output)
@@ -190,8 +186,7 @@ def _cmd_generate(args) -> int:
 def _budget(args):
     from wsptools.solvers import SolverBudget
 
-    return SolverBudget(args.time_limit, args.iterations, args.beam_width, args.expansions,
-                        args.max_nodes)
+    return SolverBudget(**{f.name: getattr(args, f.name) for f in fields(SolverBudget)})
 
 
 def _cmd_solve(args) -> int:
@@ -230,15 +225,16 @@ def _load_json_object(path, what: str) -> dict:
     return doc
 
 
-def _load_aux(path, keys):
-    """The aux JSON object, which must hold every key in keys."""
+def _load_aux(path, required, optional=()):
+    """The keys of the aux JSON object among required and optional, which
+    are the model builder's parameter names; every required key must be there."""
     if path is None:
         raise StructuralError("--aux file required for this model")
     aux = _load_json_object(path, "aux")
-    missing = [key for key in keys if key not in aux]
+    missing = [key for key in required if key not in aux]
     if missing:
         raise StructuralError(f"aux file {path} lacks {', '.join(missing)}")
-    return aux
+    return {key: aux[key] for key in (*required, *optional) if key in aux}
 
 
 def _cmd_export_mip(args) -> int:
@@ -248,31 +244,12 @@ def _cmd_export_mip(args) -> int:
     if args.model == "wsp":
         model = build_wsp_model(instance)
     elif args.model == "hof":
-        aux = _load_aux(args.aux, ("targets", "alpha", "beta", "k"))
-        integral = aux.get("integral", False)
-        if not isinstance(integral, bool):
-            raise StructuralError(f"aux integral must be true or false, got {integral!r}")
-        model = build_hof_model(
-            graph=instance.graph,
-            ignition=instance.ignition,
-            targets=aux["targets"],
-            alpha=aux["alpha"],
-            beta=aux["beta"],
-            k=aux["k"],
-            integral=integral,
-        )
+        aux = _load_aux(args.aux, ("targets", "alpha", "beta", "k"), ("integral",))
+        model = build_hof_model(graph=instance.graph, ignition=instance.ignition, **aux)
     else:
         aux = _load_aux(args.aux, ("weights", "flame_lengths", "flame_threshold", "k"))
-        model = build_wei_model(
-            graph=instance.graph,
-            ignition=instance.ignition,
-            horizon=instance.horizon,
-            delay=instance.delay,
-            weights=aux["weights"],
-            flame_lengths=aux["flame_lengths"],
-            flame_threshold=aux["flame_threshold"],
-            k=aux["k"],
-        )
+        model = build_wei_model(graph=instance.graph, ignition=instance.ignition,
+                                horizon=instance.horizon, delay=instance.delay, **aux)
     text = export_model(model, args.format)
     with open(args.output, "w") as f:
         f.write(text)

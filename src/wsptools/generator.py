@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,9 @@ HOURS_24 = 1440.0  # minutes
 HOURS_48 = 2880.0
 
 STANDARD_GRID_SIZES = frozenset(GRID_LEVELS.values())
+
+# Unit suffixes of the GeneratorConfig fields whose instance meta keys carry one
+META_UNITS = {"landscape_extent": "_ft", "wind_direction": "_rad"}
 
 
 @dataclass(frozen=True)
@@ -319,28 +322,17 @@ def generate_instance(config: GeneratorConfig) -> WspInstance:
     delay = DELAY_LEVELS[config.delay_level](horizon)
     rng = np.random.default_rng(_mix_seed(config.seed, 1000))
     schedule = build_resource_schedule(config, horizon, arrivals, rng)
-    meta = {
-        "generator": {
-            "version": __version__,
-            "seed": config.seed,
-            "n": config.n,
-            "landscape_extent_ft": config.landscape_extent,
-            "cell_spacing_ft": config.cell_spacing,
-            "slope_level": config.slope_level,
-            "wind_level": config.wind_level,
-            "wind_direction_rad": config.wind_direction,
-            "decision_points": config.decision_points,
-            "resources_level": config.resources_level,
-            "delay_level": config.delay_level,
-            "first_release": config.first_release,
-            "last_release": config.last_release,
-            "horizon_min": horizon,
-            "delay_min": delay,
-            "resource_count": config.resource_count,
-            "release_times_min": [t for t, _ in schedule],
-            "nonstandard_grid": config.n not in STANDARD_GRID_SIZES,
-        }
-    }
+    meta = {"generator": {name + META_UNITS.get(name, ""): value
+                          for name, value in asdict(config).items()}}
+    meta["generator"].update(
+        version=__version__,
+        cell_spacing_ft=config.cell_spacing,
+        horizon_min=horizon,
+        delay_min=delay,
+        resource_count=config.resource_count,
+        release_times_min=[t for t, _ in schedule],
+        nonstandard_grid=config.n not in STANDARD_GRID_SIZES,
+    )
     return WspInstance(
         graph=graph,
         ignition=config.ignition,

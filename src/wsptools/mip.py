@@ -210,6 +210,8 @@ def build_hof_model(
     alpha = _per_vertex("alpha", alpha, n)
     beta = _per_vertex("beta", beta, n)
     _finite("k", k)
+    if not isinstance(integral, bool):
+        raise StructuralError(f"integral must be true or false, got {integral!r}")
     a, r = _names("a", n), _names("r", n)
     variables = [Variable(name, CONTINUOUS) for name in a]
     variables += [Variable(name, BINARY if integral else CONTINUOUS, 0.0, 1.0) for name in r]

@@ -41,6 +41,8 @@ class MvnpInstance:
             raise StructuralError("source and sink must differ")
         if self.k < 0 or not self.h > 0:
             raise StructuralError("require k >= 0 and h > 0")
+        if not math.isfinite(self.h):
+            raise StructuralError(f"h must be finite, got {self.h}")
 
 
 @dataclass(frozen=True)

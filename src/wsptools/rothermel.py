@@ -73,8 +73,8 @@ def albini_multipliers(wind_speeds_signed, slope_tangents_signed) -> np.ndarray:
     live = cases[0] | cases[1] | cases[2]
     phi_w = np.zeros(u.shape)
     phi_s = np.zeros(a.shape)
-    phi_w[live] = [_C_W * abs(w) ** _B_W for w in u[live].tolist()]
-    phi_s[live] = [_K_S * t**2 for t in a[live].tolist()]
+    phi_w[live] = [wind_factor(abs(w)) for w in u[live].tolist()]
+    phi_s[live] = [slope_factor(t) for t in a[live].tolist()]
     wind_excess = phi_w - phi_s
     slope_excess = phi_s - phi_w
     # max(0.0, x) is x only where x > 0.0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,13 @@ import wsptools
 from wsptools import generator, solvers
 from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records
 from wsptools.cli import _budget, _load_plan, build_parser, dispatch
-from wsptools.core import compute_arrival_times, load_instance, objective, solution_from_json
+from wsptools.core import (
+    compute_arrival_times,
+    load_instance,
+    objective,
+    save_instance,
+    solution_from_json,
+)
 from wsptools.rothermel import albini_multiplier
 
 
@@ -58,14 +65,20 @@ class TestParsing:
 
     def test_shared_defaults(self, tmp_path, monkeypatch):
         # --algo choices and plan validation read solvers.SOLVERS, so a new
-        # entry reaches both; the solve flags default to SolverBudget()
+        # entry reaches both; the solve bound flags are the SolverBudget fields
+        # by dest, each with its field's default
         table = {**solvers.SOLVERS, "extra": solvers.SOLVERS["rs"]}
         monkeypatch.setattr(solvers, "SOLVERS", table)
         parser = build_parser()
+        budget = {f.name: f.default for f in fields(solvers.SolverBudget)}
         for algo in table:
             args = parser.parse_args(["solve", "--algo", algo, "-i", "x", "-o", "y"])
             assert args.algo == algo
             assert _budget(args) == solvers.SolverBudget()
+            dests = vars(args)
+            for other in ("command", "algo", "seed", "input", "output"):
+                del dests[other]
+            assert dests == budget
         with pytest.raises(SystemExit):
             parser.parse_args(["solve", "--algo", "greedy", "-i", "x", "-o", "y"])
         plan = tmp_path / "plan.json"
@@ -75,20 +88,18 @@ class TestParsing:
         assert args.delta == SM_DELTA_45_INSTANCES
 
     def test_generate_flags_read_generator_tables(self, monkeypatch):
-        # the level flags take their choices from the generator's tables, and
-        # every generate flag defaults to the GeneratorConfig field it sets
+        # the level flags take their choices from the generator's tables; the
+        # flags but --grid/--grid-side are every GeneratorConfig field except n
+        # by dest, each with its field's default, and --grid defaults to n's level
         monkeypatch.setattr(generator, "WIND_LEVELS", {**generator.WIND_LEVELS, "gale": (1, 2)})
         parser = build_parser()
-        assert parser.parse_args(["generate", "--wind", "gale", "-o", "x"]).wind == "gale"
-        args = parser.parse_args(["generate", "-o", "x"])
-        config = generator.GeneratorConfig()
-        assert generator.GRID_LEVELS[args.grid] == config.n
-        assert (args.seed, args.extent, args.slope, args.wind, args.wind_direction,
-                args.decisions, args.resources, args.delay, args.first_release,
-                args.last_release) == (
-            config.seed, config.landscape_extent, config.slope_level, config.wind_level,
-            config.wind_direction, config.decision_points, config.resources_level,
-            config.delay_level, config.first_release, config.last_release)
+        assert parser.parse_args(["generate", "--wind", "gale", "-o", "x"]).wind_level == "gale"
+        dests = vars(parser.parse_args(["generate", "-o", "x"]))
+        config = {f.name: f.default for f in fields(generator.GeneratorConfig)}
+        assert generator.GRID_LEVELS[dests.pop("grid")] == config.pop("n")
+        for other in ("command", "grid_side", "output"):
+            del dests[other]
+        assert dests == config
         for flag, table in [
             ("--grid", "GRID_LEVELS"), ("--slope", "SLOPE_LEVELS"), ("--delay", "DELAY_LEVELS"),
             ("--resources", "RESOURCE_LEVELS"), ("--first-release", "FIRST_RELEASE_LEVELS"),
@@ -103,6 +114,24 @@ class TestGenerate:
         instance = load_instance(small_instance)
         assert instance.graph.vertex_count == 36
         assert instance.total_resources == 3  # "few" on a side-6 grid
+
+    def test_every_flag_reaches_the_config(self, tmp_path, capsys):
+        config = generator.GeneratorConfig(
+            seed=4, n=7, landscape_extent=9000.0, slope_level="steep", wind_level="strong",
+            wind_direction=0.7, decision_points=3, resources_level="many", delay_level="low",
+            first_release="late", last_release="late",
+        )
+        assert all(getattr(config, f.name) != f.default for f in fields(config))
+        path = tmp_path / "cli.json"
+        code, _, err = run(
+            capsys, "generate", "--seed", "4", "--grid-side", "7", "--extent", "9000",
+            "--slope", "steep", "--wind", "strong", "--wind-direction", "0.7",
+            "--decisions", "3", "--resources", "many", "--delay", "low",
+            "--first-release", "late", "--last-release", "late", "-o", str(path),
+        )
+        assert code == 0, err
+        save_instance(generator.generate_instance(config), tmp_path / "lib.json")
+        assert path.read_bytes() == (tmp_path / "lib.json").read_bytes()
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -222,6 +251,23 @@ class TestSolveAndEvaluate:
         assert report["feasible"] is True
         assert report["violations"] == []
         assert report["objective"] == reported
+
+    def test_evaluate_vertex_out_of_range(self, small_instance, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"instance_id": "x", "objective": 0, "assignments": [[0, 99]]}))
+        code, out, err = run(capsys, "evaluate", "-i", str(small_instance), "-s", str(sol))
+        assert code == 2 and out == ""
+        assert "vertex 99 out of range" in err
+
+    def test_evaluate_resource_not_in_schedule(self, small_instance, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"instance_id": "x", "objective": 0, "assignments": [[7, 3]]}))
+        code, out, _ = run(capsys, "evaluate", "-i", str(small_instance), "-s", str(sol))
+        assert code == 0
+        report = json.loads(out)
+        assert report["feasible"] is False
+        assert report["violations"] == [
+            {"resource": 7, "vertex": 3, "reason": "resource id not in schedule"}]
 
     def test_malformed_instance_file(self, small_instance, tmp_path, capsys):
         doc = json.loads(small_instance.read_text())
@@ -431,6 +477,17 @@ class TestReduce:
                            "-i", str(mvnp_file), "-o", str(tmp_path / "out.json"))
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("target", ["wsp", "wwsp", "hwsp"])
+    def test_infinite_h_writes_nothing(self, mvnp_file, tmp_path, capsys, target):
+        # json reads and writes the Infinity token, which strict JSON parsers reject
+        doc = json.loads(mvnp_file.read_text())
+        mvnp_file.write_text(json.dumps(dict(doc, h=float("inf"))))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "reduce", "--to", target, "-i", str(mvnp_file), "-o", str(out))
+        assert code == 2
+        assert "h must be finite" in err
+        assert not out.exists()
 
     def test_non_object_mvnp_file(self, tmp_path, capsys):
         path = tmp_path / "mvnp.json"

@@ -46,6 +46,12 @@ class TestMvnpBasics:
         with pytest.raises(StructuralError):
             MvnpInstance(graph, 0, 1, -1, 1.0)
 
+    def test_rejects_infinite_h(self):
+        # the reductions would write h into their outputs as an Infinity token
+        graph = DirectedGraph(2, ((0, 1, 1.0),))
+        with pytest.raises(StructuralError, match="h must be finite, got inf"):
+            MvnpInstance(graph, 0, 1, 1, math.inf)
+
     def test_brute_solver_on_triangle(self):
         removal, value = solve_mvnp_brute(triangle_mvnp())
         assert removal == frozenset({1})

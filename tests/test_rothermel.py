@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wsptools import rothermel
 from wsptools.rothermel import (
     A_S,
     A_W,
@@ -130,6 +131,14 @@ class TestAlbiniMultipliers:
 
     def test_empty(self):
         assert albini_multipliers([], []).shape == (0,)
+
+    def test_reads_the_factor_functions(self, monkeypatch):
+        # the multiplier takes phi_w and phi_s from wind_factor and slope_factor,
+        # the one owner of each formula
+        monkeypatch.setattr(rothermel, "wind_factor", lambda w: 10.0 * w)
+        monkeypatch.setattr(rothermel, "slope_factor", lambda t: 100.0 * t)
+        assert albini_multipliers([2.0, 2.0, -3.0, -1.0], [0.5, -0.1, 0.5, -1.0]).tolist() == [
+            1.0 + 20.0 + 50.0, 1.0 + 20.0 - -10.0, 1.0 + 50.0 - 30.0, 1.0]
 
 
 class TestRateOfSpread:
