@@ -226,15 +226,18 @@ def _load_json_object(path, what: str) -> dict:
 
 
 def _load_aux(path, required, optional=()):
-    """The keys of the aux JSON object among required and optional, which
-    are the model builder's parameter names; every required key must be there."""
+    """The aux JSON object, whose keys are the model builder's parameter
+    names: every required key must be there and no key beyond optional."""
     if path is None:
         raise StructuralError("--aux file required for this model")
     aux = _load_json_object(path, "aux")
     missing = [key for key in required if key not in aux]
     if missing:
         raise StructuralError(f"aux file {path} lacks {', '.join(missing)}")
-    return {key: aux[key] for key in (*required, *optional) if key in aux}
+    unknown = sorted(set(aux) - {*required, *optional})
+    if unknown:
+        raise StructuralError(f"aux file {path} has unknown keys {', '.join(unknown)}")
+    return aux
 
 
 def _cmd_export_mip(args) -> int:

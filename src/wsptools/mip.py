@@ -344,8 +344,16 @@ def evaluate_objective(model: LinearModel, assignment: dict[str, float]) -> floa
 # ---------------------------------------------------------------------------
 # Export
 
-def _num(x: float) -> str:
-    return repr(float(x))
+class _Numbers(dict):
+    """Number -> repr(float(number)) for one export call, so each distinct
+    number is formatted once. Equal numbers of any type share a text, but
+    0.0 == -0.0 print apart, so zero is formatted on every lookup."""
+
+    def __missing__(self, x) -> str:
+        text = repr(float(x))
+        if x:
+            self[x] = text
+        return text
 
 
 def export_model(model: LinearModel, format: str = "lp") -> str:
@@ -357,11 +365,11 @@ def export_model(model: LinearModel, format: str = "lp") -> str:
     raise ValueError(f"unknown export format {format!r}")
 
 
-def _terms_lp(terms) -> str:
+def _terms_lp(terms, num: _Numbers) -> str:
     parts = []
     for coef, var in terms:
         sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_num(abs(coef))} {var}")
+        parts.append(f"{sign} {num[abs(coef)]} {var}")
     if not parts:
         return "0"
     text = " ".join(parts)
@@ -369,19 +377,20 @@ def _terms_lp(terms) -> str:
 
 
 def _export_lp(model: LinearModel) -> str:
+    num = _Numbers()
     lines = []
     lines.append("\\ " + model.name)
     lines.append("Minimize" if model.objective_sense == MIN else "Maximize")
-    lines.append(" obj: " + _terms_lp(model.objective_terms))
+    lines.append(" obj: " + _terms_lp(model.objective_terms, num))
     lines.append("Subject To")
     for c in model.constraints:
-        lines.append(f" {c.name}: {_terms_lp(c.terms)} {c.sense} {_num(c.rhs)}")
+        lines.append(f" {c.name}: {_terms_lp(c.terms, num)} {c.sense} {num[c.rhs]}")
     lines.append("Bounds")
     for v in model.variables:
         if v.kind == BINARY and v.lower == 0.0 and v.upper == 1.0:
             continue
-        lo = "-inf" if v.lower == -math.inf else _num(v.lower)
-        hi = "+inf" if v.upper == math.inf else _num(v.upper)
+        lo = "-inf" if v.lower == -math.inf else num[v.lower]
+        hi = "+inf" if v.upper == math.inf else num[v.upper]
         lines.append(f" {lo} <= {v.name} <= {hi}")
     binaries = [v.name for v in model.variables if v.kind == BINARY]
     if binaries:
@@ -394,6 +403,7 @@ def _export_lp(model: LinearModel) -> str:
 
 def _export_mps(model: LinearModel) -> str:
     sense_row = {LE: "L", EQ: "E", GE: "G"}
+    num = _Numbers()
 
     lines = [f"NAME {model.name}"]
     if model.objective_sense == MAX:
@@ -426,14 +436,14 @@ def _export_mps(model: LinearModel) -> str:
             marker += 1
             in_integer = False
         for row, coef in by_var[v.name]:
-            lines.append(f" {v.name} {row} {_num(coef)}")
+            lines.append(f" {v.name} {row} {num[coef]}")
     if in_integer:
         lines.append(f" MARKER{marker} 'MARKER' 'INTEND'")
 
     lines.append("RHS")
     for c in model.constraints:
         if c.rhs != 0.0:
-            lines.append(f" RHS {c.name} {_num(c.rhs)}")
+            lines.append(f" RHS {c.name} {num[c.rhs]}")
 
     lines.append("BOUNDS")
     for v in model.variables:
@@ -444,8 +454,8 @@ def _export_mps(model: LinearModel) -> str:
                 lines.append(f" BV BND {v.name}")
             continue
         if v.lower != 0.0:
-            lines.append(f" LO BND {v.name} {_num(v.lower)}")
+            lines.append(f" LO BND {v.name} {num[v.lower]}")
         if v.upper != math.inf:
-            lines.append(f" UP BND {v.name} {_num(v.upper)}")
+            lines.append(f" UP BND {v.name} {num[v.upper]}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -386,6 +386,7 @@ class TestExportAux:
             (dict(HOF_AUX, k="2"), "k must be a finite number"),
             (dict(HOF_AUX, integral="yes"), "integral"),
             (dict(HOF_AUX, targets=[3, 3]), "constraint names must be unique"),
+            (dict(HOF_AUX, Integral=True), "unknown keys Integral"),
         ],
     )
     def test_malformed_hof_aux(self, small_instance, tmp_path, capsys, aux, message):
@@ -399,6 +400,7 @@ class TestExportAux:
             ({"flame_lengths": [0.0] * 37}, "flame_lengths must have one entry per vertex"),
             ({"weights": [1.0] * 35 + [None]}, "weights must be a finite number"),
             ({"flame_threshold": None}, "flame_threshold must be a finite number"),
+            ({"delay": 0.0, "horizon": 1.0}, "unknown keys delay, horizon"),
         ],
     )
     def test_malformed_wei_aux(self, small_instance, tmp_path, capsys, change, message):

@@ -13,6 +13,7 @@ from wsptools.generator import (
     FIRST_RELEASE_LEVELS,
     GRID_LEVELS,
     LAST_RELEASE_LEVELS,
+    META_UNITS,
     RESOURCE_LEVELS,
     SLOPE_LEVELS,
     WIND_LEVELS,
@@ -376,9 +377,8 @@ class TestGenerateInstance:
         assert inst.meta["generator"]["seed"] == 5
         assert inst.meta["generator"]["nonstandard_grid"] is False
 
-    # meta["generator"] key of each GeneratorConfig field; the other keys
+    # the meta["generator"] keys beside those of the GeneratorConfig fields
     # record what generation derived
-    META_KEYS = {"landscape_extent": "landscape_extent_ft", "wind_direction": "wind_direction_rad"}
     DERIVED_KEYS = {
         "version", "cell_spacing_ft", "horizon_min", "delay_min", "resource_count",
         "release_times_min", "nonstandard_grid",
@@ -401,7 +401,7 @@ class TestGenerateInstance:
         text = instance_to_json(generate_instance(config))
         meta = json.loads(text)["meta"]["generator"]
         names = [f.name for f in dataclasses.fields(GeneratorConfig)]
-        keys = {name: self.META_KEYS.get(name, name) for name in names}
+        keys = {name: name + META_UNITS.get(name, "") for name in names}
         assert set(keys.values()) == set(meta) - self.DERIVED_KEYS
         rebuilt = GeneratorConfig(**{name: meta[key] for name, key in keys.items()})
         assert instance_to_json(generate_instance(rebuilt)) == text

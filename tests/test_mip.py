@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -388,6 +389,120 @@ class TestExport:
         model = build_hof_model(graph, 0, [1], alpha=[1.0, 0.0], beta=[1.0, 0.0], k=1.0)
         assert "Maximize" in export_model(model, "lp")
         assert "OBJSENSE" in export_model(model, "mps")
+
+
+def mixed_number_model():
+    """Numbers of every type, signed zeros and infinities, the same value
+    repeated across rows and bounds."""
+    half = Fraction(1, 2)
+    variables = (
+        Variable("x", "continuous", -0.0, 2),
+        Variable("y", "continuous", half, math.inf),
+        Variable("z", "continuous", -math.inf, np.float64(2.0)),
+        Variable("b", "binary", 0.0, 1.0),
+        Variable("c", "binary", 0, 0.0),
+    )
+    rows = (
+        Constraint("r1", ((1, "x"), (True, "y"), (np.float64(-0.5), "z"), (0.0, "b")), "<=", half),
+        Constraint("r2", ((-0.0, "x"), (1.0, "y"), (half, "b")), ">=", 0),
+        Constraint("r3", ((0.0, "x"), (-0.0, "z"), (np.float64(1.0), "c")), "=", -0.0),
+    )
+    return LinearModel("mixed", variables, rows, "min", ((2, "x"), (-0.0, "y"), (0.5, "z")))
+
+
+MIXED_LP = """\\ mixed
+Minimize
+ obj: 2.0 x + 0.0 y + 0.5 z
+Subject To
+ r1: 1.0 x + 1.0 y - 0.5 z + 0.0 b <= 0.5
+ r2: 0.0 x + 1.0 y + 0.5 b >= 0.0
+ r3: 0.0 x + 0.0 z + 1.0 c = -0.0
+Bounds
+ -0.0 <= x <= 2.0
+ 0.5 <= y <= +inf
+ -inf <= z <= 2.0
+ 0.0 <= c <= 0.0
+Binaries
+ b
+ c
+End
+"""
+
+MIXED_MPS = """NAME mixed
+ROWS
+ N obj
+ L r1
+ G r2
+ E r3
+COLUMNS
+ x obj 2.0
+ x r1 1.0
+ x r2 -0.0
+ x r3 0.0
+ y obj -0.0
+ y r1 1.0
+ y r2 1.0
+ z obj 0.5
+ z r1 -0.5
+ z r3 -0.0
+ MARKER0 'MARKER' 'INTORG'
+ b r1 0.0
+ b r2 0.5
+ c r3 1.0
+ MARKER1 'MARKER' 'INTEND'
+RHS
+ RHS r1 0.5
+BOUNDS
+ UP BND x 2.0
+ LO BND y 0.5
+ LO BND z -inf
+ UP BND z 2.0
+ BV BND b
+ FX BND c 0.0
+ENDATA
+"""
+
+
+def mps_column_text(text):
+    """{(variable, row): number text} of an MPS COLUMNS section."""
+    lines = text.splitlines()
+    columns = lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
+    return {(var, row): number for var, row, number in map(str.split, columns)
+            if row != "'MARKER'"}
+
+
+def expected_column_text(model):
+    """{(variable, row): repr(float(coefficient))}, one term at a time."""
+    expected = {(var, "obj"): repr(float(coef)) for coef, var in model.objective_terms}
+    for c in model.constraints:
+        expected.update(((var, c.name), repr(float(coef))) for coef, var in c.terms)
+    return expected
+
+
+class TestNumberText:
+    """Every number prints as repr(float(x)) whatever its type, and a
+    signed zero keeps its sign wherever an equal zero printed before it."""
+
+    def test_mixed_model_lp(self):
+        assert export_model(mixed_number_model(), "lp") == MIXED_LP
+
+    def test_mixed_model_mps(self):
+        model = mixed_number_model()
+        text = export_model(model, "mps")
+        assert text == MIXED_MPS
+        assert mps_column_text(text) == expected_column_text(model)
+
+    def test_signed_zero_columns_in_one_model(self):
+        # delay 0.0 makes every spread term -0.0; zero weights make the
+        # objective terms 0.0, written first in each y column
+        graph = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)))
+        model = build_wei_model(
+            graph, 0, horizon=5.0, delay=0.0, weights=[0.0] * 3,
+            flame_lengths=[0.0] * 3, flame_threshold=4.0, k=1,
+        )
+        columns = mps_column_text(export_model(model, "mps"))
+        assert columns == expected_column_text(model)
+        assert {"0.0", "-0.0"} <= set(columns.values())
 
 
 X = Variable("x", "continuous", 0.0, 5.0)
