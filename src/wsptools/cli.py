@@ -205,9 +205,10 @@ def _cmd_evaluate(args) -> int:
     with open(args.solution) as f:
         _, alloc, _ = solution_from_json(f.read())
     violations = check_feasibility(instance, alloc)
-    value = objective(instance, alloc)
+    # no fire is scored for a vertex outside the graph; the violation says why
+    unscored = any(v.reason == "vertex id out of range" for v in violations)
     report = {
-        "objective": value,
+        "objective": None if unscored else objective(instance, alloc),
         "feasible": not violations,
         "violations": [
             {"resource": v.resource, "vertex": v.vertex, "reason": v.reason} for v in violations

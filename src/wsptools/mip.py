@@ -15,6 +15,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from wsptools.core import (
     Allocation,
@@ -34,16 +35,14 @@ MIN, MAX = "min", "max"
 FEASIBILITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str
     lower: float = 0.0
     upper: float = math.inf
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[tuple[float, str], ...]  # (coefficient, variable name)
     sense: str
@@ -51,6 +50,17 @@ class Constraint:
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENTIFIER_LINES = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\n[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _all_identifiers(names: list) -> bool:
+    """True when every name fully matches _IDENTIFIER: one match over the
+    names joined by newlines, whose count shows a name holding one."""
+    try:
+        text = "\n".join(names)
+    except TypeError:  # a name that is not a str
+        return False
+    return text.count("\n") == len(names) - 1 and _IDENTIFIER_LINES.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -77,28 +87,34 @@ class LinearModel:
         if len(declared) != len(names):
             raise StructuralError("variable names not unique")
         rows = [c.name for c in self.constraints]
-        for name in itertools.chain(names, rows):
-            if not (isinstance(name, str) and _IDENTIFIER.fullmatch(name)):
-                raise StructuralError(f"name {name!r} is not an LP/MPS identifier")
+        if not _all_identifiers(names + rows):  # find the first offender
+            for name in itertools.chain(names, rows):
+                if not (isinstance(name, str) and _IDENTIFIER.fullmatch(name)):
+                    raise StructuralError(f"name {name!r} is not an LP/MPS identifier")
         if len(set(rows)) != len(rows) or "obj" in rows:
             raise StructuralError("constraint names must be unique and not obj, the objective row")
-        for c in self.constraints:
-            for _, var in c.terms:
-                if var not in declared:
-                    raise StructuralError(f"constraint {c.name} references unknown variable {var}")
-        for _, var in self.objective_terms:
-            if var not in declared:
-                raise StructuralError(f"objective references unknown variable {var}")
+        referenced = itertools.chain(*(c.terms for c in self.constraints), self.objective_terms)
+        if not declared.issuperset({var for _, var in referenced}):
+            owners = [(f"constraint {c.name}", c.terms) for c in self.constraints]
+            for owner, terms in [*owners, ("objective", self.objective_terms)]:
+                for _, var in terms:  # find the first offender
+                    if var not in declared:
+                        raise StructuralError(f"{owner} references unknown variable {var}")
 
 
 def _vname(prefix: str, *indices: int) -> str:
     return prefix + "_" + "_".join(f"{i:04d}" for i in indices)
 
 
-def _names(prefix: str, count: int, *outer: int) -> list[str]:
-    """[_vname(prefix, *outer, v) for v in range(count)], each name built once."""
+def _digits(n: int) -> list[str]:
+    """The vertex ids' texts in _vname, made once per model build."""
+    return [f"{v:04d}" for v in range(n)]
+
+
+def _names(prefix: str, digits: list[str], *outer: int) -> list[str]:
+    """[_vname(prefix, *outer, v) for v in range(n)], given digits = _digits(n)."""
     head = prefix + "_" + "".join(f"{i:04d}_" for i in outer)
-    return [f"{head}{v:04d}" for v in range(count)]
+    return [head + d for d in digits]
 
 
 def _finite(name: str, value) -> None:
@@ -119,7 +135,7 @@ def _per_vertex(name: str, values, n: int) -> list:
     return values
 
 
-def _propagation_rows(graph, ignition, a, tail_terms, rhs=None) -> list[Constraint]:
+def _propagation_rows(graph, ignition, a, digits, tail_terms, rhs=None) -> list[Constraint]:
     """Ignition row a_s = 0, then per arc (u, v) in sorted order the spread
     row a_v - a_u + tail_terms[u] <= rhs[u] (the travel time when rhs is None)."""
     if not 0 <= ignition < len(a):
@@ -127,16 +143,17 @@ def _propagation_rows(graph, ignition, a, tail_terms, rhs=None) -> list[Constrai
     rows = [Constraint("ignition", ((1.0, a[ignition]),), EQ, 0.0)]
     for u, v, t in sorted(graph.arcs):
         terms = ((1.0, a[v]), (-1.0, a[u]), *tail_terms[u])
-        rows.append(Constraint(_vname("spread", u, v), terms, LE, t if rhs is None else rhs[u]))
+        name = f"spread_{digits[u]}_{digits[v]}"  # _vname("spread", u, v)
+        rows.append(Constraint(name, terms, LE, t if rhs is None else rhs[u]))
     return rows
 
 
-def _burn_rows(a, y, horizon: float) -> list[Constraint]:
+def _burn_rows(a, y, digits, horizon: float) -> list[Constraint]:
     """y_v + a_v / H >= 1: a vertex reached before the horizon burns."""
     inverse = 1.0 / horizon
     return [
         Constraint(name, ((1.0, yv), (inverse, av)), GE, 1.0)
-        for name, yv, av in zip(_names("burn", len(a)), y, a)
+        for name, yv, av in zip(_names("burn", digits), y, a)
     ]
 
 
@@ -167,20 +184,21 @@ def build_wsp_model(instance: WspInstance) -> LinearModel:
     horizon, delay = instance.horizon, instance.delay
     a_upper = _arrival_upper_bound(instance)
 
-    a, y = _names("a", n), _names("y", n)
-    r = [_names("r", n, i) for i in range(T)]
+    digits = _digits(n)
+    a, y = _names("a", digits), _names("y", digits)
+    r = [_names("r", digits, i) for i in range(T)]
     variables = [Variable(name, CONTINUOUS, 0.0, a_upper) for name in a]
     variables += [Variable(name, BINARY, 0.0, 1.0) for name in itertools.chain(y, *r)]
 
     delay_terms = [[(-delay, r[i][u]) for i in range(T)] for u in range(n)]
-    rows = _propagation_rows(instance.graph, instance.ignition, a, delay_terms)
+    rows = _propagation_rows(instance.graph, instance.ignition, a, digits, delay_terms)
     rows += [_sum_row(_vname("capacity", i), r[i], count) for i, (_, count) in enumerate(schedule)]
-    rows += [_sum_row(name, column, 1.0) for name, column in zip(_names("single", n), zip(*r))]
+    rows += [_sum_row(name, column, 1.0) for name, column in zip(_names("single", digits), zip(*r))]
     for i, (release_time, _) in enumerate(schedule):
         # a_v - t_i * r_iv >= 0, linear as written since t_i <= H
-        for name, av, rv in zip(_names("avail", n, i), a, r[i]):
+        for name, av, rv in zip(_names("avail", digits, i), a, r[i]):
             rows.append(Constraint(name, ((1.0, av), (-release_time, rv)), GE, 0.0))
-    rows += _burn_rows(a, y, horizon)
+    rows += _burn_rows(a, y, digits, horizon)
     return LinearModel("wsp", variables, rows, MIN, tuple((1.0, name) for name in y))
 
 
@@ -212,7 +230,8 @@ def build_hof_model(
     _finite("k", k)
     if not isinstance(integral, bool):
         raise StructuralError(f"integral must be true or false, got {integral!r}")
-    a, r = _names("a", n), _names("r", n)
+    digits = _digits(n)
+    a, r = _names("a", digits), _names("r", digits)
     variables = [Variable(name, CONTINUOUS) for name in a]
     variables += [Variable(name, BINARY if integral else CONTINUOUS, 0.0, 1.0) for name in r]
 
@@ -230,7 +249,7 @@ def build_hof_model(
         objective = ((1.0, "earliest"),)
 
     treatment_terms = [[(-float(alpha[u]), r[u])] for u in range(n)]
-    rows += _propagation_rows(graph, ignition, a, treatment_terms, [float(b) for b in beta])
+    rows += _propagation_rows(graph, ignition, a, digits, treatment_terms, [float(b) for b in beta])
     rows.append(_sum_row("budget", r, k))
     return LinearModel("hof", variables, rows, MAX, objective)
 
@@ -259,15 +278,16 @@ def build_wei_model(
     _finite("flame_threshold", flame_threshold)
     _finite("k", k)
     unsafe = [flame > flame_threshold for flame in flame_lengths]
-    a, y, r = _names("a", n), _names("y", n), _names("r", n)
+    digits = _digits(n)
+    a, y, r = _names("a", digits), _names("y", digits), _names("r", digits)
     variables = [Variable(name, CONTINUOUS) for name in a]
     variables += [Variable(name, BINARY, 0.0, 1.0) for name in y]
     variables += [
         Variable(name, BINARY, 0.0, 0.0 if fixed else 1.0) for name, fixed in zip(r, unsafe)
     ]
 
-    rows = _propagation_rows(graph, ignition, a, [[(-delay, name)] for name in r])
-    rows += _burn_rows(a, y, horizon)
+    rows = _propagation_rows(graph, ignition, a, digits, [[(-delay, name)] for name in r])
+    rows += _burn_rows(a, y, digits, horizon)
     rows.append(_sum_row("budget", r, k))
     rows += [
         Constraint(_vname("safety", v), ((1.0, r[v]),), EQ, 0.0) for v in range(n) if unsafe[v]
@@ -383,16 +403,16 @@ def _export_lp(model: LinearModel) -> str:
     lines.append("Minimize" if model.objective_sense == MIN else "Maximize")
     lines.append(" obj: " + _terms_lp(model.objective_terms, num))
     lines.append("Subject To")
-    for c in model.constraints:
-        lines.append(f" {c.name}: {_terms_lp(c.terms, num)} {c.sense} {num[c.rhs]}")
+    for row, terms, sense, rhs in model.constraints:
+        lines.append(f" {row}: {_terms_lp(terms, num)} {sense} {num[rhs]}")
     lines.append("Bounds")
-    for v in model.variables:
-        if v.kind == BINARY and v.lower == 0.0 and v.upper == 1.0:
+    for name, kind, lower, upper in model.variables:
+        if kind == BINARY and lower == 0.0 and upper == 1.0:
             continue
-        lo = "-inf" if v.lower == -math.inf else num[v.lower]
-        hi = "+inf" if v.upper == math.inf else num[v.upper]
-        lines.append(f" {lo} <= {v.name} <= {hi}")
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
+        lo = "-inf" if lower == -math.inf else num[lower]
+        hi = "+inf" if upper == math.inf else num[upper]
+        lines.append(f" {lo} <= {name} <= {hi}")
+    binaries = [name for name, kind, _, _ in model.variables if kind == BINARY]
     if binaries:
         lines.append("Binaries")
         for name in binaries:
@@ -411,22 +431,24 @@ def _export_mps(model: LinearModel) -> str:
         lines.append(" MAX")
     lines.append("ROWS")
     lines.append(" N obj")
-    for c in model.constraints:
-        lines.append(f" {sense_row[c.sense]} {c.name}")
-
-    # column-major coefficients, in variable declaration order
-    by_var: dict[str, list[tuple[str, float]]] = {v.name: [] for v in model.variables}
+    # one pass over the rows: ROWS lines now, coefficient lines per column
+    # (in variable declaration order) and RHS lines for later
+    by_var: dict[str, list[str]] = {v.name: [] for v in model.variables}
     for coef, var in model.objective_terms:
-        by_var[var].append(("obj", coef))
-    for c in model.constraints:
-        for coef, var in c.terms:
-            by_var[var].append((c.name, coef))
+        by_var[var].append(f" {var} obj {num[coef]}")
+    rhs_lines = ["RHS"]
+    for row, terms, sense, rhs in model.constraints:
+        lines.append(f" {sense_row[sense]} {row}")
+        for coef, var in terms:
+            by_var[var].append(f" {var} {row} {num[coef]}")
+        if rhs != 0.0:
+            rhs_lines.append(f" RHS {row} {num[rhs]}")
 
     lines.append("COLUMNS")
     marker = 0
     in_integer = False
-    for v in model.variables:
-        is_int = v.kind == BINARY
+    for name, kind, _, _ in model.variables:
+        is_int = kind == BINARY
         if is_int and not in_integer:
             lines.append(f" MARKER{marker} 'MARKER' 'INTORG'")
             marker += 1
@@ -435,27 +457,22 @@ def _export_mps(model: LinearModel) -> str:
             lines.append(f" MARKER{marker} 'MARKER' 'INTEND'")
             marker += 1
             in_integer = False
-        for row, coef in by_var[v.name]:
-            lines.append(f" {v.name} {row} {num[coef]}")
+        lines += by_var[name]
     if in_integer:
         lines.append(f" MARKER{marker} 'MARKER' 'INTEND'")
-
-    lines.append("RHS")
-    for c in model.constraints:
-        if c.rhs != 0.0:
-            lines.append(f" RHS {c.name} {num[c.rhs]}")
+    lines += rhs_lines
 
     lines.append("BOUNDS")
-    for v in model.variables:
-        if v.kind == BINARY:
-            if v.upper == 0.0:
-                lines.append(f" FX BND {v.name} 0.0")
+    for name, kind, lower, upper in model.variables:
+        if kind == BINARY:
+            if upper == 0.0:
+                lines.append(f" FX BND {name} 0.0")
             else:
-                lines.append(f" BV BND {v.name}")
+                lines.append(f" BV BND {name}")
             continue
-        if v.lower != 0.0:
-            lines.append(f" LO BND {v.name} {num[v.lower]}")
-        if v.upper != math.inf:
-            lines.append(f" UP BND {v.name} {num[v.upper]}")
+        if lower != 0.0:
+            lines.append(f" LO BND {name} {num[lower]}")
+        if upper != math.inf:
+            lines.append(f" UP BND {name} {num[upper]}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

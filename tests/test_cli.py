@@ -255,9 +255,13 @@ class TestSolveAndEvaluate:
     def test_evaluate_vertex_out_of_range(self, small_instance, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         sol.write_text(json.dumps({"instance_id": "x", "objective": 0, "assignments": [[0, 99]]}))
-        code, out, err = run(capsys, "evaluate", "-i", str(small_instance), "-s", str(sol))
-        assert code == 2 and out == ""
-        assert "vertex 99 out of range" in err
+        code, out, _ = run(capsys, "evaluate", "-i", str(small_instance), "-s", str(sol))
+        assert code == 0
+        report = json.loads(out)
+        assert report["objective"] is None  # no fire is scored off the graph
+        assert report["feasible"] is False
+        assert report["violations"] == [
+            {"resource": 0, "vertex": 99, "reason": "vertex id out of range"}]
 
     def test_evaluate_resource_not_in_schedule(self, small_instance, tmp_path, capsys):
         sol = tmp_path / "sol.json"

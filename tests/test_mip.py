@@ -584,6 +584,110 @@ class TestModelChecks:
             model.variables = ()
 
 
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the LP/MPS name rule, stated here
+FIRST_CHARS, NEXT_CHARS = "abXY_", "abXY_019"
+BAD_CHARS = "- \né0"  # 0 is bad only in first place
+
+
+def names_model(variable_names, row_names):
+    return LinearModel(
+        "names",
+        [Variable(name, "continuous") for name in variable_names],
+        [Constraint(name, (), "<=", 0.0) for name in row_names],
+        "min",
+        (),
+    )
+
+
+def assert_names_checked(variable_names, row_names):
+    """The model is made exactly when every name is an identifier; else the
+    message names the first offender, variables before rows."""
+    offenders = [
+        name for name in [*variable_names, *row_names]
+        if not (isinstance(name, str) and IDENTIFIER.fullmatch(name))
+    ]
+    if not offenders:
+        names_model(variable_names, row_names)
+        return
+    with pytest.raises(StructuralError) as excinfo:
+        names_model(variable_names, row_names)
+    assert str(excinfo.value) == f"name {offenders[0]!r} is not an LP/MPS identifier"
+
+
+class TestBulkNameCheck:
+    """However the names are checked, a model accepts exactly the names a
+    one-by-one fullmatch accepts and names the same first offender."""
+
+    @staticmethod
+    def random_name(rng):
+        chars = [str(rng.choice(list(FIRST_CHARS)))]
+        chars += [str(rng.choice(list(NEXT_CHARS))) for _ in range(rng.integers(0, 4))]
+        if rng.random() < 0.08:
+            chars[rng.integers(len(chars))] = str(rng.choice(list(BAD_CHARS)))
+        elif rng.random() < 0.02:
+            chars = []
+        return "".join(chars)
+
+    def distinct_names(self, rng, count):
+        names = []
+        while len(names) < count:
+            name = self.random_name(rng)
+            if name not in names and name != "obj":
+                names.append(name)
+        return names
+
+    def test_random_names(self):
+        rng = np.random.default_rng(19)
+        rejected = 0
+        for _ in range(200):
+            variable_names = self.distinct_names(rng, rng.integers(0, 7))
+            row_names = self.distinct_names(rng, rng.integers(0, 5))
+            rejected += not all(map(IDENTIFIER.fullmatch, [*variable_names, *row_names]))
+            assert_names_checked(variable_names, row_names)
+        assert 40 <= rejected <= 160  # both outcomes are well covered
+
+    @pytest.mark.parametrize("bad", ["a\n", "\n", "a\nb", "", 1, None, b"x"])
+    def test_fixed_names(self, bad):
+        for variable_names, row_names in [
+            ([bad], []),
+            ([bad, "a"], ["r"]),
+            (["a", bad], ["r"]),
+            (["a", "b"], [bad]),
+            (["a"], ["r", bad, "s"]),
+            (["a", bad], ["r\n"]),  # the variable is named, not the row
+        ]:
+            assert_names_checked(variable_names, row_names)
+
+    def test_empty_model(self):
+        model = names_model([], [])
+        assert model.variables == () and model.constraints == ()
+        assert export_model(model, "lp").startswith("\\ names\n")
+
+
+class TestRowsAndColumns:
+    """Variables and constraints are immutable records with fixed fields."""
+
+    def test_immutable(self):
+        # AttributeError is also the base of dataclasses.FrozenInstanceError
+        with pytest.raises(AttributeError):
+            X.upper = 1.0
+        with pytest.raises(AttributeError):
+            ROW.rhs = 0.0
+        assert X.upper == 5.0 and ROW.rhs == 4.0
+
+    def test_fields_and_defaults(self):
+        x = Variable("x", "continuous")
+        assert (x.name, x.kind, x.lower, x.upper) == ("x", "continuous", 0.0, math.inf)
+        assert Variable(name="x", kind="continuous", lower=0.0, upper=5.0) == X
+        assert Constraint(name="row", terms=ROW.terms, sense="<=", rhs=4.0) == ROW
+        assert (ROW.name, ROW.terms, ROW.sense) == ("row", ((1.0, "x"), (2.0, "b")), "<=")
+        assert Variable("x", "continuous", 0.0, 4.0) != X
+
+    def test_builds_compare_equal(self):
+        for key, build in golden_models().items():
+            assert build() == build(), key
+
+
 def golden_models():
     """The three builders on one generator instance (n = 12), with
     deterministic per-vertex data for hof and wei."""
