@@ -31,6 +31,7 @@ BINARY = "binary"
 
 LE, EQ, GE = "<=", "=", ">="
 MIN, MAX = "min", "max"
+_KINDS, _SENSES = frozenset({CONTINUOUS, BINARY}), frozenset({LE, EQ, GE})
 
 FEASIBILITY_TOL = 1e-6
 
@@ -70,7 +71,9 @@ class LinearModel:
     Variable and constraint names are LP/MPS identifiers, exported as
     stored; variable names are unique, constraint names are unique and
     never the objective row's name "obj", and every constraint and
-    objective term names a declared variable. StructuralError otherwise.
+    objective term names a declared variable. The objective sense is MIN
+    or MAX, each variable kind CONTINUOUS or BINARY and each row sense LE,
+    EQ or GE. StructuralError otherwise.
     """
 
     name: str
@@ -100,6 +103,14 @@ class LinearModel:
                 for _, var in terms:  # find the first offender
                     if var not in declared:
                         raise StructuralError(f"{owner} references unknown variable {var}")
+        if self.objective_sense not in (MIN, MAX):
+            raise StructuralError(f"objective sense {self.objective_sense!r} is not min or max")
+        if not _KINDS.issuperset({v.kind for v in self.variables}):
+            name, kind = next((v.name, v.kind) for v in self.variables if v.kind not in _KINDS)
+            raise StructuralError(f"variable {name} has kind {kind!r}, not continuous or binary")
+        if not _SENSES.issuperset({c.sense for c in self.constraints}):
+            name, sense = next((c.name, c.sense) for c in self.constraints if c.sense not in _SENSES)
+            raise StructuralError(f"constraint {name} has sense {sense!r}, not <=, = or >=")
 
 
 def _vname(prefix: str, *indices: int) -> str:

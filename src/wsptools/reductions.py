@@ -19,7 +19,13 @@ from wsptools.core import (
     fire_arrivals,
     single_source_distances,
 )
-from wsptools.solvers import MAX_NODES, brute_force, check_search_space, subsets_up_to
+from wsptools.solvers import (
+    MAX_NODES,
+    brute_force,
+    check_search_space,
+    cost_changing,
+    subsets_up_to,
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,23 @@ class WwspInstance:
     delay: float
     horizon: float
 
+    def __post_init__(self):
+        n = self.graph.vertex_count
+        if not 0 <= self.ignition < n:
+            raise StructuralError(f"ignition vertex {self.ignition} out of range")
+        if len(self.weights) != n:
+            raise StructuralError(
+                f"weights must have one entry per vertex ({n}), got {len(self.weights)}"
+            )
+        if not all(math.isfinite(w) for w in self.weights):
+            raise StructuralError("weights must be finite")
+        if self.k < 0:
+            raise StructuralError(f"k must be nonnegative, got {self.k}")
+        if not self.delay >= 0:  # NaN included
+            raise StructuralError(f"delay must be nonnegative, got {self.delay}")
+        if not self.horizon > 0:
+            raise StructuralError(f"horizon must be positive, got {self.horizon}")
+
 
 @dataclass(frozen=True)
 class HwspInstance:
@@ -71,14 +94,23 @@ class HwspInstance:
     vertex_delays: tuple[float, ...]
 
     def __post_init__(self):
+        n = self.graph.vertex_count
         out_costs: dict[int, float] = {}
         for u, _, t in self.graph.arcs:
             if u in out_costs and out_costs[u] != t:
                 raise StructuralError(f"vertex {u} has heterogeneous outgoing arc costs")
             out_costs[u] = t
-        if len(self.vertex_delays) != self.graph.vertex_count:
+        if not 0 <= self.ignition < n:
+            raise StructuralError(f"ignition vertex {self.ignition} out of range")
+        if not self.targets:
+            raise StructuralError("at least one target vertex required")
+        if not all(0 <= v < n for v in self.targets):
+            raise StructuralError(f"targets {sorted(self.targets)} not all in [0, {n})")
+        if self.k < 0:
+            raise StructuralError(f"k must be nonnegative, got {self.k}")
+        if len(self.vertex_delays) != n:
             raise StructuralError("vertex delay vector length mismatch")
-        if any(d < 0 for d in self.vertex_delays):
+        if not all(d >= 0 for d in self.vertex_delays):  # NaN included
             raise StructuralError("vertex delays must be nonnegative")
 
 
@@ -227,14 +259,16 @@ def solve_mvnp_brute(
 
     A removal set is scored by an infinite delay on its vertices'
     out-arcs: the s-t distance is then the least path cost avoiding them,
-    the same bits as on the graph without them.
+    the same bits as on the graph without them.  Only cost_changing
+    vertices, those with out-arcs, are tried.
     """
     g, s, t = mvnp.graph, mvnp.source, mvnp.sink
     removable = [v for v in range(g.vertex_count) if v not in (s, t)]
     check_search_space(len(removable), [mvnp.k], max_nodes)
     best_set: frozenset[int] = frozenset()
     best_value = -math.inf
-    for subset in subsets_up_to(removable, mvnp.k):
+    useful = cost_changing(g, dict.fromkeys(removable, math.inf))
+    for subset in subsets_up_to(useful, mvnp.k):
         value = fire_arrivals(g, s, dict.fromkeys(subset, math.inf)).arrival[t]
         if value > best_value:
             best_value = value
@@ -256,7 +290,8 @@ def decide_wsp_brute(instance: WspInstance, budget: int, max_nodes: int = MAX_NO
 def decide_wwsp_brute(instance: WwspInstance, budget: float, max_nodes: int = MAX_NODES) -> bool:
     allowed = sorted(set(range(instance.graph.vertex_count)) - instance.forbidden)
     check_search_space(len(allowed), [instance.k], max_nodes)
-    for subset in subsets_up_to(allowed, instance.k):
+    useful = cost_changing(instance.graph, dict.fromkeys(allowed, instance.delay))
+    for subset in subsets_up_to(useful, instance.k):
         alloc = Allocation(tuple((i, v) for i, v in enumerate(subset)))
         if evaluate_wwsp(instance, alloc) <= budget:
             return True
@@ -264,9 +299,9 @@ def decide_wwsp_brute(instance: WwspInstance, budget: float, max_nodes: int = MA
 
 
 def decide_hwsp_brute(instance: HwspInstance, threshold: float, max_nodes: int = MAX_NODES) -> bool:
-    vertices = range(instance.graph.vertex_count)
-    check_search_space(len(vertices), [instance.k], max_nodes)
-    for subset in subsets_up_to(vertices, instance.k):
+    check_search_space(instance.graph.vertex_count, [instance.k], max_nodes)
+    useful = cost_changing(instance.graph, dict(enumerate(instance.vertex_delays)))
+    for subset in subsets_up_to(useful, instance.k):
         alloc = Allocation(tuple((i, v) for i, v in enumerate(subset)))
         if evaluate_hwsp(instance, alloc) >= threshold:
             return True

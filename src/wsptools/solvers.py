@@ -20,6 +20,7 @@ import numpy as np
 from wsptools.core import (
     EMPTY_ALLOCATION,
     Allocation,
+    DirectedGraph,
     FireOutcome,
     WspInstance,
     compute_arrival_times,
@@ -38,6 +39,21 @@ def subsets_up_to(items, k: int):
     set first, then each size in itertools.combinations order."""
     for size in range(min(k, len(items)) + 1):
         yield from itertools.combinations(items, size)
+
+
+def cost_changing(graph: DirectedGraph, delays: dict[int, float]) -> list[int]:
+    """The vertices of delays, in its order, whose protection can change an
+    arc cost: those with out-arcs and a positive delay.
+
+    delays maps a vertex to its delay, as in core.fire_arrivals.  Any other
+    protection leaves every arrival's bits as they are without it ((d + t)
+    + 0.0 is d + t, and a vertex without out-arcs relaxes nothing), and
+    subsets_up_to yields that smaller set first.  So a search over
+    subsets_up_to of these vertices that keeps the first best, by a strict
+    comparison, returns what a search over every vertex would.
+    """
+    out_arcs = graph.out_arcs
+    return [v for v, d in delays.items() if d > 0 and out_arcs[v]]
 
 
 def check_search_space(n: int, counts, max_nodes: int) -> None:
@@ -259,12 +275,13 @@ def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResu
 
     Each allocation carries its outcome down the recursion; a new one is
     scored by a full kernel run, not repaired, so this oracle does not
-    depend on the repair it is used to check.
+    depend on the repair it is used to check.  Only cost_changing vertices
+    are tried; the estimate counts every vertex.
     """
-    check_search_space(
-        instance.graph.vertex_count, [count for _, count in instance.schedule], max_nodes
-    )
+    n = instance.graph.vertex_count
+    check_search_space(n, [count for _, count in instance.schedule], max_nodes)
 
+    useful = cost_changing(instance.graph, dict.fromkeys(range(n), instance.delay))
     horizon = instance.horizon
     root = compute_arrival_times(instance, EMPTY_ALLOCATION)
     best_alloc, best_obj = EMPTY_ALLOCATION, root.burned_count(horizon)
@@ -279,9 +296,10 @@ def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResu
                 best_alloc = alloc
             return
         (release_time, count), first = levels[level]
-        # every open vertex: the oracle does not rely on the level filter of rs and beam
-        candidates = [v for v, a in enumerate(outcome.arrival)
-                      if a >= release_time and v not in alloc.protected]
+        # every open useful vertex: the oracle does not rely on the level filter
+        # of rs and beam
+        arrival = outcome.arrival
+        candidates = [v for v in useful if arrival[v] >= release_time and v not in alloc.protected]
         for combo in subsets_up_to(candidates, count):
             if not combo:  # place nothing: same allocation and outcome
                 recurse(level + 1, alloc, outcome)

@@ -577,6 +577,45 @@ class TestModelChecks:
         assert " x: 1.0 x >= 1.0\n" in export_model(model, "lp")
         assert " G x\n" in export_model(model, "mps")
 
+    def test_unknown_objective_sense_rejected(self):
+        # the LP writer would head it Maximize while MPS writes no OBJSENSE
+        with pytest.raises(StructuralError,
+                           match=re.escape("objective sense 'minimize' is not min or max")):
+            LinearModel("m", [X, B], [ROW], "minimize", [(1.0, "x")])
+
+    def test_unknown_variable_kind_rejected(self):
+        assert_rejected(
+            "variable i has kind 'integer', not continuous or binary",
+            variables=[Variable("i", "integer"), Variable("j", "general")],
+        )
+
+    def test_unknown_row_sense_rejected(self):
+        # LP would write "lt: 1.0 x < 1.0" and MPS has no row type for it
+        assert_rejected(
+            "constraint lt has sense '<', not <=, = or >=",
+            constraints=[Constraint("ge", ((1.0, "x"),), ">=", 0.0),
+                         Constraint("lt", ((1.0, "x"),), "<", 1.0),
+                         Constraint("gt", ((1.0, "x"),), ">", 1.0)],
+        )
+
+    @pytest.mark.parametrize("sense, lp_head, mps_head", [
+        ("min", "Minimize", ["NAME m", "ROWS"]),
+        ("max", "Maximize", ["NAME m", "OBJSENSE", " MAX", "ROWS"]),
+    ])
+    def test_both_formats_write_the_objective_sense(self, sense, lp_head, mps_head):
+        model = LinearModel("m", [X, B], [ROW], sense, [(1.0, "x")])
+        assert export_model(model, "lp").splitlines()[1] == lp_head
+        assert export_model(model, "mps").splitlines()[:len(mps_head)] == mps_head
+
+    def test_both_formats_write_every_row_sense(self):
+        senses = {"<=": "L", "=": "E", ">=": "G"}
+        rows = [Constraint(f"r_{i}", ((1.0, "x"),), s, 1.0) for i, s in enumerate(senses)]
+        model = two_variable_model(constraints=rows)
+        lp, mps = export_model(model, "lp"), export_model(model, "mps")
+        for i, (sense, row_type) in enumerate(senses.items()):
+            assert f" r_{i}: 1.0 x {sense} 1.0\n" in lp
+            assert f" {row_type} r_{i}\n" in mps
+
     def test_model_is_frozen(self):
         model = LinearModel("m", [X, B], [ROW], "min", [(1.0, "x")])
         assert model == two_variable_model()  # lists are stored as tuples

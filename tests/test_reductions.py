@@ -1,14 +1,17 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from wsptools import core, reductions
 from wsptools.core import (
     EMPTY_ALLOCATION,
     Allocation,
     DirectedGraph,
     StructuralError,
+    compute_arrival_times,
     single_source_distances,
 )
 from wsptools.reductions import (
@@ -28,8 +31,10 @@ from wsptools.reductions import (
     solve_mvnp_brute,
     verify_reductions,
 )
-from wsptools.solvers import LimitExceeded
-from wsptools.testkit import random_mvnp_instance
+from wsptools.solvers import LimitExceeded, SolverResult, brute_force, subsets_up_to
+from wsptools.testkit import random_digraph, random_mvnp_instance
+
+from helpers import random_grid_instance, random_wsp_instance
 
 
 def triangle_mvnp():
@@ -321,3 +326,191 @@ class TestEquivalenceSweep:
                 no += 1
         # the sweep must exercise both answers to be meaningful
         assert yes > 0 and no > 0
+
+
+class TestReducedInstanceChecks:
+    """The reduced instances reject malformed fields when they are made, as
+    MvnpInstance does, so no search reads an invalid delay."""
+
+    PATH = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"weights": (0.0, 0.0, 1.0, 1.0, 1.0)}, "one entry per vertex (3), got 5"),
+        ({"weights": (0.0, 1.0)}, "one entry per vertex (3), got 2"),
+        ({"delay": -1.0}, "delay must be nonnegative, got -1.0"),
+        ({"delay": math.nan}, "delay must be nonnegative, got nan"),
+        ({"k": -1}, "k must be nonnegative, got -1"),
+        ({"ignition": 3}, "ignition vertex 3 out of range"),
+        ({"weights": (0.0, math.nan, 1.0)}, "weights must be finite"),
+        ({"horizon": math.nan}, "horizon must be positive, got nan"),
+    ], ids=["long-weights", "short-weights", "negative-delay", "nan-delay", "negative-k",
+            "ignition", "nan-weight", "nan-horizon"])
+    def test_wwsp_rejects(self, change, message):
+        fields = dict(graph=self.PATH, weights=(0.0, 0.0, 1.0), ignition=0, k=1,
+                      forbidden=frozenset({0, 2}), delay=2.0, horizon=3.0)
+        WwspInstance(**fields)
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            WwspInstance(**dict(fields, **change))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"targets": frozenset()}, "at least one target vertex required"),
+        ({"targets": frozenset({2, 9})}, "targets [2, 9] not all in [0, 3)"),
+        ({"k": -1}, "k must be nonnegative, got -1"),
+        ({"vertex_delays": (0.0, math.nan, 0.0)}, "vertex delays must be nonnegative"),
+        ({"vertex_delays": (0.0, -1.0, 0.0)}, "vertex delays must be nonnegative"),
+        ({"ignition": -1}, "ignition vertex -1 out of range"),
+    ], ids=["no-targets", "target-out-of-range", "negative-k", "nan-delay", "negative-delay",
+            "ignition"])
+    def test_hwsp_rejects(self, change, message):
+        fields = dict(graph=self.PATH, ignition=0, targets=frozenset({2}), k=1,
+                      vertex_delays=(0.0, 3.0, 0.0))
+        HwspInstance(**fields)
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            HwspInstance(**dict(fields, **change))
+
+
+# The exhaustive searches as they were before they skipped protections that
+# change no arc cost: every subset of every allowed vertex, each scored by a
+# full kernel run.
+
+def plain_brute_force(instance):
+    horizon = instance.horizon
+    root = compute_arrival_times(instance, EMPTY_ALLOCATION)
+    best = [EMPTY_ALLOCATION, root.burned_count(horizon)]
+    levels = list(zip(instance.schedule, instance.first_resources))
+
+    def recurse(level, alloc, outcome):
+        if level == len(levels):
+            obj = outcome.burned_count(horizon)
+            if obj < best[1]:
+                best[:] = [alloc, obj]
+            return
+        (release_time, count), first = levels[level]
+        candidates = [v for v, a in enumerate(outcome.arrival)
+                      if a >= release_time and v not in alloc.protected]
+        for combo in subsets_up_to(candidates, count):
+            child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
+            recurse(level + 1, child, compute_arrival_times(instance, child))
+
+    recurse(0, EMPTY_ALLOCATION, root)
+    return SolverResult(*best)
+
+
+def subset_allocations(vertices, k):
+    for subset in subsets_up_to(list(vertices), k):
+        yield Allocation(tuple(enumerate(subset)))
+
+
+def wwsp_values(instance):
+    allowed = sorted(set(range(instance.graph.vertex_count)) - instance.forbidden)
+    return [evaluate_wwsp(instance, a) for a in subset_allocations(allowed, instance.k)]
+
+
+def hwsp_values(instance):
+    vertices = range(instance.graph.vertex_count)
+    return [evaluate_hwsp(instance, a) for a in subset_allocations(vertices, instance.k)]
+
+
+def random_hwsp_instance(rng):
+    """Augmented random graph whose vertex delays are often zero."""
+    graph = random_digraph(rng, max_vertices=5, arc_prob=0.5, max_cost=4.0, integer_costs=True)
+    while not graph.arcs:
+        graph = random_digraph(rng, max_vertices=5, arc_prob=0.5, max_cost=4.0,
+                               integer_costs=True)
+    graph, _ = cost_preserving_augmentation(graph)
+    n = graph.vertex_count
+    delays = tuple(float(rng.choice([0.0, 0.0, 1.0, 2.5])) for _ in range(n))
+    return HwspInstance(graph, 0, frozenset({n - 1}), int(rng.integers(0, 3)), delays)
+
+
+def random_wwsp_instance(rng):
+    graph = random_digraph(rng, max_vertices=7, arc_prob=0.3, max_cost=4.0, integer_costs=True)
+    n = graph.vertex_count
+    return WwspInstance(
+        graph=graph,
+        weights=tuple(float(w) for w in rng.integers(0, 3, size=n)),
+        ignition=0,
+        k=int(rng.integers(0, 3)),
+        forbidden=frozenset({0}),
+        delay=float(rng.choice([0.0, 0.5, 2.0, 5.0])),
+        horizon=float(rng.integers(2, 9)),
+    )
+
+
+def has_skipped_vertex(graph, delays):
+    return any(d == 0 or not graph.out_arcs[v] for v, d in enumerate(delays))
+
+
+class TestProtectionSkip:
+    """The searches skip every protection that changes no arc cost (no
+    out-arcs or a zero delay) and still return exactly what the plain
+    enumerations return."""
+
+    def test_decisions_match_plain_enumeration(self):
+        rng = np.random.default_rng(20)
+        skipped = 0
+        for _ in range(200):
+            mvnp = random_mvnp_instance(rng, max_vertices=6)
+            assert solve_mvnp_brute(mvnp) == subgraph_solve_mvnp_brute(mvnp)
+            wsp, wsp_budget = mvnp_to_wsp(mvnp)
+            assert brute_force(wsp) == plain_brute_force(wsp)
+            wwsp, wwsp_budget = mvnp_to_wwsp(mvnp)
+            assert decide_wwsp_brute(wwsp, wwsp_budget) == (min(wwsp_values(wwsp)) <= wwsp_budget)
+            hwsp, threshold = mvnp_to_hwsp(mvnp)
+            assert decide_hwsp_brute(hwsp, threshold) == (max(hwsp_values(hwsp)) >= threshold)
+            # the timed reduction's leaves have no out-arcs; the homogeneous
+            # one gives the source a zero delay
+            skipped += has_skipped_vertex(wsp.graph, [wsp.delay] * wsp.graph.vertex_count)
+            assert has_skipped_vertex(hwsp.graph, hwsp.vertex_delays)
+        assert skipped > 100
+
+    def test_wwsp_at_every_budget(self):
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            instance = random_wwsp_instance(rng)
+            values = wwsp_values(instance)
+            for budget in {min(values) - 1.0, *values}:
+                expected = any(v <= budget for v in values)
+                assert decide_wwsp_brute(instance, budget) == expected, instance
+
+    def test_hwsp_at_every_threshold(self):
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            instance = random_hwsp_instance(rng)
+            values = hwsp_values(instance)
+            for threshold in {*values, math.inf}:
+                expected = any(v >= threshold for v in values)
+                assert decide_hwsp_brute(instance, threshold) == expected, instance
+
+    def test_brute_force_on_random_tiny_graphs(self):
+        rng = np.random.default_rng(23)
+        skipped = 0
+        for _ in range(200):
+            instance = random_wsp_instance(rng, max_vertices=7)
+            skipped += has_skipped_vertex(instance.graph, [1.0] * instance.graph.vertex_count)
+            assert brute_force(instance) == plain_brute_force(instance), instance
+        assert skipped > 100
+
+    def test_zero_delay(self):
+        instance = random_grid_instance(np.random.default_rng(0), 3, delay=0.0)
+        assert brute_force(instance) == plain_brute_force(instance)
+        assert brute_force(instance).allocation == EMPTY_ALLOCATION
+
+
+def test_verify_reductions_kernel_runs_pinned(monkeypatch):
+    """Deterministic work gate: fire_arrivals runs of verify_reductions
+    over 50 samples (2279 before the searches skipped protections that
+    change no arc cost)."""
+    calls = [0]
+    run = core.fire_arrivals
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(core, "fire_arrivals", counting)
+    monkeypatch.setattr(reductions, "fire_arrivals", counting)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        assert verify_reductions(random_mvnp_instance(rng))["agree"]
+    assert calls[0] == 748

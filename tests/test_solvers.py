@@ -392,12 +392,13 @@ class TestEvaluationCount:
         assert len(evaluated) == 1 + extensions[0] == pinned
         assert repaired[0] == extensions[0]
 
-    @pytest.mark.parametrize("name, pinned", [("figure", 120), ("grid3", 30)])
+    @pytest.mark.parametrize("name, pinned", [("figure", 64), ("grid3", 30)])
     def test_brute_force_evaluates_each_extension_once(self, name, pinned, counted, request):
         evaluated, repaired, extensions = counted
         brute_force(self.instance(name, request))
         # one full run of the empty allocation, then one per allocation
-        # that places a resource; placing nothing reuses the outcome
+        # that places a resource on vertices with out-arcs (the figure's
+        # vertex 8 has none); placing nothing reuses the outcome
         assert len(evaluated) == 1 + extensions[0] == pinned
         assert repaired[0] == 0
 
