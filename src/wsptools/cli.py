@@ -8,6 +8,7 @@ or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -456,13 +457,20 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def dispatch(argv) -> int:
+    """Run one command and return its exit code. The parser is built once per
+    process, so the subcommand tables (solvers.SOLVERS, the generator's level
+    tables) are read once per process, when the first command is parsed."""
     from wsptools.generator import GenerationError
     from wsptools.solvers import LimitExceeded
 
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

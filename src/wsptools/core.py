@@ -378,15 +378,10 @@ def check_feasibility(instance: WspInstance, alloc: Allocation) -> list[Violatio
 
     outcome = compute_arrival_times(instance, alloc)
     for resource, vertex in alloc.assignments:
-        release = instance.resource_release_time(resource)
-        if outcome.arrival[vertex] < release:
-            violations.append(
-                Violation(
-                    resource,
-                    vertex,
-                    f"vertex burns at {outcome.arrival[vertex]:g} before release {release:g}",
-                )
-            )
+        arrival, release = outcome.arrival[vertex], instance.resource_release_time(resource)
+        if arrival < release:
+            reason = f"vertex burns at {arrival:g} before release {release:g}"
+            violations.append(Violation(resource, vertex, reason))
     return violations
 
 
@@ -489,12 +484,8 @@ def instance_from_json(text: str) -> WspInstance:
         raise StructuralError(
             f"instance format version {version} is not supported (expected {INSTANCE_FORMAT_VERSION})"
         )
-    graph = DirectedGraph(
-        vertex_count=_json_int(doc, "vertex_count"),
-        arcs=_json_arcs(doc),
-    )
     return WspInstance(
-        graph=graph,
+        graph=DirectedGraph(vertex_count=_json_int(doc, "vertex_count"), arcs=_json_arcs(doc)),
         ignition=_json_int(doc, "ignition"),
         horizon=_json_float(doc, "horizon_min"),
         delay=_json_float(doc, "delay_min"),

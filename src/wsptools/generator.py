@@ -14,6 +14,7 @@ serialized instances are byte-stable across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -27,7 +28,7 @@ from wsptools.core import (
     single_source_distances,
 )
 from wsptools.noise import gradient_noise, _mix_seed
-from wsptools.rothermel import DomainError, albini_multipliers, travel_time
+from wsptools.rothermel import DomainError, albini_multipliers, per_distinct, travel_time
 
 
 class GenerationError(RuntimeError):
@@ -225,8 +226,9 @@ def build_travel_times(config: GeneratorConfig, landscape: Landscape) -> Directe
     spread rates.  Both rates share the arc's one Albini multiplier.
 
     All arcs are evaluated as arrays with the operations, in the order,
-    of the per-arc formulas; math.hypot and the multiplier's powers run
-    per arc in Python, so every travel time is bitwise the scalar one.
+    of the per-arc formulas; math.hypot (of |dz|, the same bits) and the
+    multiplier's powers run in Python once per distinct input, so every
+    travel time is bitwise the scalar one.
     """
     n = config.n
     d = float(config.cell_spacing)
@@ -248,7 +250,7 @@ def build_travel_times(config: GeneratorConfig, landscape: Landscape) -> Directe
     multiplier = albini_multipliers(wind_component, slope_tan)
     r_tail = base_ros[tails] * multiplier
     r_head = base_ros[heads] * multiplier
-    length = np.array([math.hypot(d, z) for z in dz.tolist()])
+    length = per_distinct(functools.partial(math.hypot, d), np.abs(dz))
     times = travel_time(length, r_tail, r_head)
     return DirectedGraph(
         vertex_count=n * n, arcs=tuple(zip(tails.tolist(), heads.tolist(), times.tolist()))

@@ -17,14 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from wsptools.core import (
-    Allocation,
-    DirectedGraph,
-    StructuralError,
-    WspInstance,
-    check_feasibility,
-    compute_arrival_times,
-)
+from wsptools.core import DirectedGraph, StructuralError, WspInstance
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -32,8 +25,6 @@ BINARY = "binary"
 LE, EQ, GE = "<=", "=", ">="
 MIN, MAX = "min", "max"
 _KINDS, _SENSES = frozenset({CONTINUOUS, BINARY}), frozenset({LE, EQ, GE})
-
-FEASIBILITY_TOL = 1e-6
 
 
 class Variable(NamedTuple):
@@ -187,8 +178,6 @@ def build_wsp_model(instance: WspInstance) -> LinearModel:
     availability (a_v >= t_i when protected at point i); and the burn
     indicator y_v >= 1 - a_v/H.
     """
-    if instance.horizon <= 0:
-        raise StructuralError("horizon must be positive")
     n = instance.graph.vertex_count
     schedule = instance.schedule
     T = len(schedule)
@@ -307,83 +296,19 @@ def build_wei_model(
     return LinearModel("wei", variables, rows, MIN, objective)
 
 
-def allocation_to_assignment(instance: WspInstance, alloc: Allocation) -> dict[str, float]:
-    """Variable assignment induced by a feasible allocation.
-
-    r_iv follows the allocation, a_v the computed arrival times (clamped
-    to the variable upper bound for unreachable vertices), and y_v marks
-    arrival before the horizon.
-    """
-    violations = check_feasibility(instance, alloc)
-    if violations:
-        raise StructuralError(f"allocation infeasible: {violations[0].reason}")
-    n = instance.graph.vertex_count
-    T = len(instance.schedule)
-    outcome = compute_arrival_times(instance, alloc)
-    a_upper = _arrival_upper_bound(instance)
-
-    assignment: dict[str, float] = {}
-    for v in range(n):
-        a = outcome.arrival[v]
-        assignment[_vname("a", v)] = min(a, a_upper)
-        assignment[_vname("y", v)] = 1.0 if a < instance.horizon else 0.0
-    for i in range(T):
-        for v in range(n):
-            assignment[_vname("r", i, v)] = 0.0
-    for resource, vertex in alloc.assignments:
-        point = instance.release_point_of(resource)
-        assignment[_vname("r", point, vertex)] = 1.0
-    return assignment
-
-
-def validate_assignment(
-    model: LinearModel, assignment: dict[str, float], tol: float = FEASIBILITY_TOL
-) -> list[tuple[str, float]]:
-    """Violated constraints with residuals; empty iff feasible within tol.
-
-    The residual is the amount by which the constraint is violated
-    (always positive for reported entries).  Variable bounds are checked
-    as pseudo-constraints named bound:<var>.
-    """
-    missing = [v.name for v in model.variables if v.name not in assignment]
-    if missing:
-        raise StructuralError(f"assignment missing variables: {missing[:5]}")
-    violated: list[tuple[str, float]] = []
-    for v in model.variables:
-        x = assignment[v.name]
-        if x < v.lower - tol:
-            violated.append((f"bound:{v.name}", v.lower - x))
-        elif x > v.upper + tol:
-            violated.append((f"bound:{v.name}", x - v.upper))
-    for c in model.constraints:
-        value = math.fsum(coef * assignment[var] for coef, var in c.terms)
-        if c.sense == LE:
-            residual = value - c.rhs
-        elif c.sense == GE:
-            residual = c.rhs - value
-        else:
-            residual = abs(value - c.rhs)
-        if residual > tol:
-            violated.append((c.name, residual))
-    return violated
-
-
-def evaluate_objective(model: LinearModel, assignment: dict[str, float]) -> float:
-    return math.fsum(coef * assignment[var] for coef, var in model.objective_terms)
-
-
 # ---------------------------------------------------------------------------
 # Export
 
 class _Numbers(dict):
     """Number -> repr(float(number)) for one export call, so each distinct
     number is formatted once. Equal numbers of any type share a text, but
-    0.0 == -0.0 print apart, so zero is formatted on every lookup."""
+    0.0 == -0.0 share a key and print apart, so zero is never stored: its
+    sign picks one of the two texts."""
 
     def __missing__(self, x) -> str:
-        text = repr(float(x))
-        if x:
-            self[x] = text
+        if not x:
+            return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
+        text = self[x] = repr(float(x))
         return text
 
 

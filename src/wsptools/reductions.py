@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from wsptools.core import (
-    Allocation,
     DirectedGraph,
     StructuralError,
     WspInstance,
@@ -223,27 +222,31 @@ def mvnp_to_hwsp(mvnp: MvnpInstance) -> tuple[HwspInstance, float]:
 # Evaluators
 
 
-def evaluate_wwsp(instance: WwspInstance, alloc: Allocation) -> float:
-    """Weighted burned value under an allocation (resources at t = 0)."""
-    bad = alloc.protected & instance.forbidden
+def evaluate_wwsp(instance: WwspInstance, protected) -> float:
+    """Weighted burned value with the given vertices protected (resources
+    at t = 0)."""
+    protected = frozenset(protected)
+    bad = protected & instance.forbidden
     if bad:
         raise StructuralError(f"allocation protects forbidden vertices {sorted(bad)}")
-    if len(alloc.protected) > instance.k:
+    if len(protected) > instance.k:
         raise StructuralError("allocation exceeds the resource budget")
-    delays = dict.fromkeys(alloc.protected, instance.delay)
+    delays = dict.fromkeys(protected, instance.delay)
     outcome = fire_arrivals(instance.graph, instance.ignition, delays)
     return math.fsum(
         instance.weights[v] for v, a in enumerate(outcome.arrival) if a < instance.horizon
     )
 
 
-def evaluate_hwsp(instance: HwspInstance, alloc: Allocation) -> float:
-    """Earliest fire arrival among the targets under an allocation."""
-    if len(alloc.protected) > instance.k:
+def evaluate_hwsp(instance: HwspInstance, protected) -> float:
+    """Earliest fire arrival among the targets with the given vertices
+    protected."""
+    protected = frozenset(protected)
+    if len(protected) > instance.k:
         raise StructuralError("allocation exceeds the resource budget")
     extra = instance.vertex_delays
     # a vertex out of range gets a stand-in delay, and fire_arrivals rejects it
-    delays = {v: extra[v] if 0 <= v < len(extra) else 0.0 for v in alloc.protected}
+    delays = {v: extra[v] if 0 <= v < len(extra) else 0.0 for v in protected}
     outcome = fire_arrivals(instance.graph, instance.ignition, delays)
     return min(outcome.arrival[v] for v in instance.targets)
 
@@ -292,8 +295,7 @@ def decide_wwsp_brute(instance: WwspInstance, budget: float, max_nodes: int = MA
     check_search_space(len(allowed), [instance.k], max_nodes)
     useful = cost_changing(instance.graph, dict.fromkeys(allowed, instance.delay))
     for subset in subsets_up_to(useful, instance.k):
-        alloc = Allocation(tuple((i, v) for i, v in enumerate(subset)))
-        if evaluate_wwsp(instance, alloc) <= budget:
+        if evaluate_wwsp(instance, subset) <= budget:
             return True
     return False
 
@@ -302,8 +304,7 @@ def decide_hwsp_brute(instance: HwspInstance, threshold: float, max_nodes: int =
     check_search_space(instance.graph.vertex_count, [instance.k], max_nodes)
     useful = cost_changing(instance.graph, dict(enumerate(instance.vertex_delays)))
     for subset in subsets_up_to(useful, instance.k):
-        alloc = Allocation(tuple((i, v) for i, v in enumerate(subset)))
-        if evaluate_hwsp(instance, alloc) >= threshold:
+        if evaluate_hwsp(instance, subset) >= threshold:
             return True
     return False
 

@@ -51,6 +51,14 @@ def wind_factor(wind_speed: float) -> float:
     return _C_W * wind_speed**_B_W
 
 
+def per_distinct(f, values: np.ndarray) -> np.ndarray:
+    """[f(x) for x in values.tolist()] as a float64 array, calling f once per
+    distinct value; 0.0 and -0.0 count as one, so f must map both to the
+    same bits."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([f(x) for x in distinct.tolist()], dtype=np.float64)[inverse]
+
+
 def albini_multipliers(wind_speeds_signed, slope_tangents_signed) -> np.ndarray:
     """Directional spread multiplier r >= 1 for each (wind component,
     slope tangent) pair of two equal-length sequences, as a float64 array.
@@ -63,9 +71,9 @@ def albini_multipliers(wind_speeds_signed, slope_tangents_signed) -> np.ndarray:
       upslope backfire:    1 + max(0, phi_s - phi_w)
       downslope backfire:  1
 
-    The powers run as Python float operations, and only for pairs whose
-    case uses them: numpy's power is not bitwise equal to Python's on
-    every platform.
+    The powers run as Python float operations, once per distinct value
+    and only for pairs whose case uses them: numpy's power is not bitwise
+    equal to Python's on every platform.
     """
     u = np.asarray(wind_speeds_signed, dtype=np.float64)
     a = np.asarray(slope_tangents_signed, dtype=np.float64)
@@ -73,8 +81,8 @@ def albini_multipliers(wind_speeds_signed, slope_tangents_signed) -> np.ndarray:
     live = cases[0] | cases[1] | cases[2]
     phi_w = np.zeros(u.shape)
     phi_s = np.zeros(a.shape)
-    phi_w[live] = [wind_factor(abs(w)) for w in u[live].tolist()]
-    phi_s[live] = [slope_factor(t) for t in a[live].tolist()]
+    phi_w[live] = per_distinct(wind_factor, np.abs(u[live]))
+    phi_s[live] = per_distinct(slope_factor, a[live])
     wind_excess = phi_w - phi_s
     slope_excess = phi_s - phi_w
     # max(0.0, x) is x only where x > 0.0

@@ -2,7 +2,9 @@
 
 Random WSP instances, allocations and grids build on
 `wsptools.testkit.random_digraph`, the graph distribution the
-reduction-verification command also draws from.
+reduction-verification command also draws from.  The assignment helpers
+at the end read a linear model against an allocation, for the tests that
+cross-check `wsptools.mip` with the solvers.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from wsptools.core import (
     EMPTY_ALLOCATION,
     Allocation,
     DirectedGraph,
+    StructuralError,
     WspInstance,
+    check_feasibility,
     compute_arrival_times,
 )
+from wsptools.mip import EQ, GE, LE, LinearModel, _arrival_upper_bound, _vname
 from wsptools.solvers import SolverResult, perimeter_candidates
 from wsptools.testkit import random_digraph
 
@@ -121,3 +126,71 @@ def child_by_child_beam(instance: WspInstance, beam_width, expansions_per_node):
 
     key, best, _ = min(beam, key=itemgetter(0))
     return SolverResult(best, key[0]), beam
+
+
+FEASIBILITY_TOL = 1e-6
+
+
+def allocation_to_assignment(instance: WspInstance, alloc: Allocation) -> dict[str, float]:
+    """Variable assignment induced by a feasible allocation.
+
+    r_iv follows the allocation, a_v the computed arrival times (clamped
+    to the variable upper bound for unreachable vertices), and y_v marks
+    arrival before the horizon.
+    """
+    violations = check_feasibility(instance, alloc)
+    if violations:
+        raise StructuralError(f"allocation infeasible: {violations[0].reason}")
+    n = instance.graph.vertex_count
+    T = len(instance.schedule)
+    outcome = compute_arrival_times(instance, alloc)
+    a_upper = _arrival_upper_bound(instance)
+
+    assignment: dict[str, float] = {}
+    for v in range(n):
+        a = outcome.arrival[v]
+        assignment[_vname("a", v)] = min(a, a_upper)
+        assignment[_vname("y", v)] = 1.0 if a < instance.horizon else 0.0
+    for i in range(T):
+        for v in range(n):
+            assignment[_vname("r", i, v)] = 0.0
+    for resource, vertex in alloc.assignments:
+        point = instance.release_point_of(resource)
+        assignment[_vname("r", point, vertex)] = 1.0
+    return assignment
+
+
+def validate_assignment(
+    model: LinearModel, assignment: dict[str, float], tol: float = FEASIBILITY_TOL
+) -> list[tuple[str, float]]:
+    """Violated constraints with residuals; empty iff feasible within tol.
+
+    The residual is the amount by which the constraint is violated
+    (always positive for reported entries).  Variable bounds are checked
+    as pseudo-constraints named bound:<var>.
+    """
+    missing = [v.name for v in model.variables if v.name not in assignment]
+    if missing:
+        raise StructuralError(f"assignment missing variables: {missing[:5]}")
+    violated: list[tuple[str, float]] = []
+    for v in model.variables:
+        x = assignment[v.name]
+        if x < v.lower - tol:
+            violated.append((f"bound:{v.name}", v.lower - x))
+        elif x > v.upper + tol:
+            violated.append((f"bound:{v.name}", x - v.upper))
+    for c in model.constraints:
+        value = math.fsum(coef * assignment[var] for coef, var in c.terms)
+        if c.sense == LE:
+            residual = value - c.rhs
+        elif c.sense == GE:
+            residual = c.rhs - value
+        else:
+            residual = abs(value - c.rhs)
+        if residual > tol:
+            violated.append((c.name, residual))
+    return violated
+
+
+def evaluate_objective(model: LinearModel, assignment: dict[str, float]) -> float:
+    return math.fsum(coef * assignment[var] for coef, var in model.objective_terms)

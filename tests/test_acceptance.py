@@ -34,11 +34,7 @@ from wsptools.generator import (
     generate_instance,
     generate_landscape,
 )
-from wsptools.mip import (
-    allocation_to_assignment,
-    build_wsp_model,
-    validate_assignment,
-)
+from wsptools.mip import build_wsp_model
 from wsptools.reductions import cost_preserving_augmentation, verify_reductions
 from wsptools.rothermel import (
     albini_multiplier,
@@ -49,7 +45,14 @@ from wsptools.rothermel import (
 from wsptools.solvers import beam_search, brute_force, SolverBudget, random_search
 from wsptools.testkit import random_digraph, random_mvnp_instance
 
-from helpers import profile_value, random_allocation, random_grid_instance, random_wsp_instance
+from helpers import (
+    allocation_to_assignment,
+    profile_value,
+    random_allocation,
+    random_grid_instance,
+    random_wsp_instance,
+    validate_assignment,
+)
 
 from conftest import nine_vertex_instance
 

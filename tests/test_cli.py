@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wsptools
-from wsptools import generator, solvers
+from wsptools import cli, generator, solvers
 from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records
 from wsptools.cli import _budget, _load_plan, build_parser, dispatch
 from wsptools.core import (
@@ -107,6 +107,52 @@ class TestParsing:
         ]:
             for level in getattr(generator, table):
                 assert parser.parse_args(["generate", flag, level, "-o", "x"])
+
+
+@pytest.fixture
+def fresh_parser():
+    """dispatch with no parser built yet, as in a new process."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    """dispatch builds one parser per process and reuses it; argparse keeps
+    no state of one parse for the next."""
+
+    def test_one_parser_over_many_commands(self, fresh_parser, monkeypatch, capsys):
+        calls = []
+
+        def counting_build_parser():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        assert run(capsys, "--version")[0] == 0
+        assert run(capsys, "generate", "--does-not-exist")[0] == 1
+        code, out, _ = run(capsys, "physics", "eval", "--wind-speed", "1", "--slope-tangent", "0")
+        assert code == 0 and json.loads(out)["multiplier"] > 1.0
+        assert len(calls) == 1
+
+    def test_usage_error_leaves_no_trace(self, fresh_parser, tmp_path, capsys):
+        argv = ["generate", "--seed", "5", "--grid-side", "5", "--wind", "strong",
+                "--decisions", "2", "--resources", "few"]
+        alone = tmp_path / "alone.json"
+        expected = run(capsys, *argv, "-o", str(alone))
+        cli._parser.cache_clear()
+        code, _, err = run(capsys, "generate", "--seed", "x", "--wind", "hurricane", "-o", "y")
+        assert code == 1 and "error" in err
+        after = tmp_path / "after.json"
+        got = run(capsys, *argv, "-o", str(after))
+        assert expected[0] == got[0] == 0
+        assert got[1:] == (expected[1], expected[2].replace(str(alone), str(after)))
+        assert after.read_bytes() == alone.read_bytes()
+
+    def test_version_twice(self, fresh_parser, capsys):
+        first = run(capsys, "--version")
+        assert first[0] == 0
+        assert run(capsys, "--version") == first
 
 
 class TestGenerate:

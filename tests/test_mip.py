@@ -20,17 +20,20 @@ from wsptools.mip import (
     Constraint,
     LinearModel,
     Variable,
-    allocation_to_assignment,
+    _Numbers,
     build_hof_model,
     build_wei_model,
     build_wsp_model,
-    evaluate_objective,
     export_model,
-    validate_assignment,
 )
 from wsptools.solvers import brute_force
 
-from helpers import random_grid_instance
+from helpers import (
+    allocation_to_assignment,
+    evaluate_objective,
+    random_grid_instance,
+    validate_assignment,
+)
 
 
 def single_arc_instance():
@@ -503,6 +506,15 @@ class TestNumberText:
         columns = mps_column_text(export_model(model, "mps"))
         assert columns == expected_column_text(model)
         assert {"0.0", "-0.0"} <= set(columns.values())
+
+    def test_number_table_keeps_no_zero(self):
+        # every zero shares one dict slot, so none is stored and each
+        # lookup prints its own sign; other numbers are stored once
+        num = _Numbers()
+        zeros = [0.0, -0.0, 0, False, np.float64(-0.0), Fraction(0), np.float64(0.0), -0.0]
+        assert [num[z] for z in zeros] == [repr(float(z)) for z in zeros]
+        assert [num[x] for x in (2, 2.0, np.float64(2.0), -1.5)] == ["2.0"] * 3 + ["-1.5"]
+        assert num == {2: "2.0", -1.5: "-1.5"}
 
 
 X = Variable("x", "continuous", 0.0, 5.0)

@@ -8,7 +8,6 @@ import pytest
 from wsptools import core, reductions
 from wsptools.core import (
     EMPTY_ALLOCATION,
-    Allocation,
     DirectedGraph,
     StructuralError,
     compute_arrival_times,
@@ -224,18 +223,27 @@ class TestWeightedReduction:
 
     def test_evaluation(self):
         instance, _ = mvnp_to_wwsp(triangle_mvnp())
-        assert evaluate_wwsp(instance, EMPTY_ALLOCATION) == 1.0  # sink burns at 2 < 3
-        assert evaluate_wwsp(instance, Allocation(((0, 1),))) == 0.0
+        assert evaluate_wwsp(instance, ()) == 1.0  # sink burns at 2 < 3
+        assert evaluate_wwsp(instance, [1]) == 0.0
+
+    def test_evaluators_take_any_iterable_of_vertices(self):
+        # the protected set is a set: its order and repeats do not matter
+        wwsp, _ = mvnp_to_wwsp(triangle_mvnp())
+        hwsp, _ = mvnp_to_hwsp(triangle_mvnp())
+        for protected in ([1], (1,), {1}, frozenset({1}), iter([1]), [1, 1]):
+            assert evaluate_wwsp(wwsp, protected) == 0.0
+        for protected in ([1], {1}, iter([1]), [1, 1]):
+            assert evaluate_hwsp(hwsp, protected) == evaluate_hwsp(hwsp, (1,))
 
     def test_forbidden_protection_rejected(self):
         instance, _ = mvnp_to_wwsp(triangle_mvnp())
         with pytest.raises(StructuralError):
-            evaluate_wwsp(instance, Allocation(((0, 2),)))
+            evaluate_wwsp(instance, [2])
 
     def test_budget_enforced(self):
         instance, _ = mvnp_to_wwsp(triangle_mvnp())
         with pytest.raises(StructuralError):
-            evaluate_wwsp(instance, Allocation(((0, 1), (1, 2))))
+            evaluate_wwsp(instance, [1, 2])
 
     def test_triangle_equivalence(self):
         instance, budget = mvnp_to_wwsp(triangle_mvnp())
@@ -293,7 +301,7 @@ class TestHomogeneousReduction:
     def test_protected_vertex_out_of_range(self, vertex):
         instance, _ = mvnp_to_hwsp(triangle_mvnp())
         with pytest.raises(StructuralError, match=f"protected vertex {vertex} out of range"):
-            evaluate_hwsp(instance, Allocation(((0, vertex),)))
+            evaluate_hwsp(instance, [vertex])
 
     def test_delay_vector_length_validated(self):
         graph = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
@@ -304,12 +312,12 @@ class TestHomogeneousReduction:
         instance, _ = mvnp_to_hwsp(triangle_mvnp())
         aux = [v for v in range(instance.graph.vertex_count) if instance.vertex_delays[v] == 0.0
                and v not in (0, 2)]
-        base = evaluate_hwsp(instance, Allocation(()))
-        assert evaluate_hwsp(instance, Allocation(((0, aux[0]),))) == base
+        base = evaluate_hwsp(instance, ())
+        assert evaluate_hwsp(instance, [aux[0]]) == base
 
     def test_triangle_equivalence(self):
         instance, threshold = mvnp_to_hwsp(triangle_mvnp())
-        assert evaluate_hwsp(instance, Allocation(((0, 1),))) >= threshold
+        assert evaluate_hwsp(instance, [1]) >= threshold
         assert decide_hwsp_brute(instance, threshold) is True
 
 
@@ -396,19 +404,14 @@ def plain_brute_force(instance):
     return SolverResult(*best)
 
 
-def subset_allocations(vertices, k):
-    for subset in subsets_up_to(list(vertices), k):
-        yield Allocation(tuple(enumerate(subset)))
-
-
 def wwsp_values(instance):
     allowed = sorted(set(range(instance.graph.vertex_count)) - instance.forbidden)
-    return [evaluate_wwsp(instance, a) for a in subset_allocations(allowed, instance.k)]
+    return [evaluate_wwsp(instance, s) for s in subsets_up_to(allowed, instance.k)]
 
 
 def hwsp_values(instance):
-    vertices = range(instance.graph.vertex_count)
-    return [evaluate_hwsp(instance, a) for a in subset_allocations(vertices, instance.k)]
+    vertices = list(range(instance.graph.vertex_count))
+    return [evaluate_hwsp(instance, s) for s in subsets_up_to(vertices, instance.k)]
 
 
 def random_hwsp_instance(rng):

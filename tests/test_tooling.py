@@ -5,6 +5,8 @@ up with getattr, so `run.py --trace 1` and `selfcheck.py` break when one
 of those names goes.  perfbench/workloads.py checks every solve request
 against the digests in references.json.  These tests load both modules
 by path and leave perfbench/ as it is.
+
+The last test holds the package to its line budget.
 """
 
 import importlib
@@ -19,6 +21,11 @@ from wsptools.core import compute_arrival_times
 from wsptools.generator import GeneratorConfig, generate_instance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = PERFBENCH.parent / "src" / "wsptools"
+
+# Non-blank lines of src/wsptools/*.py. A change that needs more raises this
+# in its own diff and gives the reason in CHANGES.md.
+LINE_BUDGET = 2449
 
 
 def load_by_path(name):
@@ -86,3 +93,10 @@ def test_traced_solver_table_books_the_wrapped_solver(tracer):
     table = trace.per_call(1, [1.0])
     assert table["core.arrival"]["calls"] == 77
     assert table["solvers.beam"]["calls"] == 1
+
+
+def test_package_within_line_budget():
+    lines = sum(
+        1 for path in PACKAGE.glob("*.py") for line in path.read_text().splitlines() if line.strip()
+    )
+    assert lines <= LINE_BUDGET, f"src/wsptools/ has {lines} non-blank lines"
