@@ -129,15 +129,12 @@ def _average_ranks(values) -> list[float]:
     """Ranks 1..n with average ranks for ties."""
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and values[order[j]] == values[order[i]]:
-            j += 1
-        avg = (i + 1 + j) / 2.0  # mean of ranks i+1..j
-        for idx in order[i:j]:
-            ranks[idx] = avg
-        i = j
+    below = 0
+    for _, run in itertools.groupby(order, key=lambda i: values[i]):
+        run = list(run)
+        for i in run:
+            ranks[i] = (2 * below + 1 + len(run)) / 2.0  # mean of ranks below+1..below+len(run)
+        below += len(run)
     return ranks
 
 

@@ -15,6 +15,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from wsptools.core import DirectedGraph, StructuralError, WspInstance
@@ -381,21 +382,15 @@ def _export_mps(model: LinearModel) -> str:
             rhs_lines.append(f" RHS {row} {num[rhs]}")
 
     lines.append("COLUMNS")
-    marker = 0
-    in_integer = False
-    for name, kind, _, _ in model.variables:
-        is_int = kind == BINARY
-        if is_int and not in_integer:
-            lines.append(f" MARKER{marker} 'MARKER' 'INTORG'")
-            marker += 1
-            in_integer = True
-        elif not is_int and in_integer:
-            lines.append(f" MARKER{marker} 'MARKER' 'INTEND'")
-            marker += 1
-            in_integer = False
-        lines += by_var[name]
-    if in_integer:
-        lines.append(f" MARKER{marker} 'MARKER' 'INTEND'")
+    # each run of binary columns between an INTORG and an INTEND marker
+    markers = itertools.count()
+    for kind, run in itertools.groupby(model.variables, itemgetter(1)):
+        if kind == BINARY:
+            lines.append(f" MARKER{next(markers)} 'MARKER' 'INTORG'")
+        for variable in run:
+            lines += by_var[variable.name]
+        if kind == BINARY:
+            lines.append(f" MARKER{next(markers)} 'MARKER' 'INTEND'")
     lines += rhs_lines
 
     lines.append("BOUNDS")

@@ -18,13 +18,7 @@ from wsptools.core import (
     fire_arrivals,
     single_source_distances,
 )
-from wsptools.solvers import (
-    MAX_NODES,
-    brute_force,
-    check_search_space,
-    cost_changing,
-    subsets_up_to,
-)
+from wsptools.solvers import MAX_NODES, brute_force, protection_sets
 
 
 @dataclass(frozen=True)
@@ -262,21 +256,17 @@ def solve_mvnp_brute(
 
     A removal set is scored by an infinite delay on its vertices'
     out-arcs: the s-t distance is then the least path cost avoiding them,
-    the same bits as on the graph without them.  Only cost_changing
-    vertices, those with out-arcs, are tried.
+    the same bits as on the graph without them.  The removal sets are the
+    protection_sets of every vertex but s and t.
     """
     g, s, t = mvnp.graph, mvnp.source, mvnp.sink
-    removable = [v for v in range(g.vertex_count) if v not in (s, t)]
-    check_search_space(len(removable), [mvnp.k], max_nodes)
-    best_set: frozenset[int] = frozenset()
-    best_value = -math.inf
-    useful = cost_changing(g, dict.fromkeys(removable, math.inf))
-    for subset in subsets_up_to(useful, mvnp.k):
+    removable = {v: math.inf for v in range(g.vertex_count) if v not in (s, t)}
+    best_set, best_value = (), -math.inf
+    for subset in protection_sets(g, removable, mvnp.k, max_nodes):
         value = fire_arrivals(g, s, dict.fromkeys(subset, math.inf)).arrival[t]
         if value > best_value:
-            best_value = value
-            best_set = frozenset(subset)
-    return best_set, best_value
+            best_set, best_value = subset, value
+    return frozenset(best_set), best_value
 
 
 def decide_mvnp(mvnp: MvnpInstance, max_nodes: int = MAX_NODES) -> bool:
@@ -291,22 +281,16 @@ def decide_wsp_brute(instance: WspInstance, budget: int, max_nodes: int = MAX_NO
 
 
 def decide_wwsp_brute(instance: WwspInstance, budget: float, max_nodes: int = MAX_NODES) -> bool:
-    allowed = sorted(set(range(instance.graph.vertex_count)) - instance.forbidden)
-    check_search_space(len(allowed), [instance.k], max_nodes)
-    useful = cost_changing(instance.graph, dict.fromkeys(allowed, instance.delay))
-    for subset in subsets_up_to(useful, instance.k):
-        if evaluate_wwsp(instance, subset) <= budget:
-            return True
-    return False
+    n, forbidden = instance.graph.vertex_count, instance.forbidden
+    delays = {v: instance.delay for v in range(n) if v not in forbidden}
+    subsets = protection_sets(instance.graph, delays, instance.k, max_nodes)
+    return any(evaluate_wwsp(instance, subset) <= budget for subset in subsets)
 
 
 def decide_hwsp_brute(instance: HwspInstance, threshold: float, max_nodes: int = MAX_NODES) -> bool:
-    check_search_space(instance.graph.vertex_count, [instance.k], max_nodes)
-    useful = cost_changing(instance.graph, dict(enumerate(instance.vertex_delays)))
-    for subset in subsets_up_to(useful, instance.k):
-        if evaluate_hwsp(instance, subset) >= threshold:
-            return True
-    return False
+    delays = dict(enumerate(instance.vertex_delays))
+    subsets = protection_sets(instance.graph, delays, instance.k, max_nodes)
+    return any(evaluate_hwsp(instance, subset) >= threshold for subset in subsets)
 
 
 def verify_reductions(mvnp: MvnpInstance, max_nodes: int = MAX_NODES) -> dict:

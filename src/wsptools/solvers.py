@@ -69,6 +69,17 @@ def check_search_space(n: int, counts, max_nodes: int) -> None:
         raise LimitExceeded(f"search-space estimate {shown} exceeds limit {max_nodes}")
 
 
+def protection_sets(graph: DirectedGraph, delays: dict[int, float], k: int, max_nodes: int):
+    """The protection sets an exhaustive search over delays tries: the
+    subsets_up_to k of its cost_changing vertices, the empty set first.
+
+    Refuses when called, before the first set, by check_search_space with
+    the estimate taken over every vertex of delays.
+    """
+    check_search_space(len(delays), [k], max_nodes)
+    return subsets_up_to(cost_changing(graph, delays), k)
+
+
 @dataclass(frozen=True)
 class SolverBudget:
     """Every work bound of the solvers, with its default.
@@ -265,6 +276,28 @@ def beam_search(
     return SolverResult(best, key[0])
 
 
+def _leaves(instance: WspInstance, useful: list[int], levels, alloc: Allocation,
+            outcome: FireOutcome):
+    """Yield (allocation, outcome) for every complete allocation that
+    extends alloc, whose outcome is given, over levels: at each level
+    every subset of the open useful vertices up to the released count, in
+    subsets_up_to order.  Placing nothing keeps the allocation and its
+    outcome; a new allocation is scored by a full kernel run."""
+    if not levels:
+        yield alloc, outcome
+        return
+    ((release_time, count), first), rest = levels[0], levels[1:]
+    # every open useful vertex: the oracle does not rely on the level filter of rs and beam
+    arrival = outcome.arrival
+    candidates = [v for v in useful if arrival[v] >= release_time and v not in alloc.protected]
+    for combo in subsets_up_to(candidates, count):
+        if not combo:
+            yield from _leaves(instance, useful, rest, alloc, outcome)
+            continue
+        child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
+        yield from _leaves(instance, useful, rest, child, compute_arrival_times(instance, child))
+
+
 def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResult:
     """Provably optimal allocation by exhaustive incremental enumeration.
 
@@ -273,42 +306,21 @@ def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResu
     covered.  Refuses with the size estimate when the search space
     exceeds max_nodes (see check_search_space).
 
-    Each allocation carries its outcome down the recursion; a new one is
+    Returns the first complete allocation, in enumeration order, that
+    burns the fewest vertices before the horizon.  Each new allocation is
     scored by a full kernel run, not repaired, so this oracle does not
     depend on the repair it is used to check.  Only cost_changing vertices
     are tried; the estimate counts every vertex.
     """
     n = instance.graph.vertex_count
     check_search_space(n, [count for _, count in instance.schedule], max_nodes)
-
     useful = cost_changing(instance.graph, dict.fromkeys(range(n), instance.delay))
     horizon = instance.horizon
     root = compute_arrival_times(instance, EMPTY_ALLOCATION)
-    best_alloc, best_obj = EMPTY_ALLOCATION, root.burned_count(horizon)
     levels = list(zip(instance.schedule, instance.first_resources))
-
-    def recurse(level: int, alloc: Allocation, outcome: FireOutcome):
-        nonlocal best_alloc, best_obj
-        if level == len(levels):
-            obj = outcome.burned_count(horizon)
-            if obj < best_obj:
-                best_obj = obj
-                best_alloc = alloc
-            return
-        (release_time, count), first = levels[level]
-        # every open useful vertex: the oracle does not rely on the level filter
-        # of rs and beam
-        arrival = outcome.arrival
-        candidates = [v for v in useful if arrival[v] >= release_time and v not in alloc.protected]
-        for combo in subsets_up_to(candidates, count):
-            if not combo:  # place nothing: same allocation and outcome
-                recurse(level + 1, alloc, outcome)
-                continue
-            child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
-            recurse(level + 1, child, compute_arrival_times(instance, child))
-
-    recurse(0, EMPTY_ALLOCATION, root)
-    return SolverResult(best_alloc, best_obj)
+    leaves = _leaves(instance, useful, levels, EMPTY_ALLOCATION, root)
+    best, outcome = min(leaves, key=lambda leaf: leaf[1].burned_count(horizon))
+    return SolverResult(best, outcome.burned_count(horizon))
 
 
 # name -> (instance, budget, seed) -> SolverResult.  Each entry looks its

@@ -7,6 +7,7 @@ from wsptools.benchlab import (
     SM_DELTA_60_INSTANCES,
     CSV_COLUMNS,
     RunRecord,
+    _average_ranks,
     performance_profiles,
     read_records,
     records_to_blocks,
@@ -170,6 +171,19 @@ class TestRankScores:
         # per block the treatment mean ranks sum to k(ck+1)/2
         expected = 6 * len(treatments) * (c * len(treatments) + 1) / 2.0
         assert sum(scores.values()) == pytest.approx(expected)
+
+    def test_average_ranks_match_the_definition(self, rng):
+        # a value's rank: the count of smaller values plus (the count of equal ones + 1) / 2
+        for _ in range(200):
+            size = int(rng.integers(0, 12))
+            values = [float(v) for v in rng.integers(0, 4, size=size)]
+            values += [math.inf] * int(rng.integers(0, 3))
+            values = [values[i] for i in rng.permutation(len(values))]
+            expected = [
+                sum(w < v for w in values) + (sum(w == v for w in values) + 1) / 2
+                for v in values
+            ]
+            assert _average_ranks(values) == expected, values
 
     def test_unbalanced_design_rejected(self):
         with pytest.raises(ValueError):

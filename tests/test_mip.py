@@ -382,6 +382,43 @@ class TestExport:
         )
         assert " FX BND r_0000 0.0" in export_model(model, "mps")
 
+    def test_mps_markers_wrap_each_binary_run(self):
+        # a leading binary column and two binary runs, numbered in one sequence
+        variables = (
+            Variable("a", "binary", 0.0, 1.0),
+            Variable("x", "continuous"),
+            Variable("b", "binary", 0.0, 1.0),
+            Variable("c", "binary", 0.0, 0.0),
+            Variable("y", "continuous", 1.0, 3.0),
+        )
+        row = Constraint("r", ((1.0, "a"), (2.0, "x"), (-1.0, "c"), (0.5, "y")), "<=", 4.0)
+        model = LinearModel("runs", variables, (row,), "min", ((1.0, "b"), (3.0, "y")))
+        assert export_model(model, "mps") == """NAME runs
+ROWS
+ N obj
+ L r
+COLUMNS
+ MARKER0 'MARKER' 'INTORG'
+ a r 1.0
+ MARKER1 'MARKER' 'INTEND'
+ x r 2.0
+ MARKER2 'MARKER' 'INTORG'
+ b obj 1.0
+ c r -1.0
+ MARKER3 'MARKER' 'INTEND'
+ y obj 3.0
+ y r 0.5
+RHS
+ RHS r 4.0
+BOUNDS
+ BV BND a
+ BV BND b
+ FX BND c 0.0
+ LO BND y 1.0
+ UP BND y 3.0
+ENDATA
+"""
+
     def test_unknown_format(self):
         model = build_wsp_model(single_arc_instance())
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import re
@@ -517,3 +518,21 @@ def test_verify_reductions_kernel_runs_pinned(monkeypatch):
     for _ in range(50):
         assert verify_reductions(random_mvnp_instance(rng))["agree"]
     assert calls[0] == 748
+
+
+def test_searches_leave_no_cyclic_garbage():
+    """brute_force and the oracles free what they build by reference
+    counting: nothing is left for the cyclic collector."""
+    rng = np.random.default_rng(0)
+    wsp = random_grid_instance(rng, 3)
+    samples = [random_mvnp_instance(rng) for _ in range(5)]
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force(wsp)
+        assert gc.collect() == 0
+        for mvnp in samples:
+            verify_reductions(mvnp)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
