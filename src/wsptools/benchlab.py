@@ -202,7 +202,8 @@ def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[Ru
     """Run the plan's cells, every (instance path, algorithm, seed) in that
     nesting order, under SolverBudget(time_limit), the default budget if
     None, appending each record to out_path as it finishes.  Cells already
-    in the CSV are skipped, so an interrupted run can be resumed."""
+    in the CSV are skipped, so an interrupted run can be resumed, and a
+    cell the plan repeats runs once."""
     done = set()
     if os.path.exists(out_path):
         done = {(r.instance, r.algorithm, r.seed) for r in read_records(out_path)}
@@ -226,4 +227,5 @@ def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[Ru
         record = RunRecord(path, algorithm, seed, objective, time.monotonic() - start, status)
         write_records(out_path, [record])
         records.append(record)
+        done.add(cell)
     return records

@@ -17,11 +17,10 @@ from dataclasses import fields
 
 from wsptools import INSTANCE_FORMAT_VERSION, __version__
 from wsptools.core import (
-    Allocation,
-    DirectedGraph,
     StructuralError,
-    _json_arcs,
+    _graph_json,
     _json_float,
+    _json_graph,
     _json_int,
     _json_list,
     check_feasibility,
@@ -266,9 +265,8 @@ def _load_mvnp(path):
     from wsptools.reductions import MvnpInstance
 
     doc = _load_json_object(path, "interdiction instance")
-    graph = DirectedGraph(vertex_count=_json_int(doc, "vertex_count"), arcs=_json_arcs(doc))
     return MvnpInstance(
-        graph=graph,
+        graph=_json_graph(doc),
         source=_json_int(doc, "source"),
         sink=_json_int(doc, "sink"),
         k=_json_int(doc, "k"),
@@ -289,8 +287,6 @@ def _cmd_reduce(args) -> int:
         instance, budget = mvnp_to_wwsp(mvnp)
         doc = {
             "kind": "wwsp",
-            "vertex_count": instance.graph.vertex_count,
-            "arcs": [[u, v, t] for u, v, t in sorted(instance.graph.arcs)],
             "weights": list(instance.weights),
             "ignition": instance.ignition,
             "k": instance.k,
@@ -303,8 +299,6 @@ def _cmd_reduce(args) -> int:
         instance, threshold = mvnp_to_hwsp(mvnp)
         doc = {
             "kind": "hwsp",
-            "vertex_count": instance.graph.vertex_count,
-            "arcs": [[u, v, t] for u, v, t in sorted(instance.graph.arcs)],
             "ignition": instance.ignition,
             "targets": sorted(instance.targets),
             "k": instance.k,
@@ -312,8 +306,7 @@ def _cmd_reduce(args) -> int:
             "decision_threshold": threshold,
         }
     with open(args.output, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(_graph_json(doc, instance.graph))
     return EXIT_OK
 
 

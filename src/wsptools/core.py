@@ -172,14 +172,6 @@ class FireOutcome:
     def burned_count(self, t: float) -> int:
         return len([a for a in self.arrival if a < t])
 
-    def burned_delta(self, parent: FireOutcome, t: float) -> int:
-        """burned_count(t) - parent.burned_count(t); for an outcome repaired
-        from parent, only the changed vertices are looked at."""
-        if self.changed is None:
-            return self.burned_count(t) - parent.burned_count(t)
-        old, new = parent.arrival, self.arrival
-        return sum((new[v] < t) - (old[v] < t) for v in self.changed)
-
 
 def _settle(out_arcs, dist: list[float], heap: list, delays: dict[int, float]) -> list[float]:
     """Heap Dijkstra over out_arcs from the (d, v) entries of heap, which
@@ -405,27 +397,27 @@ def _arcs_json(graph: DirectedGraph) -> str:
     return "[\n  [\n   " + inner + "\n  ]\n ]"
 
 
-def instance_to_json(instance: WspInstance) -> str:
-    """Serialize an instance to canonical, byte-stable JSON text.
+def _graph_json(doc: dict, graph: DirectedGraph) -> str:
+    """json.dumps(doc with the graph's "vertex_count" and sorted "arcs",
+    indent=1, sort_keys=True) + "\n".  Every key of doc must sort after
+    "arcs", the first key, which _arcs_json writes: the indented encoder
+    runs in pure Python."""
+    rest = json.dumps({**doc, "vertex_count": graph.vertex_count}, indent=1, sort_keys=True)
+    return '{\n "arcs": ' + _arcs_json(graph) + ",\n" + rest[2:] + "\n"
 
-    The text is json.dumps(doc, indent=1, sort_keys=True) + "\n" of the
-    whole document; "arcs", its first key, is written by _arcs_json,
-    since the indented encoder runs in pure Python.
-    """
+
+def instance_to_json(instance: WspInstance) -> str:
+    """Serialize an instance to canonical, byte-stable JSON text."""
     from wsptools import INSTANCE_FORMAT_VERSION
 
-    doc = {
+    return _graph_json({
         "version": INSTANCE_FORMAT_VERSION,
-        "vertex_count": instance.graph.vertex_count,
         "ignition": instance.ignition,
         "horizon_min": instance.horizon,
         "delay_min": instance.delay,
         "schedule": [{"t_min": t, "count": c} for t, c in instance.schedule],
         "meta": instance.meta,
-    }
-    arcs = _arcs_json(instance.graph)
-    rest = json.dumps(doc, indent=1, sort_keys=True)
-    return '{\n "arcs": ' + arcs + ",\n" + rest[2:] + "\n"
+    }, instance.graph)
 
 
 def _json_int(doc: dict, key: str) -> int:
@@ -449,7 +441,9 @@ def _json_list(doc: dict, key: str) -> list:
     return value
 
 
-def _json_arcs(doc: dict) -> tuple[tuple[int, int, float], ...]:
+def _json_graph(doc: dict) -> DirectedGraph:
+    """The checked graph of a document's "vertex_count", then "arcs"."""
+    vertex_count = _json_int(doc, "vertex_count")
     # json.loads yields exact int/float/list types, so type() tests suffice
     # (and reject bool); one pass, as every load of a large instance runs it
     arcs = []
@@ -464,7 +458,7 @@ def _json_arcs(doc: dict) -> tuple[tuple[int, int, float], ...]:
         ):
             raise StructuralError(f"arc entry {entry!r} must be [tail, head, finite travel time]")
         arcs.append((entry[0], entry[1], float(entry[2])))
-    return tuple(arcs)
+    return DirectedGraph(vertex_count, tuple(arcs))
 
 
 def _json_release(entry) -> tuple[float, int]:
@@ -485,7 +479,7 @@ def instance_from_json(text: str) -> WspInstance:
             f"instance format version {version} is not supported (expected {INSTANCE_FORMAT_VERSION})"
         )
     return WspInstance(
-        graph=DirectedGraph(vertex_count=_json_int(doc, "vertex_count"), arcs=_json_arcs(doc)),
+        graph=_json_graph(doc),
         ignition=_json_int(doc, "ignition"),
         horizon=_json_float(doc, "horizon_min"),
         delay=_json_float(doc, "delay_min"),

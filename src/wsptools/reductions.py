@@ -88,11 +88,9 @@ class HwspInstance:
 
     def __post_init__(self):
         n = self.graph.vertex_count
-        out_costs: dict[int, float] = {}
-        for u, _, t in self.graph.arcs:
-            if u in out_costs and out_costs[u] != t:
+        for u, arcs in enumerate(self.graph.out_arcs):
+            if len({t for _, _, t in arcs}) > 1:
                 raise StructuralError(f"vertex {u} has heterogeneous outgoing arc costs")
-            out_costs[u] = t
         if not 0 <= self.ignition < n:
             raise StructuralError(f"ignition vertex {self.ignition} out of range")
         if not self.targets:
@@ -122,7 +120,8 @@ def mvnp_to_wsp(mvnp: MvnpInstance) -> tuple[WspInstance, int]:
     """
     g, s, t = mvnp.graph, mvnp.source, mvnp.sink
     dist = single_source_distances(g, s)
-    short_preds = sorted(u for u, head, cost in g.arcs if head == t and dist[u] + cost < mvnp.h)
+    # (u, cost) of each arc into the sink that is short, in order of u
+    short_preds = sorted((u, cost) for u, _, cost in g.in_arcs[t] if dist[u] + cost < mvnp.h)
 
     def remap(v: int) -> int:
         return v if v < t else v - 1
@@ -134,20 +133,19 @@ def mvnp_to_wsp(mvnp: MvnpInstance) -> tuple[WspInstance, int]:
             continue
         arcs.append((remap(u), remap(v), cost))
     leaf = n_core
-    leaf_cost = {u: cost for u, head, cost in g.arcs if head == t}
-    for v in short_preds:
+    for u, cost in short_preds:
         for _ in range(g.vertex_count):
-            arcs.append((remap(v), leaf, leaf_cost[v]))
+            arcs.append((remap(u), leaf, cost))
             leaf += 1
     new_graph = DirectedGraph(vertex_count=leaf, arcs=tuple(arcs))
 
-    source_arcs = [cost for u, _, cost in arcs if u == remap(s)]
+    source_arcs = new_graph.out_arcs[remap(s)]
     if not source_arcs:
         raise StructuralError("source has no outgoing arcs in the reduced graph")
     # half the cheapest escape from the source, clamped to the horizon:
     # when even that exceeds h, no vertex can burn before the horizon and
     # the release time is immaterial
-    release = min(min(source_arcs) / 2.0, mvnp.h)
+    release = min(min(cost for _, _, cost in source_arcs) / 2.0, mvnp.h)
     schedule = ((release, mvnp.k),) if mvnp.k > 0 else ()
     instance = WspInstance(
         graph=new_graph,

@@ -125,8 +125,7 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     horizon = instance.horizon
     empty_outcome = compute_arrival_times(instance, EMPTY_ALLOCATION)
-    empty_obj = empty_outcome.burned_count(horizon)
-    best_alloc, best_obj = EMPTY_ALLOCATION, empty_obj
+    best_alloc, best_obj = EMPTY_ALLOCATION, empty_outcome.burned_count(horizon)
     start = time.monotonic()
     iterations = 0
     while True:
@@ -135,7 +134,7 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
         if budget.max_seconds is not None and time.monotonic() - start >= budget.max_seconds:
             break
         iterations += 1
-        alloc, outcome, obj = EMPTY_ALLOCATION, empty_outcome, empty_obj
+        alloc, outcome = EMPTY_ALLOCATION, empty_outcome
         candidates = range(instance.graph.vertex_count)
         for (t, count), first in zip(instance.schedule, instance.first_resources):
             # Filter the previous level's open list: that level protected only
@@ -149,12 +148,10 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
             chosen = rng.choice(len(candidates), size=take, replace=False)
             pairs = [(first + i, candidates[c]) for i, c in enumerate(sorted(chosen.tolist()))]
             child = alloc.extended(pairs)
-            child_outcome = compute_arrival_times(instance, child, parent=(alloc, outcome))
-            obj += child_outcome.burned_delta(outcome, horizon)
-            alloc, outcome = child, child_outcome
+            alloc, outcome = child, compute_arrival_times(instance, child, parent=(alloc, outcome))
+        obj = outcome.burned_count(horizon)
         if obj < best_obj:
-            best_obj = obj
-            best_alloc = alloc
+            best_alloc, best_obj = alloc, obj
     return SolverResult(best_alloc, best_obj)
 
 

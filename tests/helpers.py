@@ -100,13 +100,12 @@ def child_by_child_beam(instance: WspInstance, beam_width, expansions_per_node):
         limit = None if expansions is None else count - 1 + expansions
         children = []
         for parent in beam:
-            (burned_h, _, _), alloc, outcome = parent
+            _, alloc, outcome = parent
             candidates = perimeter_candidates(instance, alloc, release_time, outcome, limit)
             take = min(count, len(candidates))
             if take == 0:
                 children.append(parent)
                 continue
-            burned_next = outcome.burned_count(next_time)
             combos = itertools.combinations(candidates, take)
             if expansions is not None:
                 combos = itertools.islice(combos, expansions)
@@ -114,8 +113,8 @@ def child_by_child_beam(instance: WspInstance, beam_width, expansions_per_node):
                 child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
                 child_outcome = compute_arrival_times(instance, child, parent=(alloc, outcome))
                 key = (
-                    burned_h + child_outcome.burned_delta(outcome, horizon),
-                    burned_next + child_outcome.burned_delta(outcome, next_time),
+                    child_outcome.burned_count(horizon),
+                    child_outcome.burned_count(next_time),
                     tuple(sorted(v for _, v in child.assignments)),
                 )
                 children.append((key, child, child_outcome))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -506,6 +507,17 @@ class TestReduce:
         assert doc["targets"] == [2]
         assert doc["decision_threshold"] == 3.0
 
+    # sha256 of each reduced document of mvnp_file, byte for byte
+    @pytest.mark.parametrize("target, digest", [
+        ("wsp", "5ed451295d6d3b70eb86c81a804929fc71af823dc8cfeb807e5db0201e45d3b3"),
+        ("wwsp", "8cdbbf8aba63dc1f3bdf9c624143e474b671449e413f724523e4cb9fcd1c7889"),
+        ("hwsp", "7e157c2ac898516552ed06c9977fdf23405dd85b3b09be90e7359e019f62c8ac"),
+    ])
+    def test_reduced_document_bytes(self, mvnp_file, tmp_path, capsys, target, digest):
+        out = tmp_path / "reduced.json"
+        assert run(capsys, "reduce", "--to", target, "-i", str(mvnp_file), "-o", str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -621,6 +633,21 @@ class TestBenchAndReport:
         [record] = read_records(records)
         assert record.status == "ok"
         assert record.objective == solution_from_json(sol.read_text())[2]
+
+    def test_repeated_plan_cell_runs_once(self, small_instance, tmp_path, capsys):
+        # a second row for a repeated cell would leave the report's design unbalanced
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "instances": [str(small_instance)] * 2, "algorithms": ["rs", "beam", "rs"],
+            "seeds": [0, 0], "time_limit": 0.1,
+        }))
+        records = tmp_path / "records.csv"
+        code, _, err = run(capsys, "bench", "--plan", str(plan), "--out", str(records))
+        assert code == 0
+        assert "ran 2 cells" in err
+        rows = [(r.instance, r.algorithm, r.seed) for r in read_records(records)]
+        assert rows == [(str(small_instance), "rs", 0), (str(small_instance), "beam", 0)]
+        assert self._report(capsys, tmp_path, records)[0] == 0
 
 
     def _report(self, capsys, tmp_path, records, *extra):

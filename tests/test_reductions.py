@@ -298,6 +298,17 @@ class TestHomogeneousReduction:
         with pytest.raises(StructuralError):
             HwspInstance(graph, 0, frozenset({2}), 1, (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("arcs, vertex", [
+        (((0, 1, 1.0), (1, 3, 1.0), (0, 2, 2.0)), 0),
+        # of several heterogeneous vertices the lowest id is named, whatever the arc order
+        (((2, 0, 1.0), (2, 3, 2.0), (1, 0, 1.0), (1, 3, 2.0)), 1),
+    ])
+    def test_heterogeneous_vertex_named(self, arcs, vertex):
+        graph = DirectedGraph(4, arcs)
+        with pytest.raises(StructuralError,
+                           match=f"^vertex {vertex} has heterogeneous outgoing arc costs$"):
+            HwspInstance(graph, 0, frozenset({3}), 1, (0.0,) * 4)
+
     @pytest.mark.parametrize("vertex", [-1, 99])
     def test_protected_vertex_out_of_range(self, vertex):
         instance, _ = mvnp_to_hwsp(triangle_mvnp())

@@ -6,9 +6,11 @@ of those names goes.  perfbench/workloads.py checks every solve request
 against the digests in references.json.  These tests load both modules
 by path and leave perfbench/ as it is.
 
-The last test holds the package to its line budget.
+The last tests hold the package to its line budget and to no unused
+import.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -100,3 +102,22 @@ def test_package_within_line_budget():
         1 for path in PACKAGE.glob("*.py") for line in path.read_text().splitlines() if line.strip()
     )
     assert lines <= LINE_BUDGET, f"src/wsptools/ has {lines} non-blank lines"
+
+
+def test_package_imports_only_what_it_uses():
+    # every name an import binds is read somewhere in its module (a name in
+    # an annotation counts); from __future__ imports bind no name
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
