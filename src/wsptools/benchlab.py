@@ -203,17 +203,21 @@ def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[Ru
     nesting order, under SolverBudget(time_limit), the default budget if
     None, appending each record to out_path as it finishes.  Cells already
     in the CSV are skipped, so an interrupted run can be resumed, and a
-    cell the plan repeats runs once."""
+    cell the plan repeats runs once.  Each instance is loaded, and its free
+    burn computed, once and outside every cell's wall_seconds."""
     done = set()
     if os.path.exists(out_path):
         done = {(r.instance, r.algorithm, r.seed) for r in read_records(out_path)}
         write_records(out_path, [])  # refuses a header the new rows would not line up with
     records: list[RunRecord] = []
+    loaded = None
     for cell in itertools.product(instances, algorithms, seeds):
         if cell in done:
             continue
         path, algorithm, seed = cell
-        instance = load_instance(path)
+        if path != loaded:
+            loaded, instance = path, load_instance(path)
+            instance.free_burn  # computed once and kept by the instance
         start = time.monotonic()
         try:
             result = SOLVERS[algorithm](instance, SolverBudget(time_limit), seed)

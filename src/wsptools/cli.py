@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from wsptools import INSTANCE_FORMAT_VERSION, __version__
 from wsptools.core import (
@@ -205,14 +205,12 @@ def _cmd_evaluate(args) -> int:
     with open(args.solution) as f:
         _, alloc, _ = solution_from_json(f.read())
     violations = check_feasibility(instance, alloc)
-    # no fire is scored for a vertex outside the graph; the violation says why
-    unscored = any(v.reason == "vertex id out of range" for v in violations)
+    # no fire is scored for a vertex outside the graph; a violation says why
+    scored = all(0 <= v < instance.graph.vertex_count for v in alloc.protected)
     report = {
-        "objective": None if unscored else objective(instance, alloc),
+        "objective": objective(instance, alloc) if scored else None,
         "feasible": not violations,
-        "violations": [
-            {"resource": v.resource, "vertex": v.vertex, "reason": v.reason} for v in violations
-        ],
+        "violations": [asdict(v) for v in violations],
     }
     print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_OK
@@ -226,19 +224,17 @@ def _load_json_object(path, what: str) -> dict:
     return doc
 
 
-def _load_aux(path, required, optional=()):
-    """The aux JSON object, whose keys are the model builder's parameter
-    names: every required key must be there and no key beyond optional."""
-    if path is None:
-        raise StructuralError("--aux file required for this model")
-    aux = _load_json_object(path, "aux")
-    missing = [key for key in required if key not in aux]
+def _load_keywords(path, what: str, required, optional=()) -> dict:
+    """A JSON object whose keys are a function's parameter names: every
+    required key must be there and no key beyond optional."""
+    doc = _load_json_object(path, what)
+    missing = [key for key in required if key not in doc]
     if missing:
-        raise StructuralError(f"aux file {path} lacks {', '.join(missing)}")
-    unknown = sorted(set(aux) - {*required, *optional})
+        raise StructuralError(f"{what} file {path} lacks {', '.join(missing)}")
+    unknown = sorted(set(doc) - {*required, *optional})
     if unknown:
-        raise StructuralError(f"aux file {path} has unknown keys {', '.join(unknown)}")
-    return aux
+        raise StructuralError(f"{what} file {path} has unknown keys {', '.join(unknown)}")
+    return doc
 
 
 def _cmd_export_mip(args) -> int:
@@ -247,11 +243,13 @@ def _cmd_export_mip(args) -> int:
     instance = load_instance(args.input)
     if args.model == "wsp":
         model = build_wsp_model(instance)
+    elif args.aux is None:
+        raise StructuralError("--aux file required for this model")
     elif args.model == "hof":
-        aux = _load_aux(args.aux, ("targets", "alpha", "beta", "k"), ("integral",))
+        aux = _load_keywords(args.aux, "aux", ("targets", "alpha", "beta", "k"), ("integral",))
         model = build_hof_model(graph=instance.graph, ignition=instance.ignition, **aux)
     else:
-        aux = _load_aux(args.aux, ("weights", "flame_lengths", "flame_threshold", "k"))
+        aux = _load_keywords(args.aux, "aux", ("weights", "flame_lengths", "flame_threshold", "k"))
         model = build_wei_model(graph=instance.graph, ignition=instance.ignition,
                                 horizon=instance.horizon, delay=instance.delay, **aux)
     text = export_model(model, args.format)
@@ -274,6 +272,10 @@ def _load_mvnp(path):
     )
 
 
+# Unit suffixes of the reduced-instance fields whose document keys carry one
+REDUCED_UNITS = {"delay": "_min", "horizon": "_min", "vertex_delays": "_min"}
+
+
 def _cmd_reduce(args) -> int:
     from wsptools.reductions import mvnp_to_hwsp, mvnp_to_wsp, mvnp_to_wwsp
 
@@ -284,27 +286,15 @@ def _cmd_reduce(args) -> int:
         print(f"decision budget: {budget}", file=sys.stderr)
         return EXIT_OK
     if args.target_kind == "wwsp":
-        instance, budget = mvnp_to_wwsp(mvnp)
-        doc = {
-            "kind": "wwsp",
-            "weights": list(instance.weights),
-            "ignition": instance.ignition,
-            "k": instance.k,
-            "forbidden": sorted(instance.forbidden),
-            "delay_min": instance.delay,
-            "horizon_min": instance.horizon,
-            "decision_budget": budget,
-        }
+        (instance, decision), key = mvnp_to_wwsp(mvnp), "decision_budget"
     else:
-        instance, threshold = mvnp_to_hwsp(mvnp)
-        doc = {
-            "kind": "hwsp",
-            "ignition": instance.ignition,
-            "targets": sorted(instance.targets),
-            "k": instance.k,
-            "vertex_delays_min": list(instance.vertex_delays),
-            "decision_threshold": threshold,
-        }
+        (instance, decision), key = mvnp_to_hwsp(mvnp), "decision_threshold"
+    # the reduced instance's fields but the graph, which _graph_json writes;
+    # a set is written as a sorted list
+    doc = {f.name + REDUCED_UNITS.get(f.name, ""): getattr(instance, f.name)
+           for f in fields(instance) if f.name != "graph"}
+    doc.update({name: sorted(v) for name, v in doc.items() if isinstance(v, frozenset)},
+               kind=args.target_kind, **{key: decision})
     with open(args.output, "w") as f:
         f.write(_graph_json(doc, instance.graph))
     return EXIT_OK
@@ -337,12 +327,12 @@ def _cmd_verify_reductions(args) -> int:
 
 
 def _load_plan(path) -> dict:
-    """The bench plan object: lists of instance paths, algorithm names and
-    integer seeds, and an optional positive time limit in seconds."""
+    """The bench plan object: run_benchmark's arguments but out_path, by name;
+    time_limit may be left out, or else is a positive number of seconds."""
     from wsptools.solvers import SOLVERS
 
     names = tuple(SOLVERS)
-    plan = _load_json_object(path, "plan")
+    plan = _load_keywords(path, "plan", (), ("instances", "algorithms", "seeds", "time_limit"))
     for key, valid, expected in [
         ("instances", lambda v: isinstance(v, str), "instance file paths"),
         ("algorithms", lambda v: v in names, f"names among {names}"),
@@ -352,7 +342,7 @@ def _load_plan(path) -> dict:
         bad = [v for v in values if not valid(v)]
         if bad:
             raise StructuralError(f"plan {key} must be {expected}, got {bad[0]!r}")
-    limit = plan.get("time_limit")
+    limit = plan.setdefault("time_limit", None)
     if limit is not None and not (
         type(limit) in (int, float) and math.isfinite(limit) and limit > 0
     ):
@@ -363,9 +353,7 @@ def _load_plan(path) -> dict:
 def _cmd_bench(args) -> int:
     from wsptools.benchlab import run_benchmark
 
-    plan = _load_plan(args.plan)
-    records = run_benchmark(plan["instances"], plan["algorithms"], plan["seeds"],
-                            plan.get("time_limit"), args.out)
+    records = run_benchmark(**_load_plan(args.plan), out_path=args.out)
     print(f"ran {len(records)} cells", file=sys.stderr)
     return EXIT_OK
 

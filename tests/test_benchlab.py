@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from wsptools import benchlab
 from wsptools.benchlab import (
     SM_DELTA_45_INSTANCES,
     SM_DELTA_60_INSTANCES,
@@ -15,7 +16,7 @@ from wsptools.benchlab import (
     sm_scores,
     write_records,
 )
-from wsptools.core import StructuralError, save_instance
+from wsptools.core import StructuralError, load_instance, save_instance
 
 from helpers import profile_value, random_grid_instance
 
@@ -270,3 +271,22 @@ class TestBenchmarkRunner:
         assert records[0].objective == -1
         # one stderr line names the cell and the exception
         assert capsys.readouterr().err == f"error: cell {path} magic seed 4: KeyError: 'magic'\n"
+
+    def test_each_instance_loads_once(self, rng, tmp_path, monkeypatch):
+        # the product is instance-major, so every cell of an instance reuses it
+        paths = []
+        for name in ("a.json", "b.json"):
+            path = tmp_path / name
+            save_instance(random_grid_instance(rng, side=3, schedule_spec=((1.0, 1),)), path)
+            paths.append(str(path))
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_instance(path)
+
+        monkeypatch.setattr(benchlab, "load_instance", counting_load)
+        records = run_benchmark(paths, ["rs", "beam"], [0, 1], 0.01, tmp_path / "runs.csv")
+        assert len(records) == 8
+        assert all(r.status == "ok" for r in records)
+        assert loads == paths

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import wsptools
 from wsptools import cli, generator, solvers
-from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records
+from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records, run_benchmark
 from wsptools.cli import _budget, _load_plan, build_parser, dispatch
 from wsptools.core import (
     compute_arrival_times,
@@ -445,6 +446,12 @@ class TestExportAux:
         assert code == 2
         assert message in err
 
+    def test_unknown_key_message(self, small_instance, tmp_path, capsys):
+        code, _, err = self.export(capsys, small_instance, tmp_path, "hof",
+                                   dict(HOF_AUX, Integral=True, delay=0.0))
+        assert code == 2
+        assert err == f"error: aux file {tmp_path / 'aux.json'} has unknown keys Integral, delay\n"
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -784,6 +791,27 @@ class TestBenchPlan:
         assert code == 2
         assert message in err
         assert not records.exists()
+
+    def test_unknown_key_writes_no_records(self, small_instance, tmp_path, capsys):
+        # a misspelt time_limit must not leave rs at its default 1000 iterations
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"instances": [str(small_instance)], "algorithms": ["rs"],
+                                    "seeds": [0], "time_limt": 0.01}))
+        records = tmp_path / "records.csv"
+        code, _, err = run(capsys, "bench", "--plan", str(plan), "--out", str(records))
+        assert code == 2
+        assert err == f"error: plan file {plan} has unknown keys time_limt\n"
+        assert not records.exists()
+
+    def test_plan_keys_are_run_benchmark_parameters(self, tmp_path):
+        # the plan keys are run_benchmark's parameters but out_path, so a new
+        # parameter fails here until the plan accepts it
+        parameters = set(inspect.signature(run_benchmark).parameters) - {"out_path"}
+        doc = {"instances": [], "algorithms": [], "seeds": [], "time_limit": 0.5}
+        assert set(doc) == parameters
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        assert _load_plan(plan) == doc
 
     def test_non_object_plan(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"

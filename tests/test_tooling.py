@@ -7,13 +7,14 @@ against the digests in references.json.  These tests load both modules
 by path and leave perfbench/ as it is.
 
 The last tests hold the package to its line budget and to no unused
-import.
+import, and run README's library example.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -121,3 +122,13 @@ def test_package_imports_only_what_it_uses():
                     if name not in loaded:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_readme_python_blocks_run():
+    # the blocks build on each other, so they run in order in one namespace
+    readme = PACKAGE.parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
