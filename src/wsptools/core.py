@@ -26,29 +26,31 @@ class StructuralError(ValueError):
 class DirectedGraph:
     """Directed graph with positive arc travel times in minutes.
 
-    Arcs are stored as (tail, head, travel_time) tuples, at most one per
-    ordered vertex pair, no self-loops.
+    Arcs are (tail, head, travel_time) tuples, stored sorted by (tail,
+    head): at most one per ordered vertex pair, no self-loops.
     """
 
     vertex_count: int
     arcs: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        seen = set()
+        # the sort compares times only within a duplicate pair, refused below
+        object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
+        previous = None
         for tail, head, time in self.arcs:
             if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
                 raise StructuralError(f"arc ({tail},{head}) has vertex id out of range")
             if tail == head:
                 raise StructuralError(f"self-loop at vertex {tail}")
-            if (tail, head) in seen:
+            if (tail, head) == previous:
                 raise StructuralError(f"duplicate arc ({tail},{head})")
             if not time > 0:
                 raise StructuralError(f"arc ({tail},{head}) has nonpositive travel time {time}")
-            seen.add((tail, head))
+            previous = tail, head
 
     @cached_property
     def out_arcs(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
-        """out_arcs[u]: the graph's own (u, v, t) arc tuples leaving u, in arc order.
+        """out_arcs[u]: the graph's own (u, v, t) arc tuples leaving u, heads ascending.
 
         Built on first use and kept: the graph is immutable.
         """
@@ -59,7 +61,7 @@ class DirectedGraph:
 
     @cached_property
     def in_arcs(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
-        """in_arcs[v]: the graph's own (u, v, t) arc tuples entering v, in arc order."""
+        """in_arcs[v]: the graph's own (u, v, t) arc tuples entering v, tails ascending."""
         into: list[list[tuple[int, int, float]]] = [[] for _ in range(self.vertex_count)]
         for arc in self.arcs:
             into[arc[1]].append(arc)
@@ -382,8 +384,8 @@ def check_feasibility(instance: WspInstance, alloc: Allocation) -> list[Violatio
 
 
 def _arcs_json(graph: DirectedGraph) -> str:
-    """The arcs, sorted, as json.dumps(..., indent=1) writes them as the
-    value of a top-level key.
+    """The arcs, as stored, as json.dumps(..., indent=1) writes them as
+    the value of a top-level key.
 
     The compact C encoder writes every number, so ints, floats, Infinity
     and float subclasses come out as the indented encoder would write
@@ -392,13 +394,13 @@ def _arcs_json(graph: DirectedGraph) -> str:
     """
     if not graph.arcs:
         return "[]"
-    compact = json.dumps(sorted(graph.arcs))
+    compact = json.dumps(graph.arcs)
     inner = compact[2:-2].replace("], [", "\n  ],\n  [\n   ").replace(", ", ",\n   ")
     return "[\n  [\n   " + inner + "\n  ]\n ]"
 
 
 def _graph_json(doc: dict, graph: DirectedGraph) -> str:
-    """json.dumps(doc with the graph's "vertex_count" and sorted "arcs",
+    """json.dumps(doc with the graph's "vertex_count" and "arcs",
     indent=1, sort_keys=True) + "\n".  Every key of doc must sort after
     "arcs", the first key, which _arcs_json writes: the indented encoder
     runs in pure Python."""

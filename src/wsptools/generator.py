@@ -141,15 +141,15 @@ class Landscape:
     wind_vectors: dict[tuple[int, int], tuple[float, float]] = field(compare=False)
 
 
-# Unit steps to the 4 neighbours of a cell, in arc order: left, right, up, down.
-_STEPS_X = np.array([-1, 1, 0, 0])
-_STEPS_Y = np.array([0, 0, -1, 1])
+# Unit steps to the 4 neighbours of a cell, heads ascending: up, left, right, down.
+_STEPS_X = np.array([0, -1, 1, 0])
+_STEPS_Y = np.array([-1, 0, 0, 1])
 
 
 def _grid_arcs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tails, heads and unit steps (dx, dy) of the directed 4-neighbour
-    arcs of an n x n grid, in arc order: tails ascending (row-major
-    vertex ids), each tail's neighbours left, right, up, down."""
+    arcs of an n x n grid in the graph's arc order: tails ascending
+    (row-major vertex ids), each tail's neighbours up, left, right, down."""
     cells = np.arange(n * n)
     x, y = (cells % n)[:, None] + _STEPS_X, (cells // n)[:, None] + _STEPS_Y
     inside = (0 <= x) & (x < n) & (0 <= y) & (y < n)

@@ -139,12 +139,12 @@ def _per_vertex(name: str, values, n: int) -> list:
 
 
 def _propagation_rows(graph, ignition, a, digits, tail_terms, rhs=None) -> list[Constraint]:
-    """Ignition row a_s = 0, then per arc (u, v) in sorted order the spread
+    """Ignition row a_s = 0, then per arc (u, v) in the graph's order the spread
     row a_v - a_u + tail_terms[u] <= rhs[u] (the travel time when rhs is None)."""
     if not 0 <= ignition < len(a):
         raise StructuralError(f"ignition vertex {ignition} out of range")
     rows = [Constraint("ignition", ((1.0, a[ignition]),), EQ, 0.0)]
-    for u, v, t in sorted(graph.arcs):
+    for u, v, t in graph.arcs:
         terms = ((1.0, a[v]), (-1.0, a[u]), *tail_terms[u])
         name = f"spread_{digits[u]}_{digits[v]}"  # _vname("spread", u, v)
         rows.append(Constraint(name, terms, LE, t if rhs is None else rhs[u]))
@@ -152,7 +152,9 @@ def _propagation_rows(graph, ignition, a, digits, tail_terms, rhs=None) -> list[
 
 
 def _burn_rows(a, y, digits, horizon: float) -> list[Constraint]:
-    """y_v + a_v / H >= 1: a vertex reached before the horizon burns."""
+    """y_v + a_v / H >= 1 for a finite, positive H: a vertex reached before the horizon burns."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise StructuralError(f"horizon must be finite and positive, got {horizon}")
     inverse = 1.0 / horizon
     return [
         Constraint(name, ((1.0, yv), (inverse, av)), GE, 1.0)
@@ -271,8 +273,6 @@ def build_wei_model(
     total budget k, and r_v fixed to zero wherever the predicted flame
     length exceeds the threshold.
     """
-    if horizon <= 0:
-        raise StructuralError("horizon must be positive")
     n = graph.vertex_count
     weights = _per_vertex("weights", weights, n)
     flame_lengths = _per_vertex("flame_lengths", flame_lengths, n)

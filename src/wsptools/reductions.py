@@ -121,7 +121,7 @@ def mvnp_to_wsp(mvnp: MvnpInstance) -> tuple[WspInstance, int]:
     g, s, t = mvnp.graph, mvnp.source, mvnp.sink
     dist = single_source_distances(g, s)
     # (u, cost) of each arc into the sink that is short, in order of u
-    short_preds = sorted((u, cost) for u, _, cost in g.in_arcs[t] if dist[u] + cost < mvnp.h)
+    short_preds = [(u, cost) for u, _, cost in g.in_arcs[t] if dist[u] + cost < mvnp.h]
 
     def remap(v: int) -> int:
         return v if v < t else v - 1
@@ -184,7 +184,7 @@ def cost_preserving_augmentation(graph: DirectedGraph) -> tuple[DirectedGraph, f
     arcs = []
     aux = graph.vertex_count
     aux_ids = []
-    for u, v, t in sorted(graph.arcs):
+    for u, v, t in graph.arcs:
         arcs.append((u, aux, eps / 2.0))
         arcs.append((aux, v, t - eps / 2.0))
         aux_ids.append(aux)

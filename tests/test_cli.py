@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -407,6 +408,18 @@ class TestExportMip:
                            "-i", str(bad), "-o", str(tmp_path / "m.lp"))
         assert code == 2
         assert "arc entry" in err
+
+    def test_infinite_horizon_exits_2(self, small_instance, tmp_path, capsys):
+        # the instance loads (an infinite horizon is valid); its wsp model has none
+        doc = json.loads(small_instance.read_text())
+        doc["horizon_min"] = math.inf
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "inf.lp"
+        code, _, err = run(capsys, "export-mip", "--model", "wsp", "-i", str(bad), "-o", str(out))
+        assert code == 2
+        assert "horizon must be finite and positive, got inf" in err
+        assert not out.exists()
 
 
 HOF_AUX = {"targets": [35], "alpha": [1.0] * 36, "beta": [1.0] * 36, "k": 2.0}

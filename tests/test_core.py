@@ -22,6 +22,7 @@ from wsptools.core import (
     solution_to_json,
 )
 from wsptools.generator import GeneratorConfig, generate_instance
+from wsptools.reductions import MvnpInstance, mvnp_to_wsp
 
 from helpers import random_allocation, random_wsp_instance
 
@@ -60,6 +61,30 @@ class TestGraphValidation:
     def test_rejects_bad_vertex(self):
         with pytest.raises(StructuralError):
             DirectedGraph(2, ((0, 2, 1.0),))
+
+    def test_rejects_duplicate_pair_apart_in_the_input(self):
+        with pytest.raises(StructuralError, match=r"^duplicate arc \(0,1\)$"):
+            DirectedGraph(2, ((0, 1, 2.0), (1, 0, 1.0), (0, 1, 1.0)))
+
+    def test_message_names_the_lowest_bad_arc(self):
+        # arcs are checked in (tail, head) order, not in the order given
+        with pytest.raises(StructuralError, match=r"^arc \(0,9\) has vertex id out of range$"):
+            DirectedGraph(3, ((5, 0, 1.0), (0, 9, 1.0)))
+
+    def test_arcs_stored_sorted(self):
+        rng = np.random.default_rng(4)
+        pairs = [(u, v) for u in range(6) for v in range(6) if u != v]
+        chosen = rng.permutation(len(pairs))[:20]
+        given = tuple((*pairs[i], float(rng.uniform(1.0, 2.0))) for i in chosen)
+        graph = DirectedGraph(6, given)
+        assert graph.arcs == tuple(sorted(given))
+        assert all(any(a is b for b in given) for a in graph.arcs)
+        for u, arcs in enumerate(graph.out_arcs):
+            heads = [v for _, v, _ in arcs]
+            assert heads == sorted(heads) and all(a[0] == u for a in arcs)
+        for v, arcs in enumerate(graph.in_arcs):
+            tails = [u for u, _, _ in arcs]
+            assert tails == sorted(tails) and all(a[1] == v for a in arcs)
 
 
 class TestArrivalTimes:
@@ -332,18 +357,27 @@ class TestReleaseTable:
                     lookup(total)
 
 
+def reduced_instance():
+    """mvnp_to_wsp's output: the leaf arcs it appends after the core arcs
+    have tails below a core arc's."""
+    graph = DirectedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
+    return mvnp_to_wsp(MvnpInstance(graph, source=0, sink=3, k=1, h=10.0))[0]
+
+
 class TestSerialization:
-    def test_round_trip(self, figure_instance, tmp_path):
-        text = instance_to_json(figure_instance)
-        back = instance_from_json(text)
-        assert back.graph.arcs == tuple(sorted(figure_instance.graph.arcs))
-        assert back.horizon == figure_instance.horizon
-        assert back.schedule == figure_instance.schedule
-        assert instance_to_json(back) == text
+    def test_round_trip(self, figure_instance):
+        generated = generate_instance(GeneratorConfig(seed=3, n=9))
+        for instance in (figure_instance, generated, reduced_instance()):
+            text = instance_to_json(instance)
+            back = instance_from_json(text)
+            assert back == instance
+            assert back.meta == instance.meta
+            assert instance_to_json(back) == text
 
     def test_arc_order_is_canonical(self):
         g1 = DirectedGraph(3, ((1, 2, 1.0), (0, 1, 1.0)))
         g2 = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+        assert g1 == g2
         i1 = WspInstance(g1, 0, 5.0, 0.0, ())
         i2 = WspInstance(g2, 0, 5.0, 0.0, ())
         assert instance_to_json(i1) == instance_to_json(i2)

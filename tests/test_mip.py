@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -867,6 +868,22 @@ class TestBuilderInputs:
         args.update(change)
         with pytest.raises(StructuralError):
             build_wei_model(**args)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    @pytest.mark.parametrize("model", ["wsp", "wei"])
+    def test_horizon_must_be_finite_and_positive(self, graph, model, horizon):
+        # with 1/H = 0 the burn rows y_v + 0 a_v >= 1 would count every
+        # vertex, reached or not, as burned
+        if model == "wsp":
+            instance = WspInstance(graph, 0, 5.0, 1.0, ((1.0, 1),))
+            # WspInstance keeps an infinite horizon but refuses NaN itself
+            object.__setattr__(instance, "horizon", horizon)
+            build = functools.partial(build_wsp_model, instance)
+        else:
+            build = functools.partial(build_wei_model, graph, 0, horizon, 1.0, [1.0] * 3,
+                                      [0.0] * 3, 4.0, 1)
+        with pytest.raises(StructuralError, match="horizon must be finite and positive"):
+            build()
 
 
 def solve_with_highs(model):
