@@ -1,14 +1,15 @@
 """Single command-line entry point for the toolkit.
 
-Exit codes: 0 success, 1 usage error, 2 domain or validation error,
-3 resource-limit refusal.  Diagnostics go to stderr; data goes to files
-or stdout.
+Exit codes: 0 success, 1 usage error, 2 domain or validation error or a
+path that cannot be opened, 3 resource-limit refusal.  Diagnostics go to
+stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import re
@@ -454,14 +455,21 @@ def dispatch(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    # a command's objects are freed by refcounting; the cyclic collector
+    # would only re-scan the model or instance it holds while it runs
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _HANDLERS[args.command](args)
     except LimitExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ValueError, GenerationError, FileNotFoundError) as e:
+    except (ValueError, GenerationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

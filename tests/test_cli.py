@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import inspect
 import json
@@ -336,6 +337,25 @@ class TestSolveAndEvaluate:
         code, _, _ = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
                          "-i", str(tmp_path / "nope.json"), "-o", str(tmp_path / "s.json"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--grid-side", "4", "-o", "{dir}"],
+            ["solve", "--algo", "rs", "--iterations", "1", "-i", "{inst}", "-o", "{dir}"],
+            ["evaluate", "-i", "{inst}", "--solution", "{dir}"],
+            ["export-mip", "--model", "wsp", "-i", "{dir}", "-o", "{dir}/m.lp"],
+            ["bench", "--plan", "{dir}", "--out", "{dir}/records.csv"],
+            ["report", "--records", "{dir}", "--profiles", "{dir}/p.csv", "--sm", "{dir}/s.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_directory_path_is_domain_error(self, small_instance, tmp_path, capsys, argv):
+        argv = [a.format(dir=tmp_path, inst=small_instance) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "solution, message",
@@ -908,3 +928,109 @@ class TestPhysics:
         outputs = [run(capsys, "physics", "eval", *args) for args in (separate, joined)]
         assert outputs[0] == outputs[1]
         assert outputs[0] == (2, "", f"error: {flag} must be finite, got {float(value)}\n")
+
+
+class TestCollector:
+    """dispatch runs a command with the cyclic collector paused and leaves it
+    as the caller set it; refcounting frees what a command builds."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        gc.enable() if enabled else gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["physics", "eval", "--wind-speed", "1", "--slope-tangent", "0"], 0),
+            (["generate", "--does-not-exist"], 1),
+            (["physics", "eval", "--wind-speed", "1", "--slope-tangent", "1",
+              "--base-rate", "-1"], 2),
+            (["solve", "--algo", "exact", "--max-nodes", "10", "-i", "{inst}", "-o", "{sol}"], 3),
+        ],
+    )
+    def test_state_restored_on_each_exit(self, collector, small_instance, tmp_path, capsys,
+                                         argv, expected, enabled):
+        argv = [a.format(inst=small_instance, sol=tmp_path / "sol.json") for a in argv]
+        gc.enable() if enabled else gc.disable()
+        assert run(capsys, *argv)[0] == expected
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_when_a_handler_raises(self, collector, monkeypatch, enabled):
+        def fail(args):
+            assert not gc.isenabled()
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setitem(cli._HANDLERS, "physics", fail)
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            dispatch(["physics", "eval", "--wind-speed", "1", "--slope-tangent", "0"])
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_runs_during_a_command(self, collector, tmp_path, capsys):
+        # the work counter behind the export speed-up: a 12 x 12 export ran
+        # about 20 collections with the collector on
+        source = tmp_path / "inst.json"
+        save_instance(generator.generate_instance(generator.GeneratorConfig(seed=1, n=12)),
+                      source)
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.enable()
+        cli._parser()  # built on a process's first command, with the collector on
+        for argv in (
+            ["export-mip", "--model", "wsp", "-i", str(source), "-o", str(tmp_path / "m.lp")],
+            ["generate", "--grid-side", "20", "-o", str(tmp_path / "g.json")],
+        ):
+            # the first allocation after dispatch re-enables the collector
+            # may start a collection, so the hook is removed first
+            gc.collect()
+            gc.callbacks.append(count)
+            try:
+                code = dispatch(argv)
+            finally:
+                gc.callbacks.remove(count)
+            assert code == 0
+            assert collections == [], argv[0]
+
+    def test_cyclic_garbage_does_not_grow_with_the_work(self, collector, small_instance,
+                                                        tmp_path, capsys):
+        # the premise of the pause: what a command leaves for the collector
+        # is the same for small and large inputs. The collector stays off
+        # between commands, so only gc.collect() finds that garbage.
+        gc.disable()
+        sources = {}
+        for n in (4, 12):
+            sources[n] = tmp_path / f"inst{n}.json"
+            save_instance(generator.generate_instance(generator.GeneratorConfig(seed=1, n=n)),
+                          sources[n])
+        records = tmp_path / "records.csv"
+
+        def bench(algorithms, seeds):
+            plan = tmp_path / f"plan{len(algorithms) * len(seeds)}.json"
+            plan.write_text(json.dumps({"instances": [str(small_instance)],
+                                        "algorithms": algorithms, "seeds": seeds,
+                                        "time_limit": 0.01}))
+            return ["bench", "--plan", str(plan), "--out", str(records)]
+
+        pairs = {
+            "generate": [["generate", "--grid-side", str(n), "-o", str(tmp_path / "g.json")]
+                         for n in (4, 40)],
+            "verify-reductions": [["verify-reductions", "--samples", str(k)] for k in (5, 60)],
+            "bench": [bench(["rs"], [0]), bench(["rs", "beam"], list(range(6)))],
+            "export-mip": [["export-mip", "--model", "wsp", "-i", str(sources[n]),
+                            "-o", str(tmp_path / "m.lp")] for n in (4, 12)],
+        }
+        for command, (small, large) in pairs.items():
+            left = []
+            for argv in (small, small, large):  # the first run warms imports and caches
+                records.unlink(missing_ok=True)  # bench would resume and run nothing
+                assert run(capsys, *argv)[0] == 0
+                left.append(gc.collect())
+            assert left[1] == left[2], command
