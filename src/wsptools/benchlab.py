@@ -204,7 +204,9 @@ def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[Ru
     None, appending each record to out_path as it finishes.  Cells already
     in the CSV are skipped, so an interrupted run can be resumed, and a
     cell the plan repeats runs once.  Each instance is loaded, and its free
-    burn computed, once and outside every cell's wall_seconds."""
+    burn computed, once and outside every cell's wall_seconds.  A time_limit
+    the budget refuses raises before out_path is read or written."""
+    budget = SolverBudget(time_limit)
     done = set()
     if os.path.exists(out_path):
         done = {(r.instance, r.algorithm, r.seed) for r in read_records(out_path)}
@@ -220,7 +222,7 @@ def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[Ru
             instance.free_burn  # computed once and kept by the instance
         start = time.monotonic()
         try:
-            result = SOLVERS[algorithm](instance, SolverBudget(time_limit), seed)
+            result = SOLVERS[algorithm](instance, budget, seed)
             status, objective = STATUS_OK, result.objective
         except LimitExceeded:
             status, objective = STATUS_LIMIT, -1

@@ -1,36 +1,32 @@
 """Single command-line entry point for the toolkit.
 
-Exit codes: 0 success, 1 usage error, 2 domain or validation error or a
-path that cannot be opened, 3 resource-limit refusal.  Diagnostics go to
+Exit codes: 0 success, 1 usage error, 2 domain or validation error (a
+ValueError) or a path that cannot be opened (an OSError), 3 resource-limit
+refusal.  Diagnostics go to
 stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import gc
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, fields
 
-from wsptools import INSTANCE_FORMAT_VERSION, __version__
-from wsptools.core import (
-    StructuralError,
-    _graph_json,
-    _json_float,
-    _json_graph,
-    _json_int,
-    _json_list,
-    check_feasibility,
-    load_instance,
-    objective,
-    save_instance,
-    solution_from_json,
-    solution_to_json,
-)
+import numpy as np
+
+# package modules are reached through their module, so a wrapper or test
+# double set on it is seen; benchlab, mip, reductions and testkit are imported
+# by the code that uses them, so `import wsptools.cli` does not pay for them
+# (python 3.11 -X importtime on a 2-core Xeon VM: benchlab 9-13 ms, the other
+# three 15-23 ms together)
+from wsptools import INSTANCE_FORMAT_VERSION, __version__, core, generator, rothermel, solvers
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,9 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from wsptools import generator as gen
-    from wsptools.benchlab import SM_DELTA_45_INSTANCES
-    from wsptools.solvers import SOLVERS, SolverBudget
+    from wsptools import benchlab
 
     parser = _Parser(prog="wsptools", description=__doc__)
     parser.add_argument(
@@ -76,47 +70,50 @@ def build_parser() -> argparse.ArgumentParser:
     # generate's choices are the generator's level tables; each flag but
     # --grid/--grid-side sets the GeneratorConfig field named by its dest and
     # takes that field's default; "medium" is the level of GeneratorConfig.n
-    config = gen.GeneratorConfig
+    config = generator.GeneratorConfig
     p = sub.add_parser("generate", help="generate a grid instance")
     p.add_argument("--seed", type=int, default=config.seed, help="generator seed")
-    p.add_argument("--grid", default="medium", choices=list(gen.GRID_LEVELS),
+    p.add_argument("--grid", default="medium", choices=list(generator.GRID_LEVELS),
                    help="grid side: 20/30/40/80 cells")
     p.add_argument("--grid-side", type=int, default=None,
                    help="explicit grid side, overrides --grid (flagged in meta)")
     p.add_argument("--wind", dest="wind_level", default=config.wind_level,
-                   choices=list(gen.WIND_LEVELS), help="midflame wind-speed interval (ft/min)")
+                   choices=list(generator.WIND_LEVELS),
+                   help="midflame wind-speed interval (ft/min)")
     p.add_argument("--wind-direction", type=float, default=config.wind_direction,
                    help="predominant wind direction (radians, 0 = +x)")
     p.add_argument("--slope", dest="slope_level", default=config.slope_level,
-                   choices=list(gen.SLOPE_LEVELS), help="terrain steepness (max elevation in ft)")
+                   choices=list(generator.SLOPE_LEVELS),
+                   help="terrain steepness (max elevation in ft)")
     p.add_argument("--delay", dest="delay_level", default=config.delay_level,
-                   choices=list(gen.DELAY_LEVELS),
+                   choices=list(generator.DELAY_LEVELS),
                    help="suppression delay relative to the horizon (minutes)")
     p.add_argument("--resources", dest="resources_level", default=config.resources_level,
-                   choices=list(gen.RESOURCE_LEVELS),
+                   choices=list(generator.RESOURCE_LEVELS),
                    help="resource count relative to the grid side")
     p.add_argument("--decisions", dest="decision_points", type=int,
                    default=config.decision_points, help="number of release points")
     p.add_argument("--first-release", default=config.first_release,
-                   choices=list(gen.FIRST_RELEASE_LEVELS), help="first release burn percentile")
+                   choices=list(generator.FIRST_RELEASE_LEVELS),
+                   help="first release burn percentile")
     p.add_argument("--last-release", default=config.last_release,
-                   choices=list(gen.LAST_RELEASE_LEVELS), help="last release burn percentile")
+                   choices=list(generator.LAST_RELEASE_LEVELS), help="last release burn percentile")
     p.add_argument("--extent", dest="landscape_extent", type=float,
                    default=config.landscape_extent, help="landscape extent (ft)")
     p.add_argument("-o", "--output", required=True, help="output instance file (JSON)")
 
     p = sub.add_parser("solve", help="solve an instance")
-    p.add_argument("--algo", required=True, choices=list(SOLVERS))
+    p.add_argument("--algo", required=True, choices=list(solvers.SOLVERS))
     p.add_argument("--seed", type=int, default=0)
     # each bound flag sets the SolverBudget field named by its dest
     p.add_argument("--time-limit", dest="max_seconds", type=float, default=None,
                    help="random-search limit (seconds)")
     p.add_argument("--iterations", dest="max_iterations", type=int, default=None,
                    help="random-search limit (iterations)")
-    p.add_argument("--beam-width", type=int, default=SolverBudget.beam_width)
-    p.add_argument("--expansions", type=int, default=SolverBudget.expansions,
+    p.add_argument("--beam-width", type=int, default=solvers.SolverBudget.beam_width)
+    p.add_argument("--expansions", type=int, default=solvers.SolverBudget.expansions,
                    help="child combinations per beam node")
-    p.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes,
+    p.add_argument("--max-nodes", type=int, default=solvers.SolverBudget.max_nodes,
                    help="exact-solver search-space refusal limit")
     p.add_argument("-i", "--input", required=True, help="instance file")
     p.add_argument("-o", "--output", required=True, help="solution file (JSON)")
@@ -134,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output model file")
 
     p = sub.add_parser("reduce", help="reduce an interdiction instance")
-    p.add_argument("--from", dest="source_kind", default="mvnp", choices=["mvnp"])
     p.add_argument("--to", dest="target_kind", required=True, choices=["wsp", "wwsp", "hwsp"])
     p.add_argument("-i", "--input", required=True, help="interdiction instance (JSON)")
     p.add_argument("-o", "--output", required=True, help="output file (JSON)")
@@ -152,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--profiles", required=True, help="output CSV of profile breakpoints")
     p.add_argument("--sm", required=True, help="output CSV of rank scores")
-    p.add_argument("--delta", type=float, default=SM_DELTA_45_INSTANCES,
+    p.add_argument("--delta", type=float, default=benchlab.SM_DELTA_45_INSTANCES,
                    help="pairwise rank-score significance threshold")
 
     p = sub.add_parser("physics", help="physics debugging aids")
@@ -172,48 +168,47 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    from wsptools.generator import GRID_LEVELS, GeneratorConfig, generate_instance
-
-    n = args.grid_side if args.grid_side is not None else GRID_LEVELS[args.grid]
-    config = GeneratorConfig(
-        n=n, **{f.name: getattr(args, f.name) for f in fields(GeneratorConfig) if f.name != "n"}
-    )
-    instance = generate_instance(config)
-    save_instance(instance, args.output)
+    n = args.grid_side if args.grid_side is not None else generator.GRID_LEVELS[args.grid]
+    config = generator.GeneratorConfig(n=n, **{
+        f.name: getattr(args, f.name) for f in fields(generator.GeneratorConfig) if f.name != "n"
+    })
+    core.save_instance(generator.generate_instance(config), args.output)
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
 
 def _budget(args):
-    from wsptools.solvers import SolverBudget
+    return solvers.SolverBudget(
+        **{f.name: getattr(args, f.name) for f in fields(solvers.SolverBudget)}
+    )
 
-    return SolverBudget(**{f.name: getattr(args, f.name) for f in fields(SolverBudget)})
+
+def _print_json(report: dict) -> None:
+    """A command's report on stdout: sorted keys, one-space indent."""
+    print(json.dumps(report, indent=1, sort_keys=True))
 
 
 def _cmd_solve(args) -> int:
-    from wsptools.solvers import SOLVERS
-
-    instance = load_instance(args.input)
-    result = SOLVERS[args.algo](instance, _budget(args), args.seed)
+    instance = core.load_instance(args.input)
+    result = solvers.SOLVERS[args.algo](instance, _budget(args), args.seed)
     with open(args.output, "w") as f:
-        f.write(solution_to_json(args.input, result.allocation, result.objective))
+        f.write(core.solution_to_json(args.input, result.allocation, result.objective))
     print(f"objective {result.objective}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    instance = load_instance(args.input)
+    instance = core.load_instance(args.input)
     with open(args.solution) as f:
-        _, alloc, _ = solution_from_json(f.read())
-    violations = check_feasibility(instance, alloc)
+        _, alloc, _ = core.solution_from_json(f.read())
+    violations = core.check_feasibility(instance, alloc)
     # no fire is scored for a vertex outside the graph; a violation says why
     scored = all(0 <= v < instance.graph.vertex_count for v in alloc.protected)
-    report = {
-        "objective": objective(instance, alloc) if scored else None,
+    _print_json({
+        "objective": core.objective(instance, alloc) if scored else None,
         "feasible": not violations,
         "violations": [asdict(v) for v in violations],
-    }
-    print(json.dumps(report, indent=1, sort_keys=True))
+    })
     return EXIT_OK
 
 
@@ -221,7 +216,7 @@ def _load_json_object(path, what: str) -> dict:
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
-        raise StructuralError(f"{what} file {path} must hold a JSON object")
+        raise core.StructuralError(f"{what} file {path} must hold a JSON object")
     return doc
 
 
@@ -231,29 +226,29 @@ def _load_keywords(path, what: str, required, optional=()) -> dict:
     doc = _load_json_object(path, what)
     missing = [key for key in required if key not in doc]
     if missing:
-        raise StructuralError(f"{what} file {path} lacks {', '.join(missing)}")
+        raise core.StructuralError(f"{what} file {path} lacks {', '.join(missing)}")
     unknown = sorted(set(doc) - {*required, *optional})
     if unknown:
-        raise StructuralError(f"{what} file {path} has unknown keys {', '.join(unknown)}")
+        raise core.StructuralError(f"{what} file {path} has unknown keys {', '.join(unknown)}")
     return doc
 
 
 def _cmd_export_mip(args) -> int:
-    from wsptools.mip import build_hof_model, build_wei_model, build_wsp_model, export_model
+    from wsptools import mip
 
-    instance = load_instance(args.input)
+    instance = core.load_instance(args.input)
     if args.model == "wsp":
-        model = build_wsp_model(instance)
+        model = mip.build_wsp_model(instance)
     elif args.aux is None:
-        raise StructuralError("--aux file required for this model")
+        raise core.StructuralError("--aux file required for this model")
     elif args.model == "hof":
         aux = _load_keywords(args.aux, "aux", ("targets", "alpha", "beta", "k"), ("integral",))
-        model = build_hof_model(graph=instance.graph, ignition=instance.ignition, **aux)
+        model = mip.build_hof_model(graph=instance.graph, ignition=instance.ignition, **aux)
     else:
         aux = _load_keywords(args.aux, "aux", ("weights", "flame_lengths", "flame_threshold", "k"))
-        model = build_wei_model(graph=instance.graph, ignition=instance.ignition,
-                                horizon=instance.horizon, delay=instance.delay, **aux)
-    text = export_model(model, args.format)
+        model = mip.build_wei_model(graph=instance.graph, ignition=instance.ignition,
+                                    horizon=instance.horizon, delay=instance.delay, **aux)
+    text = mip.export_model(model, args.format)
     with open(args.output, "w") as f:
         f.write(text)
     print(f"wrote {args.output}", file=sys.stderr)
@@ -261,15 +256,15 @@ def _cmd_export_mip(args) -> int:
 
 
 def _load_mvnp(path):
-    from wsptools.reductions import MvnpInstance
+    from wsptools import reductions
 
     doc = _load_json_object(path, "interdiction instance")
-    return MvnpInstance(
-        graph=_json_graph(doc),
-        source=_json_int(doc, "source"),
-        sink=_json_int(doc, "sink"),
-        k=_json_int(doc, "k"),
-        h=_json_float(doc, "h"),
+    return reductions.MvnpInstance(
+        graph=core._json_graph(doc),
+        source=core._json_int(doc, "source"),
+        sink=core._json_int(doc, "sink"),
+        k=core._json_int(doc, "k"),
+        h=core._json_float(doc, "h"),
     )
 
 
@@ -278,18 +273,18 @@ REDUCED_UNITS = {"delay": "_min", "horizon": "_min", "vertex_delays": "_min"}
 
 
 def _cmd_reduce(args) -> int:
-    from wsptools.reductions import mvnp_to_hwsp, mvnp_to_wsp, mvnp_to_wwsp
+    from wsptools import reductions
 
     mvnp = _load_mvnp(args.input)
     if args.target_kind == "wsp":
-        instance, budget = mvnp_to_wsp(mvnp)
-        save_instance(instance, args.output)
+        instance, budget = reductions.mvnp_to_wsp(mvnp)
+        core.save_instance(instance, args.output)
         print(f"decision budget: {budget}", file=sys.stderr)
         return EXIT_OK
     if args.target_kind == "wwsp":
-        (instance, decision), key = mvnp_to_wwsp(mvnp), "decision_budget"
+        (instance, decision), key = reductions.mvnp_to_wwsp(mvnp), "decision_budget"
     else:
-        (instance, decision), key = mvnp_to_hwsp(mvnp), "decision_threshold"
+        (instance, decision), key = reductions.mvnp_to_hwsp(mvnp), "decision_threshold"
     # the reduced instance's fields but the graph, which _graph_json writes;
     # a set is written as a sorted list
     doc = {f.name + REDUCED_UNITS.get(f.name, ""): getattr(instance, f.name)
@@ -297,132 +292,107 @@ def _cmd_reduce(args) -> int:
     doc.update({name: sorted(v) for name, v in doc.items() if isinstance(v, frozenset)},
                kind=args.target_kind, **{key: decision})
     with open(args.output, "w") as f:
-        f.write(_graph_json(doc, instance.graph))
+        f.write(core._graph_json(doc, instance.graph))
     return EXIT_OK
 
 
 def _cmd_verify_reductions(args) -> int:
-    from wsptools.testkit import random_mvnp_instance
-    from wsptools.reductions import verify_reductions
-
-    import numpy as np
+    from wsptools import reductions, testkit
 
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for i in range(args.samples):
-        mvnp = random_mvnp_instance(rng, max_vertices=args.max_vertices)
-        answers = verify_reductions(mvnp)
+        mvnp = testkit.random_mvnp_instance(rng, max_vertices=args.max_vertices)
+        answers = reductions.verify_reductions(mvnp)
         if not answers["agree"]:
             failures += 1
             print(f"sample {i}: DISAGREE {answers}", file=sys.stderr)
-    print(
-        json.dumps(
-            {"samples": args.samples, "failures": failures, "pass": failures == 0},
-            indent=1,
-            sort_keys=True,
-        )
-    )
+    _print_json({"samples": args.samples, "failures": failures, "pass": failures == 0})
     return EXIT_OK if failures == 0 else EXIT_DOMAIN
 
 
 def _load_plan(path) -> dict:
     """The bench plan object: run_benchmark's arguments but out_path, by name;
     time_limit may be left out, or else is a positive number of seconds."""
-    from wsptools.solvers import SOLVERS
-
-    names = tuple(SOLVERS)
+    names = tuple(solvers.SOLVERS)
     plan = _load_keywords(path, "plan", (), ("instances", "algorithms", "seeds", "time_limit"))
     for key, valid, expected in [
         ("instances", lambda v: isinstance(v, str), "instance file paths"),
         ("algorithms", lambda v: v in names, f"names among {names}"),
         ("seeds", lambda v: type(v) is int, "integers"),
     ]:
-        values = _json_list(plan, key)
+        values = core._json_list(plan, key)
         bad = [v for v in values if not valid(v)]
         if bad:
-            raise StructuralError(f"plan {key} must be {expected}, got {bad[0]!r}")
+            raise core.StructuralError(f"plan {key} must be {expected}, got {bad[0]!r}")
     limit = plan.setdefault("time_limit", None)
     if limit is not None and not (
         type(limit) in (int, float) and math.isfinite(limit) and limit > 0
     ):
-        raise StructuralError(f"plan time_limit must be a positive number, got {limit!r}")
+        raise core.StructuralError(f"plan time_limit must be a positive number, got {limit!r}")
     return plan
 
 
 def _cmd_bench(args) -> int:
-    from wsptools.benchlab import run_benchmark
+    from wsptools import benchlab
 
-    records = run_benchmark(**_load_plan(args.plan), out_path=args.out)
+    records = benchlab.run_benchmark(**_load_plan(args.plan), out_path=args.out)
     print(f"ran {len(records)} cells", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    import csv as _csv
-
-    from wsptools.benchlab import (
-        performance_profiles,
-        read_records,
-        records_to_blocks,
-        sm_scores,
-    )
+    from wsptools import benchlab
 
     if not (math.isfinite(args.delta) and args.delta >= 0):
         raise ValueError(f"--delta must be a finite number at least 0, got {args.delta}")
-    records = read_records(args.records)
-    curves = performance_profiles(records)
+    records = benchlab.read_records(args.records)
+    curves = benchlab.performance_profiles(records)
     # a limit or error replication ranks below every ok objective in its block
-    scores, significant = sm_scores(records_to_blocks(records, math.inf), delta=args.delta)
-    with open(args.profiles, "w", newline="") as f:
-        writer = _csv.writer(f)
-        writer.writerow(["algorithm", "tau", "fraction"])
-        for curve in curves:
-            for tau, p in curve.breakpoints:
-                writer.writerow([curve.algorithm, tau, p])
-    with open(args.sm, "w", newline="") as f:
-        writer = _csv.writer(f)
-        writer.writerow(["treatment", "score"])
-        for t in sorted(scores):
-            writer.writerow([t, scores[t]])
-    print(
-        json.dumps(
-            {"significant_pairs": [list(p) for p in significant], "delta": args.delta},
-            indent=1,
-            sort_keys=True,
-        )
-    )
+    blocks = benchlab.records_to_blocks(records, math.inf)
+    scores, significant = benchlab.sm_scores(blocks, delta=args.delta)
+    # both outputs are opened before either is written, so a refusal leaves
+    # no profiles file (a device such as /dev/null is left alone)
+    with open(args.profiles, "w", newline="") as profiles:
+        try:
+            sm = open(args.sm, "w", newline="")
+        except OSError:
+            profiles.close()
+            if os.path.isfile(args.profiles):
+                os.remove(args.profiles)
+            raise
+        with sm:
+            writer = csv.writer(profiles)
+            writer.writerow(["algorithm", "tau", "fraction"])
+            writer.writerows([c.algorithm, tau, p] for c in curves for tau, p in c.breakpoints)
+            writer = csv.writer(sm)
+            writer.writerow(["treatment", "score"])
+            writer.writerows([t, scores[t]] for t in sorted(scores))
+    _print_json({"significant_pairs": [list(p) for p in significant], "delta": args.delta})
     return EXIT_OK
 
 
 def _cmd_physics(args) -> int:
-    from wsptools.rothermel import (
-        DomainError,
-        albini_multiplier,
-        rate_of_spread,
-        slope_factor,
-        wind_factor,
-    )
-
     u, a = args.wind_speed, args.slope_tangent
     for flag, value in (("--wind-speed", u), ("--slope-tangent", a),
                         ("--base-rate", args.base_rate)):
         if not math.isfinite(value):
-            raise DomainError(f"{flag} must be finite, got {value}")
-    overflow = DomainError("physics eval overflows for these inputs")
+            raise rothermel.DomainError(f"{flag} must be finite, got {value}")
+    overflow = rothermel.DomainError("physics eval overflows for these inputs")
     try:
         result = {
-            "slope_factor": slope_factor(abs(a)),
-            "wind_factor": wind_factor(abs(u)),
-            "multiplier": albini_multiplier(u, a),
-            "rate_of_spread_ft_min": rate_of_spread(args.base_rate, u, a),
+            "slope_factor": rothermel.slope_factor(abs(a)),
+            "wind_factor": rothermel.wind_factor(abs(u)),
+            "multiplier": rothermel.albini_multiplier(u, a),
+            "rate_of_spread_ft_min": rothermel.rate_of_spread(args.base_rate, u, a),
         }
     except OverflowError:
         raise overflow from None
     if not all(map(math.isfinite, result.values())):  # Infinity is not JSON
         raise overflow
-    print(json.dumps(result, indent=1, sort_keys=True))
+    _print_json(result)
     return EXIT_OK
 
 
@@ -448,9 +418,6 @@ def dispatch(argv) -> int:
     """Run one command and return its exit code. The parser is built once per
     process, so the subcommand tables (solvers.SOLVERS, the generator's level
     tables) are read once per process, when the first command is parsed."""
-    from wsptools.generator import GenerationError
-    from wsptools.solvers import LimitExceeded
-
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
@@ -461,10 +428,10 @@ def dispatch(argv) -> int:
     gc.disable()
     try:
         return _HANDLERS[args.command](args)
-    except LimitExceeded as e:
+    except solvers.LimitExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ValueError, GenerationError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
     finally:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
+from wsptools import INSTANCE_FORMAT_VERSION
+
 INF = math.inf
 
 
@@ -24,7 +26,7 @@ class StructuralError(ValueError):
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Directed graph with positive arc travel times in minutes.
+    """Directed graph with finite, positive arc travel times in minutes.
 
     Arcs are (tail, head, travel_time) tuples, stored sorted by (tail,
     head): at most one per ordered vertex pair, no self-loops.
@@ -44,8 +46,10 @@ class DirectedGraph:
                 raise StructuralError(f"self-loop at vertex {tail}")
             if (tail, head) == previous:
                 raise StructuralError(f"duplicate arc ({tail},{head})")
-            if not time > 0:
-                raise StructuralError(f"arc ({tail},{head}) has nonpositive travel time {time}")
+            if not 0 < time < INF:  # NaN included
+                raise StructuralError(
+                    f"arc ({tail},{head}) travel time {time} is not finite and positive"
+                )
             previous = tail, head
 
     @cached_property
@@ -387,10 +391,10 @@ def _arcs_json(graph: DirectedGraph) -> str:
     """The arcs, as stored, as json.dumps(..., indent=1) writes them as
     the value of a top-level key.
 
-    The compact C encoder writes every number, so ints, floats, Infinity
-    and float subclasses come out as the indented encoder would write
-    them; the brackets and separators are then respaced.  Arc entries
-    are numbers, so "], [" and ", " occur only between them.
+    The compact C encoder writes every number, so ints, floats and float
+    subclasses come out as the indented encoder would write them; the
+    brackets and separators are then respaced.  Arc entries are numbers,
+    so "], [" and ", " occur only between them.
     """
     if not graph.arcs:
         return "[]"
@@ -410,8 +414,6 @@ def _graph_json(doc: dict, graph: DirectedGraph) -> str:
 
 def instance_to_json(instance: WspInstance) -> str:
     """Serialize an instance to canonical, byte-stable JSON text."""
-    from wsptools import INSTANCE_FORMAT_VERSION
-
     return _graph_json({
         "version": INSTANCE_FORMAT_VERSION,
         "ignition": instance.ignition,
@@ -470,8 +472,6 @@ def _json_release(entry) -> tuple[float, int]:
 
 
 def instance_from_json(text: str) -> WspInstance:
-    from wsptools import INSTANCE_FORMAT_VERSION
-
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise StructuralError("instance document must be a JSON object")

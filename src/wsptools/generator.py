@@ -31,7 +31,7 @@ from wsptools.noise import gradient_noise, _mix_seed
 from wsptools.rothermel import DomainError, albini_multipliers, per_distinct, travel_time
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """The configuration cannot produce a valid instance."""
 
 

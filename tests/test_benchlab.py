@@ -17,6 +17,7 @@ from wsptools.benchlab import (
     write_records,
 )
 from wsptools.core import StructuralError, load_instance, save_instance
+from wsptools.generator import GeneratorConfig, generate_instance
 
 from helpers import profile_value, random_grid_instance
 
@@ -271,6 +272,22 @@ class TestBenchmarkRunner:
         assert records[0].objective == -1
         # one stderr line names the cell and the exception
         assert capsys.readouterr().err == f"error: cell {path} magic seed 4: KeyError: 'magic'\n"
+
+    @pytest.mark.parametrize("time_limit", [0, -1, math.nan])
+    def test_refused_time_limit_writes_nothing(self, rng, tmp_path, time_limit):
+        # the budget is built before any cell, so no error row blocks a resume
+        path = self._instance(rng, tmp_path)
+        out = tmp_path / "runs.csv"
+        with pytest.raises(ValueError, match="max_seconds must be positive and finite"):
+            run_benchmark([path], ["rs", "beam"], [0, 1], time_limit, out)
+        assert not out.exists()
+
+    def test_refused_cell_recorded_as_limit(self, tmp_path):
+        # exact refuses a 6 x 6 instance's search space under MAX_NODES
+        path = tmp_path / "inst.json"
+        save_instance(generate_instance(GeneratorConfig(seed=1, n=6)), path)
+        [record] = run_benchmark([str(path)], ["exact"], [0], None, tmp_path / "runs.csv")
+        assert (record.status, record.objective) == ("limit", -1)
 
     def test_each_instance_loads_once(self, rng, tmp_path, monkeypatch):
         # the product is instance-major, so every cell of an instance reuses it

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import wsptools
-from wsptools import cli, generator, solvers
+from wsptools import cli, generator, reductions, solvers
 from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records, run_benchmark
 from wsptools.cli import _budget, _load_plan, build_parser, dispatch
 from wsptools.core import (
@@ -607,6 +607,19 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_verify_reductions_disagreement_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(reductions, "verify_reductions", lambda mvnp: {"agree": False})
+        code, out, err = run(capsys, "verify-reductions", "--samples", "2")
+        assert code == 2
+        assert err.splitlines() == ["sample 0: DISAGREE {'agree': False}",
+                                    "sample 1: DISAGREE {'agree': False}"]
+        assert json.loads(out) == {"samples": 2, "failures": 2, "pass": False}
+
+    def test_takes_no_from_option(self, mvnp_file, tmp_path, capsys):
+        code, _, err = run(capsys, "reduce", "--from", "mvnp", "--to", "wsp",
+                           "-i", str(mvnp_file), "-o", str(tmp_path / "r.json"))
+        assert code == 1 and "--from" in err
+
     def test_verify_reductions_negative_samples(self, capsys):
         code, out, err = run(capsys, "verify-reductions", "--samples", "-3")
         assert code == 2 and out == ""
@@ -782,6 +795,19 @@ class TestBenchAndReport:
             "exact,1.0,0.5",
             "rs,1.0,0.5", "rs,1.1111111111111112,1.0",
         ]
+
+    @pytest.mark.parametrize("unopenable", ["--profiles", "--sm"])
+    def test_unopenable_output_leaves_neither_file(self, tmp_path, capsys, unopenable):
+        records = tmp_path / "records.csv"
+        records.write_text("instance,algorithm,seed,objective,wall_seconds,status\n"
+                           "i1,rs,0,3,0.1,ok\ni1,beam,0,2,0.1,ok\n")
+        outputs = ["--profiles", tmp_path / "profiles.csv", "--sm", tmp_path / "sm.csv"]
+        outputs[outputs.index(unopenable) + 1] = tmp_path
+        code, out, err = run(capsys, "report", "--records", str(records), *map(str, outputs))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert not (tmp_path / "profiles.csv").exists()
+        assert not (tmp_path / "sm.csv").exists()
 
     @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
     def test_delta_must_be_finite_and_nonnegative(self, tmp_path, capsys, delta):

@@ -58,6 +58,12 @@ class TestGraphValidation:
         with pytest.raises(StructuralError):
             DirectedGraph(2, ((0, 1, 0.0),))
 
+    @pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_time(self, time):
+        # an infinite time would be saved as Infinity, which no load accepts
+        with pytest.raises(StructuralError, match=r"^arc \(1,0\) travel time .* not finite"):
+            DirectedGraph(2, ((0, 1, 1.0), (1, 0, time)))
+
     def test_rejects_bad_vertex(self):
         with pytest.raises(StructuralError):
             DirectedGraph(2, ((0, 2, 1.0),))
@@ -416,19 +422,24 @@ class TestInstanceJsonWriter:
 
     @pytest.mark.parametrize(
         "case",
-        ["no arcs", "float times", "int times", "inf time", "numpy times", "inf horizon"],
+        ["no arcs", "float times", "int times", "numpy times", "inf horizon"],
     )
     def test_equals_indented_encoder(self, case):
         arcs = {
             "no arcs": (),
             "float times": self.ARCS,
             "int times": [(u, v, int(t) + 1) for u, v, t in self.ARCS],
-            "inf time": [(u, v, math.inf if u == 1 else t) for u, v, t in self.ARCS],
             "numpy times": [(u, v, np.float64(t) / 3) for u, v, t in self.ARCS],
             "inf horizon": self.ARCS,
         }[case]
         instance = self.instance(arcs, horizon=math.inf if case == "inf horizon" else 50.0)
         assert instance_to_json(instance) == indented_json(instance)
+
+    def test_inf_time_never_reaches_the_writer(self):
+        # the graph refuses it, so no instance file holds an arc time Infinity
+        arcs = [(u, v, math.inf if u == 1 else t) for u, v, t in self.ARCS]
+        with pytest.raises(StructuralError, match=r"^arc \(1,2\) travel time inf is not"):
+            self.instance(arcs)
 
     def test_nested_meta(self):
         meta = {
