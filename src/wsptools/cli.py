@@ -348,6 +348,11 @@ def _cmd_report(args) -> int:
 
     if not (math.isfinite(args.delta) and args.delta >= 0):
         raise ValueError(f"--delta must be a finite number at least 0, got {args.delta}")
+    # one regular file for both outputs would hold one over the other's bytes
+    if os.path.realpath(args.profiles) == os.path.realpath(args.sm) and (
+        os.path.isfile(args.sm) or not os.path.exists(args.sm)
+    ):
+        raise ValueError(f"--profiles and --sm name one file: {args.sm}")
     records = benchlab.read_records(args.records)
     curves = benchlab.performance_profiles(records)
     # a limit or error replication ranks below every ok objective in its block
@@ -431,7 +436,7 @@ def dispatch(argv) -> int:
     except solvers.LimitExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, OverflowError) as e:  # OverflowError: an int past float range
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
     finally:

@@ -458,9 +458,8 @@ def _json_graph(doc: dict) -> DirectedGraph:
             and type(entry[0]) is int
             and type(entry[1]) is int
             and type(entry[2]) in (float, int)
-            and math.isfinite(entry[2])
         ):
-            raise StructuralError(f"arc entry {entry!r} must be [tail, head, finite travel time]")
+            raise StructuralError(f"arc entry {entry!r} must be [tail, head, travel time]")
         arcs.append((entry[0], entry[1], float(entry[2])))
     return DirectedGraph(vertex_count, tuple(arcs))
 

@@ -26,6 +26,7 @@ BINARY = "binary"
 LE, EQ, GE = "<=", "=", ">="
 MIN, MAX = "min", "max"
 _KINDS, _SENSES = frozenset({CONTINUOUS, BINARY}), frozenset({LE, EQ, GE})
+_BINARY_BOUNDS = frozenset({(0.0, 1.0), (0.0, 0.0)})
 
 
 class Variable(NamedTuple):
@@ -64,8 +65,9 @@ class LinearModel:
     stored; variable names are unique, constraint names are unique and
     never the objective row's name "obj", and every constraint and
     objective term names a declared variable. The objective sense is MIN
-    or MAX, each variable kind CONTINUOUS or BINARY and each row sense LE,
-    EQ or GE. StructuralError otherwise.
+    or MAX, each variable kind CONTINUOUS or BINARY, a binary's bounds
+    (0, 1) or (0, 0), and each row sense LE, EQ or GE. StructuralError
+    otherwise.
     """
 
     name: str
@@ -100,6 +102,12 @@ class LinearModel:
         if not _KINDS.issuperset({v.kind for v in self.variables}):
             name, kind = next((v.name, v.kind) for v in self.variables if v.kind not in _KINDS)
             raise StructuralError(f"variable {name} has kind {kind!r}, not continuous or binary")
+        for name, kind, lower, upper in self.variables:
+            # the two binary bounds that LP and MPS both write: free (BV) and fixed at 0 (FX)
+            if kind == BINARY and (lower, upper) not in _BINARY_BOUNDS:
+                raise StructuralError(
+                    f"binary variable {name} has bounds ({lower}, {upper}), not (0, 1) or (0, 0)"
+                )
         if not _SENSES.issuperset({c.sense for c in self.constraints}):
             name, sense = next((c.name, c.sense) for c in self.constraints if c.sense not in _SENSES)
             raise StructuralError(f"constraint {name} has sense {sense!r}, not <=, = or >=")
@@ -388,7 +396,8 @@ def _export_mps(model: LinearModel) -> str:
         if kind == BINARY:
             lines.append(f" MARKER{next(markers)} 'MARKER' 'INTORG'")
         for variable in run:
-            lines += by_var[variable.name]
+            # a variable in no row and no objective term still gets its column
+            lines += by_var[variable.name] or [f" {variable.name} obj 0.0"]
         if kind == BINARY:
             lines.append(f" MARKER{next(markers)} 'MARKER' 'INTEND'")
     lines += rhs_lines

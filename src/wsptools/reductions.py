@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from wsptools import solvers
 from wsptools.core import (
     DirectedGraph,
     StructuralError,
@@ -18,7 +19,6 @@ from wsptools.core import (
     fire_arrivals,
     single_source_distances,
 )
-from wsptools.solvers import MAX_NODES, brute_force, protection_sets
 
 
 @dataclass(frozen=True)
@@ -244,12 +244,11 @@ def evaluate_hwsp(instance: HwspInstance, protected) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracles
+# Exhaustive oracles: each refuses a search above solvers.MAX_NODES, read
+# when it is called, so patching that one constant moves every refusal
 
 
-def solve_mvnp_brute(
-    mvnp: MvnpInstance, max_nodes: int = MAX_NODES
-) -> tuple[frozenset[int], float]:
+def solve_mvnp_brute(mvnp: MvnpInstance) -> tuple[frozenset[int], float]:
     """Best removal set and the resulting s-t distance (may be +inf).
 
     A removal set is scored by an infinite delay on its vertices'
@@ -260,49 +259,50 @@ def solve_mvnp_brute(
     g, s, t = mvnp.graph, mvnp.source, mvnp.sink
     removable = {v: math.inf for v in range(g.vertex_count) if v not in (s, t)}
     best_set, best_value = (), -math.inf
-    for subset in protection_sets(g, removable, mvnp.k, max_nodes):
+    for subset in solvers.protection_sets(g, removable, mvnp.k):
         value = fire_arrivals(g, s, dict.fromkeys(subset, math.inf)).arrival[t]
         if value > best_value:
             best_set, best_value = subset, value
     return frozenset(best_set), best_value
 
 
-def decide_mvnp(mvnp: MvnpInstance, max_nodes: int = MAX_NODES) -> bool:
-    _, value = solve_mvnp_brute(mvnp, max_nodes)
+def decide_mvnp(mvnp: MvnpInstance) -> bool:
+    _, value = solve_mvnp_brute(mvnp)
     return value >= mvnp.h
 
 
-def decide_wsp_brute(instance: WspInstance, budget: int, max_nodes: int = MAX_NODES) -> bool:
+def decide_wsp_brute(instance: WspInstance, budget: int) -> bool:
     """Exhaustive decision: some feasible allocation burns at most budget
     vertices before the horizon."""
-    return brute_force(instance, max_nodes).objective <= budget
+    # brute_force's default limit was bound when it was defined
+    return solvers.brute_force(instance, solvers.MAX_NODES).objective <= budget
 
 
-def decide_wwsp_brute(instance: WwspInstance, budget: float, max_nodes: int = MAX_NODES) -> bool:
+def decide_wwsp_brute(instance: WwspInstance, budget: float) -> bool:
     n, forbidden = instance.graph.vertex_count, instance.forbidden
     delays = {v: instance.delay for v in range(n) if v not in forbidden}
-    subsets = protection_sets(instance.graph, delays, instance.k, max_nodes)
+    subsets = solvers.protection_sets(instance.graph, delays, instance.k)
     return any(evaluate_wwsp(instance, subset) <= budget for subset in subsets)
 
 
-def decide_hwsp_brute(instance: HwspInstance, threshold: float, max_nodes: int = MAX_NODES) -> bool:
+def decide_hwsp_brute(instance: HwspInstance, threshold: float) -> bool:
     delays = dict(enumerate(instance.vertex_delays))
-    subsets = protection_sets(instance.graph, delays, instance.k, max_nodes)
+    subsets = solvers.protection_sets(instance.graph, delays, instance.k)
     return any(evaluate_hwsp(instance, subset) >= threshold for subset in subsets)
 
 
-def verify_reductions(mvnp: MvnpInstance, max_nodes: int = MAX_NODES) -> dict:
+def verify_reductions(mvnp: MvnpInstance) -> dict:
     """Decision answers across all reductions for one interdiction
     instance; 'agree' is true iff all four coincide."""
-    answer = decide_mvnp(mvnp, max_nodes)
+    answer = decide_mvnp(mvnp)
     wsp, wsp_budget = mvnp_to_wsp(mvnp)
     wwsp, wwsp_budget = mvnp_to_wwsp(mvnp)
     hwsp, hwsp_threshold = mvnp_to_hwsp(mvnp)
     answers = {
         "mvnp": answer,
-        "wsp": decide_wsp_brute(wsp, wsp_budget, max_nodes),
-        "wwsp": decide_wwsp_brute(wwsp, wwsp_budget, max_nodes),
-        "hwsp": decide_hwsp_brute(hwsp, hwsp_threshold, max_nodes),
+        "wsp": decide_wsp_brute(wsp, wsp_budget),
+        "wwsp": decide_wwsp_brute(wwsp, wwsp_budget),
+        "hwsp": decide_hwsp_brute(hwsp, hwsp_threshold),
     }
     answers["agree"] = len(set(answers.values())) == 1
     return answers

@@ -69,14 +69,15 @@ def check_search_space(n: int, counts, max_nodes: int) -> None:
         raise LimitExceeded(f"search-space estimate {shown} exceeds limit {max_nodes}")
 
 
-def protection_sets(graph: DirectedGraph, delays: dict[int, float], k: int, max_nodes: int):
+def protection_sets(graph: DirectedGraph, delays: dict[int, float], k: int):
     """The protection sets an exhaustive search over delays tries: the
     subsets_up_to k of its cost_changing vertices, the empty set first.
 
     Refuses when called, before the first set, by check_search_space with
-    the estimate taken over every vertex of delays.
+    the estimate taken over every vertex of delays and the limit MAX_NODES
+    as it is at the call.
     """
-    check_search_space(len(delays), [k], max_nodes)
+    check_search_space(len(delays), [k], MAX_NODES)
     return subsets_up_to(cost_changing(graph, delays), k)
 
 

@@ -193,6 +193,10 @@ class TestRankScores:
         with pytest.raises(ValueError):
             sm_scores({"b1": {"A": [1.0]}, "b2": {"B": [1.0]}}, delta=1.0)
 
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValueError, match="^no blocks$"):
+            sm_scores({}, delta=1.0)
+
     def test_delta_presets(self):
         assert SM_DELTA_60_INSTANCES == 335.0
         assert SM_DELTA_45_INSTANCES == 244.0

@@ -333,6 +333,24 @@ class TestSolveAndEvaluate:
         assert code == 2
         assert "delay" in err
 
+    @pytest.mark.parametrize("put", [
+        lambda doc, value: doc["arcs"][0].__setitem__(2, value),
+        lambda doc, value: doc.__setitem__("horizon_min", value),
+        lambda doc, value: doc["schedule"][0].__setitem__("t_min", value),
+    ], ids=["arc time", "horizon_min", "t_min"])
+    def test_int_past_float_range_exits_2(self, small_instance, tmp_path, capsys, put):
+        # json reads 10**400 as an exact int, which float() refuses with OverflowError
+        doc = json.loads(small_instance.read_text())
+        put(doc, 10 ** 400)
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "s.json"
+        code, _, err = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
+                           "-i", str(bad), "-o", str(out))
+        assert code == 2
+        assert err == "error: int too large to convert to float\n"
+        assert not out.exists()
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
                          "-i", str(tmp_path / "nope.json"), "-o", str(tmp_path / "s.json"))
@@ -472,6 +490,7 @@ class TestExportAux:
             (dict(HOF_AUX, integral="yes"), "integral"),
             (dict(HOF_AUX, targets=[3, 3]), "constraint names must be unique"),
             (dict(HOF_AUX, Integral=True), "unknown keys Integral"),
+            (dict(HOF_AUX, k=10 ** 400), "int too large to convert to float"),
         ],
     )
     def test_malformed_hof_aux(self, small_instance, tmp_path, capsys, aux, message):
@@ -571,6 +590,7 @@ class TestReduce:
             ({"k": True}, "k must be an integer"),
             ({"h": "3"}, "h must be a number"),
             ({"h": 0.0}, "h > 0"),
+            ({"h": 10 ** 400}, "int too large to convert to float"),
         ],
     )
     def test_malformed_mvnp_file(self, mvnp_file, tmp_path, capsys, change, message):
@@ -809,6 +829,30 @@ class TestBenchAndReport:
         assert not (tmp_path / "profiles.csv").exists()
         assert not (tmp_path / "sm.csv").exists()
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_one_file_for_both_outputs(self, tmp_path, capsys, exists):
+        records = tmp_path / "records.csv"
+        records.write_text("instance,algorithm,seed,objective,wall_seconds,status\n"
+                           "i1,rs,0,3,0.1,ok\ni1,beam,0,2,0.1,ok\n")
+        same = tmp_path / "same.csv"
+        if exists:
+            same.write_text("kept\n")
+        # the second name reaches the same file through a parent-directory step
+        other = tmp_path / "sub" / ".." / "same.csv"
+        (tmp_path / "sub").mkdir()
+        code, out, err = run(capsys, "report", "--records", str(records),
+                             "--profiles", str(same), "--sm", str(other))
+        assert code == 2 and out == ""
+        assert err == f"error: --profiles and --sm name one file: {other}\n"
+        if exists:
+            assert same.read_text() == "kept\n"
+        else:
+            assert not same.exists()
+        # a device takes both
+        code, _, _ = run(capsys, "report", "--records", str(records),
+                         "--profiles", os.devnull, "--sm", os.devnull)
+        assert code == 0
+
     @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
     def test_delta_must_be_finite_and_nonnegative(self, tmp_path, capsys, delta):
         records = tmp_path / "records.csv"
@@ -836,6 +880,7 @@ class TestBenchPlan:
             ({"instances": [3]}, "instance file paths"),
             ({"time_limit": "1"}, "time_limit"),
             ({"time_limit": 0}, "time_limit"),
+            ({"time_limit": 10 ** 400}, "int too large to convert to float"),
         ],
     )
     def test_malformed_plan(self, small_instance, tmp_path, capsys, change, message):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from bisect import bisect_left
 from decimal import Decimal
 
@@ -474,6 +475,18 @@ class TestInstanceValidation:
         with pytest.raises(StructuralError):
             WspInstance(graph, 0, horizon=5.0, delay=0.0, schedule=((2.0, 1), (2.0, 1)))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"ignition": 2}, "ignition vertex 2 out of range"),
+        ({"ignition": -1}, "ignition vertex -1 out of range"),
+        ({"schedule": ((1.0, 1), (2.0, 0))}, "release count 0 must be >= 1"),
+    ], ids=["ignition-past-end", "negative-ignition", "zero-count"])
+    def test_rejects_bad_field(self, change, message):
+        fields = dict(graph=DirectedGraph(2, ((0, 1, 1.0),)), ignition=0, horizon=5.0,
+                      delay=0.0, schedule=((1.0, 1),))
+        WspInstance(**fields)
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            WspInstance(**dict(fields, **change))
+
     def test_total_resources(self, figure_instance):
         assert figure_instance.total_resources == 3
 
@@ -525,8 +538,8 @@ class TestInstanceLoader:
             [0.0, 1, 1.0],
             [0, 1, "1.0"],
             [0, 1, True],
-            [0, 1, math.inf],
-            [0, 1, math.nan],
+            [0, 1, None],
+            [0, 1, [1.0]],
             {"tail": 0, "head": 1, "time": 1.0},
         ],
     )
@@ -534,6 +547,15 @@ class TestInstanceLoader:
         doc = json.loads(instance_to_json(figure_instance))
         doc["arcs"][3] = arc
         with pytest.raises(StructuralError, match="arc entry"):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("time", [math.inf, math.nan])
+    def test_nonfinite_arc_time_names_the_arc(self, figure_instance, time):
+        # json reads Infinity and NaN as floats; the graph refuses them by arc
+        doc = json.loads(instance_to_json(figure_instance))
+        doc["arcs"][3][2] = time
+        with pytest.raises(StructuralError,
+                           match=rf"^arc \(1,4\) travel time {time} is not finite and positive$"):
             instance_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(

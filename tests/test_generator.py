@@ -142,6 +142,10 @@ class TestConfig:
         with pytest.raises(GenerationError):
             GeneratorConfig(wind_level="gale")
 
+    def test_rejects_no_decision_point(self):
+        with pytest.raises(GenerationError, match="^decision_points must be at least 1$"):
+            GeneratorConfig(decision_points=0)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(GenerationError):
             GeneratorConfig(n=1)

@@ -639,6 +639,27 @@ class TestModelChecks:
             variables=[Variable("i", "integer"), Variable("j", "general")],
         )
 
+    @pytest.mark.parametrize("lower, upper", [(1.0, 1.0), (0.0, 2.0), (-1.0, 1.0),
+                                              (0.0, math.inf), (math.nan, 1.0)])
+    def test_binary_bounds_other_than_free_or_zero_rejected(self, lower, upper):
+        # MPS writes BV for any nonzero upper bound, so (1, 1) would be fixed
+        # in LP and free in MPS
+        assert_rejected(
+            f"binary variable f has bounds ({lower}, {upper}), not (0, 1) or (0, 0)",
+            variables=[Variable("z", "binary", 0.0, 0.0), Variable("f", "binary", lower, upper)],
+        )
+
+    def test_variable_without_terms_has_an_mps_column(self):
+        # LP declares it under Bounds; MPS must list it in COLUMNS to know it
+        model = two_variable_model(variables=[Variable("idle", "continuous", 0.0, 2.0),
+                                              Variable("off", "binary", 0.0, 0.0)])
+        lp, mps = export_model(model, "lp"), export_model(model, "mps")
+        assert " 0.0 <= idle <= 2.0\n" in lp and " 0.0 <= off <= 0.0\n" in lp
+        columns = mps.split("COLUMNS\n")[1].split("RHS\n")[0]
+        assert columns.endswith(" idle obj 0.0\n MARKER2 'MARKER' 'INTORG'\n off obj 0.0\n"
+                                " MARKER3 'MARKER' 'INTEND'\n")
+        assert " UP BND idle 2.0\n FX BND off 0.0\n" in mps
+
     def test_unknown_row_sense_rejected(self):
         # LP would write "lt: 1.0 x < 1.0" and MPS has no row type for it
         assert_rejected(

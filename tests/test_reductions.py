@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import math
 import re
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from wsptools import core, reductions
+from wsptools import core, reductions, solvers
 from wsptools.core import (
     EMPTY_ALLOCATION,
     DirectedGraph,
@@ -75,13 +76,14 @@ class TestMvnpBasics:
         mvnp = MvnpInstance(triangle_mvnp().graph, 0, 2, k=0, h=3.0)
         assert decide_mvnp(mvnp) is False
 
-    def test_node_limit(self):
+    def test_node_limit(self, monkeypatch):
         graph = DirectedGraph(
             30, tuple((u, u + 1, 1.0) for u in range(29))
         )
         mvnp = MvnpInstance(graph, 0, 29, k=15, h=100.0)
+        monkeypatch.setattr(solvers, "MAX_NODES", 1000)
         with pytest.raises(LimitExceeded):
-            solve_mvnp_brute(mvnp, max_nodes=1000)
+            solve_mvnp_brute(mvnp)
 
 
 def subgraph_solve_mvnp_brute(mvnp):
@@ -149,31 +151,43 @@ def oracle_cases():
     wwsp, wwsp_budget = mvnp_to_wwsp(mvnp)
     hwsp, threshold = mvnp_to_hwsp(mvnp)
     return {
-        "mvnp": (lambda m: solve_mvnp_brute(mvnp, m), subsets_count(3, 2)),
-        "decide_mvnp": (lambda m: decide_mvnp(mvnp, m), subsets_count(3, 2)),
-        "wsp": (lambda m: decide_wsp_brute(wsp, wsp_budget, m),
+        "mvnp": (lambda: solve_mvnp_brute(mvnp), subsets_count(3, 2)),
+        "decide_mvnp": (lambda: decide_mvnp(mvnp), subsets_count(3, 2)),
+        "wsp": (lambda: decide_wsp_brute(wsp, wsp_budget),
                 subsets_count(wsp.graph.vertex_count, 2)),
-        "wwsp": (lambda m: decide_wwsp_brute(wwsp, wwsp_budget, m), subsets_count(3, 2)),
-        "hwsp": (lambda m: decide_hwsp_brute(hwsp, threshold, m),
+        "wwsp": (lambda: decide_wwsp_brute(wwsp, wwsp_budget), subsets_count(3, 2)),
+        "hwsp": (lambda: decide_hwsp_brute(hwsp, threshold),
                  subsets_count(hwsp.graph.vertex_count, 2)),
     }
 
 
 class TestRefusalBoundary:
+    """Every oracle reads solvers.MAX_NODES when it is called."""
+
     @pytest.mark.parametrize("name", ["mvnp", "decide_mvnp", "wsp", "wwsp", "hwsp"])
-    def test_limit_is_inclusive(self, name):
+    def test_limit_is_inclusive(self, name, monkeypatch):
         run, estimate = oracle_cases()[name]
-        run(estimate)
+        monkeypatch.setattr(solvers, "MAX_NODES", estimate)
+        run()
+        monkeypatch.setattr(solvers, "MAX_NODES", estimate - 1)
         with pytest.raises(LimitExceeded,
                            match=f"search-space estimate {estimate} exceeds limit {estimate - 1}$"):
-            run(estimate - 1)
+            run()
 
-    def test_verify_reductions_passes_the_limit_down(self):
+    def test_verify_reductions_passes_the_limit_down(self, monkeypatch):
         mvnp = diamond_mvnp()
         largest = max(estimate for _, estimate in oracle_cases().values())
-        assert verify_reductions(mvnp, max_nodes=largest)["agree"]
+        monkeypatch.setattr(solvers, "MAX_NODES", largest)
+        assert verify_reductions(mvnp)["agree"]
+        monkeypatch.setattr(solvers, "MAX_NODES", largest - 1)
         with pytest.raises(LimitExceeded):
-            verify_reductions(mvnp, max_nodes=largest - 1)
+            verify_reductions(mvnp)
+
+    @pytest.mark.parametrize("oracle", [solvers.protection_sets, solve_mvnp_brute, decide_mvnp,
+                                        decide_wsp_brute, decide_wwsp_brute, decide_hwsp_brute,
+                                        verify_reductions], ids=lambda f: f.__name__)
+    def test_no_oracle_takes_a_limit(self, oracle):
+        assert "max_nodes" not in inspect.signature(oracle).parameters
 
 
 class TestTimedReduction:
@@ -203,6 +217,14 @@ class TestTimedReduction:
         instance, budget = mvnp_to_wsp(mvnp)
         assert instance.schedule == ()
         assert decide_wsp_brute(instance, budget) is False
+
+    def test_source_with_only_sink_arcs_rejected(self):
+        # the source's only arc reaches the sink at h: the sink leaves the
+        # reduced graph, and the arc is not short, so no leaf takes its place
+        graph = DirectedGraph(3, ((0, 2, 3.0), (1, 2, 1.0)))
+        with pytest.raises(StructuralError,
+                           match="^source has no outgoing arcs in the reduced graph$"):
+            mvnp_to_wsp(MvnpInstance(graph, 0, 2, k=1, h=3.0))
 
     def test_vertex_remapping_shifts_after_sink(self):
         # sink in the middle: vertices above it shift down by one
@@ -242,9 +264,10 @@ class TestWeightedReduction:
             evaluate_wwsp(instance, [2])
 
     def test_budget_enforced(self):
-        instance, _ = mvnp_to_wwsp(triangle_mvnp())
-        with pytest.raises(StructuralError):
-            evaluate_wwsp(instance, [1, 2])
+        # k = 1 and 1, 3 are both removable: the budget, not the forbidden set, refuses
+        instance, _ = mvnp_to_wwsp(MvnpInstance(diamond_mvnp().graph, 0, 4, k=1, h=4.0))
+        with pytest.raises(StructuralError, match="^allocation exceeds the resource budget$"):
+            evaluate_wwsp(instance, [1, 3])
 
     def test_triangle_equivalence(self):
         instance, budget = mvnp_to_wwsp(triangle_mvnp())
@@ -314,6 +337,11 @@ class TestHomogeneousReduction:
         instance, _ = mvnp_to_hwsp(triangle_mvnp())
         with pytest.raises(StructuralError, match=f"protected vertex {vertex} out of range"):
             evaluate_hwsp(instance, [vertex])
+
+    def test_budget_enforced(self):
+        instance, _ = mvnp_to_hwsp(triangle_mvnp())
+        with pytest.raises(StructuralError, match="^allocation exceeds the resource budget$"):
+            evaluate_hwsp(instance, [1, 3])
 
     def test_delay_vector_length_validated(self):
         graph = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))

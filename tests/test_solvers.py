@@ -112,23 +112,25 @@ class TestSearchCore:
         with pytest.raises(LimitExceeded):
             check_search_space(4, [10 ** 12], 15)
 
-    def test_protection_sets_refuse_when_called(self):
+    def test_protection_sets_refuse_when_called(self, monkeypatch):
         # one cost-changing vertex of five: the estimate 1 + 5 counts every key
         graph = DirectedGraph(5, ((0, 1, 1.0),))
         delays = dict.fromkeys(range(5), 1.0)
+        monkeypatch.setattr(solvers, "MAX_NODES", 5)
         with pytest.raises(LimitExceeded, match="search-space estimate 6 exceeds limit 5$"):
-            protection_sets(graph, delays, 1, 5)  # before the first set is asked for
-        assert list(protection_sets(graph, delays, 1, 6)) == [(), (0,)]
+            protection_sets(graph, delays, 1)  # before the first set is asked for
+        monkeypatch.setattr(solvers, "MAX_NODES", 6)
+        assert list(protection_sets(graph, delays, 1)) == [(), (0,)]
 
     def test_protection_sets_are_cost_changing_subsets_in_delays_order(self):
         # 3 has no out-arcs and 2 a zero delay; 5 is not a key of delays
         graph = DirectedGraph(6, ((4, 0, 1.0), (0, 1, 1.0), (2, 1, 1.0), (1, 5, 1.0),
                                   (5, 3, 1.0)))
         delays = {4: 1.0, 0: 2.0, 2: 0.0, 3: 1.0, 1: math.inf}
-        assert list(protection_sets(graph, delays, 2, 100)) == [
+        assert list(protection_sets(graph, delays, 2)) == [
             (), (4,), (0,), (1,), (4, 0), (4, 1), (0, 1),
         ]
-        assert list(protection_sets(graph, delays, 0, 100)) == [()]
+        assert list(protection_sets(graph, delays, 0)) == [()]
 
     def test_estimate_beyond_float_range(self):
         # one level of 300 resources on 2000 vertices: over 1e370 subsets, more
