@@ -328,9 +328,7 @@ def _load_plan(path) -> dict:
         if bad:
             raise core.StructuralError(f"plan {key} must be {expected}, got {bad[0]!r}")
     limit = plan.setdefault("time_limit", None)
-    if limit is not None and not (
-        type(limit) in (int, float) and math.isfinite(limit) and limit > 0
-    ):
+    if limit is not None and not (math.isfinite(core._json_float(plan, "time_limit")) and limit > 0):
         raise core.StructuralError(f"plan time_limit must be a positive number, got {limit!r}")
     return plan
 

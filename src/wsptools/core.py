@@ -431,11 +431,19 @@ def _json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _float(value, what: str) -> float:
+    """float(value); an int past float range is refused with what named."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise StructuralError(f"{what} is too large to convert to float") from None
+
+
 def _json_float(doc: dict, key: str) -> float:
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise StructuralError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return _float(value, key)
 
 
 def _json_list(doc: dict, key: str) -> list:
@@ -451,16 +459,19 @@ def _json_graph(doc: dict) -> DirectedGraph:
     # json.loads yields exact int/float/list types, so type() tests suffice
     # (and reject bool); one pass, as every load of a large instance runs it
     arcs = []
-    for entry in _json_list(doc, "arcs"):
-        if not (
-            type(entry) is list
-            and len(entry) == 3
-            and type(entry[0]) is int
-            and type(entry[1]) is int
-            and type(entry[2]) in (float, int)
-        ):
-            raise StructuralError(f"arc entry {entry!r} must be [tail, head, travel time]")
-        arcs.append((entry[0], entry[1], float(entry[2])))
+    try:
+        for entry in _json_list(doc, "arcs"):
+            if not (
+                type(entry) is list
+                and len(entry) == 3
+                and type(entry[0]) is int
+                and type(entry[1]) is int
+                and type(entry[2]) in (float, int)
+            ):
+                raise StructuralError(f"arc entry {entry!r} must be [tail, head, travel time]")
+            arcs.append((entry[0], entry[1], float(entry[2])))
+    except OverflowError:  # float(entry[2]) overflowed: _float raises again, naming the arc
+        _float(entry[2], f"arc ({entry[0]},{entry[1]}) travel time")
     return DirectedGraph(vertex_count, tuple(arcs))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from wsptools.core import DirectedGraph, StructuralError, WspInstance
+from wsptools.core import DirectedGraph, StructuralError, WspInstance, _float
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -129,8 +129,16 @@ def _names(prefix: str, digits: list[str], *outer: int) -> list[str]:
 
 
 def _finite(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(_float(value, name))):
         raise StructuralError(f"{name} must be a finite number, got {value!r}")
+
+
+def _budget(k) -> None:
+    """k bounds a sum of treatments r >= 0, so a negative k admits no point."""
+    _finite("k", k)
+    if k < 0:
+        raise StructuralError(f"k must be nonnegative, got {k!r}")
 
 
 def _per_vertex(name: str, values, n: int) -> list:
@@ -238,7 +246,7 @@ def build_hof_model(
             raise StructuralError(f"target {t!r} is not a vertex id in [0, {n})")
     alpha = _per_vertex("alpha", alpha, n)
     beta = _per_vertex("beta", beta, n)
-    _finite("k", k)
+    _budget(k)
     if not isinstance(integral, bool):
         raise StructuralError(f"integral must be true or false, got {integral!r}")
     digits = _digits(n)
@@ -285,7 +293,7 @@ def build_wei_model(
     weights = _per_vertex("weights", weights, n)
     flame_lengths = _per_vertex("flame_lengths", flame_lengths, n)
     _finite("flame_threshold", flame_threshold)
-    _finite("k", k)
+    _budget(k)
     unsafe = [flame > flame_threshold for flame in flame_lengths]
     digits = _digits(n)
     a, y, r = _names("a", digits), _names("y", digits), _names("r", digits)

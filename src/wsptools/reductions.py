@@ -139,13 +139,11 @@ def mvnp_to_wsp(mvnp: MvnpInstance) -> tuple[WspInstance, int]:
             leaf += 1
     new_graph = DirectedGraph(vertex_count=leaf, arcs=tuple(arcs))
 
-    source_arcs = new_graph.out_arcs[remap(s)]
-    if not source_arcs:
-        raise StructuralError("source has no outgoing arcs in the reduced graph")
-    # half the cheapest escape from the source, clamped to the horizon:
-    # when even that exceeds h, no vertex can burn before the horizon and
-    # the release time is immaterial
-    release = min(min(cost for _, _, cost in source_arcs) / 2.0, mvnp.h)
+    # half the cheapest escape from the source, clamped to the horizon: when
+    # even that exceeds h, or no arc is left, no vertex but the source can
+    # burn before the horizon and the release time is immaterial
+    cheapest = min((cost for _, _, cost in new_graph.out_arcs[remap(s)]), default=math.inf)
+    release = min(cheapest / 2.0, mvnp.h)
     schedule = ((release, mvnp.k),) if mvnp.k > 0 else ()
     instance = WspInstance(
         graph=new_graph,
@@ -177,10 +175,9 @@ def mvnp_to_wwsp(mvnp: MvnpInstance) -> tuple[WwspInstance, float]:
 def cost_preserving_augmentation(graph: DirectedGraph) -> tuple[DirectedGraph, frozenset[int]]:
     """Split every arc through an auxiliary vertex so all original
     vertices have cost-homogeneous outgoing arcs while path costs are
-    preserved.  Returns the new graph and the set of auxiliary ids."""
-    if not graph.arcs:
-        raise StructuralError("graph has no arcs to augment")
-    eps = min(t for _, _, t in graph.arcs)
+    preserved.  Returns the new graph and the set of auxiliary ids; a
+    graph without arcs comes back equal, with no auxiliary vertex."""
+    eps = min((t for _, _, t in graph.arcs), default=0.0)
     arcs = []
     aux = graph.vertex_count
     aux_ids = []

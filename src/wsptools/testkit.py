@@ -33,24 +33,14 @@ def random_mvnp_instance(
     max_k: int = 2,
     max_cost: int = 5,
 ) -> MvnpInstance:
-    """Small interdiction instance with integer costs and a guaranteed
-    source-to-sink arc set (the sink may still be unreachable).  Graphs
-    of fewer than 3 vertices are redrawn, so max_vertices must be at
-    least 3."""
-    if max_vertices < 3:
-        raise ValueError(f"max_vertices must be at least 3, got {max_vertices}")
-    while True:
-        graph = random_digraph(
-            rng, max_vertices=max_vertices, arc_prob=0.4, max_cost=max_cost, integer_costs=True
-        )
-        n = graph.vertex_count
-        if n < 3:
-            continue
-        source, sink = 0, n - 1
-        # the timed reduction needs an arc out of the source that survives
-        # sink removal
-        if not any(u == source and v != sink for u, v, _ in graph.arcs):
-            continue
-        k = int(rng.integers(0, max_k + 1))
-        h = float(rng.integers(1, 3 * max_cost))
-        return MvnpInstance(graph=graph, source=source, sink=sink, k=k, h=h)
+    """Small interdiction instance with integer costs, source 0 and
+    sink the last vertex (the sink may be unreachable).  One graph is
+    drawn per instance, of 2 to max_vertices vertices."""
+    if max_vertices < 2:
+        raise ValueError(f"max_vertices must be at least 2, got {max_vertices}")
+    graph = random_digraph(
+        rng, max_vertices=max_vertices, arc_prob=0.4, max_cost=max_cost, integer_costs=True
+    )
+    k = int(rng.integers(0, max_k + 1))
+    h = float(rng.integers(1, 3 * max_cost))
+    return MvnpInstance(graph=graph, source=0, sink=graph.vertex_count - 1, k=k, h=h)

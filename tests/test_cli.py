@@ -4,14 +4,10 @@ import inspect
 import json
 import math
 import os
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 
-import wsptools
 from wsptools import cli, generator, reductions, solvers
 from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records, run_benchmark
 from wsptools.cli import _budget, _load_plan, build_parser, dispatch
@@ -333,12 +329,12 @@ class TestSolveAndEvaluate:
         assert code == 2
         assert "delay" in err
 
-    @pytest.mark.parametrize("put", [
-        lambda doc, value: doc["arcs"][0].__setitem__(2, value),
-        lambda doc, value: doc.__setitem__("horizon_min", value),
-        lambda doc, value: doc["schedule"][0].__setitem__("t_min", value),
+    @pytest.mark.parametrize("put, named", [
+        (lambda doc, value: doc["arcs"][0].__setitem__(2, value), "arc (0,1) travel time"),
+        (lambda doc, value: doc.__setitem__("horizon_min", value), "horizon_min"),
+        (lambda doc, value: doc["schedule"][0].__setitem__("t_min", value), "t_min"),
     ], ids=["arc time", "horizon_min", "t_min"])
-    def test_int_past_float_range_exits_2(self, small_instance, tmp_path, capsys, put):
+    def test_int_past_float_range_exits_2(self, small_instance, tmp_path, capsys, put, named):
         # json reads 10**400 as an exact int, which float() refuses with OverflowError
         doc = json.loads(small_instance.read_text())
         put(doc, 10 ** 400)
@@ -348,7 +344,7 @@ class TestSolveAndEvaluate:
         code, _, err = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
                            "-i", str(bad), "-o", str(out))
         assert code == 2
-        assert err == "error: int too large to convert to float\n"
+        assert err == f"error: {named} is too large to convert to float\n"
         assert not out.exists()
 
     def test_missing_instance_file(self, tmp_path, capsys):
@@ -490,7 +486,8 @@ class TestExportAux:
             (dict(HOF_AUX, integral="yes"), "integral"),
             (dict(HOF_AUX, targets=[3, 3]), "constraint names must be unique"),
             (dict(HOF_AUX, Integral=True), "unknown keys Integral"),
-            (dict(HOF_AUX, k=10 ** 400), "int too large to convert to float"),
+            (dict(HOF_AUX, k=10 ** 400), "k is too large to convert to float"),
+            (dict(HOF_AUX, k=-2), "k must be nonnegative, got -2"),
         ],
     )
     def test_malformed_hof_aux(self, small_instance, tmp_path, capsys, aux, message):
@@ -511,6 +508,7 @@ class TestExportAux:
             ({"weights": [1.0] * 35 + [None]}, "weights must be a finite number"),
             ({"flame_threshold": None}, "flame_threshold must be a finite number"),
             ({"delay": 0.0, "horizon": 1.0}, "unknown keys delay, horizon"),
+            ({"k": -1}, "k must be nonnegative, got -1"),
         ],
     )
     def test_malformed_wei_aux(self, small_instance, tmp_path, capsys, change, message):
@@ -590,7 +588,7 @@ class TestReduce:
             ({"k": True}, "k must be an integer"),
             ({"h": "3"}, "h must be a number"),
             ({"h": 0.0}, "h > 0"),
-            ({"h": 10 ** 400}, "int too large to convert to float"),
+            ({"h": 10 ** 400}, "h is too large to convert to float"),
         ],
     )
     def test_malformed_mvnp_file(self, mvnp_file, tmp_path, capsys, change, message):
@@ -648,19 +646,25 @@ class TestReduce:
     def test_verify_reductions_one_vertex(self, capsys):
         code, _, err = run(capsys, "verify-reductions", "--max-vertices", "1")
         assert code == 2
-        assert err == "error: max_vertices must be at least 3, got 1\n"
+        assert err == "error: max_vertices must be at least 2, got 1\n"
 
-    def test_verify_reductions_two_vertices_returns(self):
-        # the sampler redraws every graph of at most 2 vertices, so accepting this
-        # would loop forever; a subprocess with a timeout cannot hang the suite
-        src = str(Path(wsptools.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", "from wsptools.cli import main; main()",
-             "verify-reductions", "--max-vertices", "2", "--samples", "1"],
-            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.returncode == 2
-        assert "max_vertices must be at least 3" in done.stderr
+    def test_verify_reductions_two_vertices_returns(self, capsys):
+        # every sample is the one graph drawn for it: source 0, sink 1
+        code, out, _ = run(capsys, "verify-reductions", "--max-vertices", "2", "--samples", "20")
+        assert code == 0
+        assert json.loads(out) == {"samples": 20, "failures": 0, "pass": True}
+
+    @pytest.mark.parametrize("arcs", [[[0, 2, 3.0], [1, 2, 1.0]], []],
+                             ids=["source without kept arc", "no arcs"])
+    @pytest.mark.parametrize("target", ["wsp", "wwsp", "hwsp"])
+    def test_reduces_formerly_refused_instance(self, tmp_path, capsys, arcs, target):
+        path = tmp_path / "mvnp.json"
+        path.write_text(json.dumps({"vertex_count": 3, "arcs": arcs, "source": 0, "sink": 2,
+                                    "k": 1, "h": 3.0}))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "reduce", "--to", target, "-i", str(path), "-o", str(out))
+        assert code == 0, err
+        assert out.exists()
 
 
 class TestBenchAndReport:
@@ -880,7 +884,7 @@ class TestBenchPlan:
             ({"instances": [3]}, "instance file paths"),
             ({"time_limit": "1"}, "time_limit"),
             ({"time_limit": 0}, "time_limit"),
-            ({"time_limit": 10 ** 400}, "int too large to convert to float"),
+            ({"time_limit": 10 ** 400}, "time_limit is too large to convert to float"),
         ],
     )
     def test_malformed_plan(self, small_instance, tmp_path, capsys, change, message):

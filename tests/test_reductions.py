@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from wsptools import core, reductions, solvers
+from wsptools import core, reductions, solvers, testkit
 from wsptools.core import (
     EMPTY_ALLOCATION,
     DirectedGraph,
@@ -218,13 +218,18 @@ class TestTimedReduction:
         assert instance.schedule == ()
         assert decide_wsp_brute(instance, budget) is False
 
-    def test_source_with_only_sink_arcs_rejected(self):
+    def test_source_with_only_sink_arcs_accepted(self):
         # the source's only arc reaches the sink at h: the sink leaves the
         # reduced graph, and the arc is not short, so no leaf takes its place
+        # and the release time falls back to h
         graph = DirectedGraph(3, ((0, 2, 3.0), (1, 2, 1.0)))
-        with pytest.raises(StructuralError,
-                           match="^source has no outgoing arcs in the reduced graph$"):
-            mvnp_to_wsp(MvnpInstance(graph, 0, 2, k=1, h=3.0))
+        mvnp = MvnpInstance(graph, 0, 2, k=1, h=3.0)
+        instance, budget = mvnp_to_wsp(mvnp)
+        assert instance.graph == DirectedGraph(2, ())
+        assert instance.schedule == ((3.0, 1),)
+        assert budget == 2
+        answers = verify_reductions(mvnp)
+        assert answers == dict.fromkeys(("mvnp", "wsp", "wwsp", "hwsp", "agree"), True)
 
     def test_vertex_remapping_shifts_after_sink(self):
         # sink in the middle: vertices above it shift down by one
@@ -299,9 +304,9 @@ class TestAugmentation:
                 lifted = single_source_distances(augmented, v)
                 assert lifted[: graph.vertex_count] == original
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(StructuralError):
-            cost_preserving_augmentation(DirectedGraph(2, ()))
+    def test_empty_graph_returned_unchanged(self):
+        graph = DirectedGraph(2, ())
+        assert cost_preserving_augmentation(graph) == (graph, frozenset())
 
 
 class TestHomogeneousReduction:
@@ -362,6 +367,27 @@ class TestHomogeneousReduction:
 
 
 class TestEquivalenceSweep:
+    def test_graph_without_arcs_agrees(self):
+        # the source keeps no arc and the augmentation adds no vertex
+        mvnp = MvnpInstance(DirectedGraph(3, ()), 0, 2, k=1, h=3.0)
+        answers = verify_reductions(mvnp)
+        assert answers == dict.fromkeys(("mvnp", "wsp", "wwsp", "hwsp", "agree"), True)
+
+    def test_one_graph_drawn_per_sample(self, monkeypatch):
+        draws = [0]
+        draw = testkit.random_digraph
+
+        def counting(*args, **kwargs):
+            draws[0] += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(testkit, "random_digraph", counting)
+        rng = np.random.default_rng(0)
+        for max_vertices in (2, 3, 7):
+            for _ in range(50):
+                random_mvnp_instance(rng, max_vertices=max_vertices)
+        assert draws[0] == 150
+
     def test_all_reductions_agree_on_random_instances(self, rng):
         yes = no = 0
         for _ in range(40):
@@ -543,7 +569,9 @@ class TestProtectionSkip:
 def test_verify_reductions_kernel_runs_pinned(monkeypatch):
     """Deterministic work gate: fire_arrivals runs of verify_reductions
     over 50 samples (2279 before the searches skipped protections that
-    change no arc cost)."""
+    change no arc cost; 748 while the sampler redrew graphs of 2 vertices
+    and those whose source had no arc besides the sink's, a different
+    sample stream)."""
     calls = [0]
     run = core.fire_arrivals
 
@@ -556,7 +584,7 @@ def test_verify_reductions_kernel_runs_pinned(monkeypatch):
     rng = np.random.default_rng(0)
     for _ in range(50):
         assert verify_reductions(random_mvnp_instance(rng))["agree"]
-    assert calls[0] == 748
+    assert calls[0] == 505
 
 
 def test_searches_leave_no_cyclic_garbage():
