@@ -2,11 +2,11 @@
 
 A landscape is an n x n grid of square cells covering roughly
 N_xy x N_xy square feet.  Gradient noise fields drive terrain heights,
-base spread rates, and a symmetric per-edge wind field; the physics
-module turns these into directional arc travel times.  The horizon,
-delay, and resource schedule are derived from the free-burn arrival
-times so that instances are neither trivially small nor dominated by
-unburnable vertices.
+base spread rates, and a wind field (one vector per arc, the same for
+(u, v) and (v, u)); the physics module turns these into directional arc
+travel times.  The horizon, delay, and resource schedule are derived
+from the free-burn arrival times so that instances are neither
+trivially small nor dominated by unburnable vertices.
 
 Generation is a pure function of the configuration (including the seed):
 serialized instances are byte-stable across runs.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from wsptools import __version__
 from wsptools.core import (
     DirectedGraph,
     WspInstance,
+    _float,
     single_source_distances,
 )
 from wsptools.noise import gradient_noise, _mix_seed
@@ -108,7 +109,7 @@ class GeneratorConfig:
         ]:
             if value not in table:
                 raise GenerationError(f"unknown {name} {value!r}; choose from {sorted(table)}")
-        if self.decision_points < 1:
+        if _float(self.decision_points, "decision_points") < 1:  # names an int past float range
             raise GenerationError("decision_points must be at least 1")
 
     @property
@@ -131,14 +132,14 @@ class GeneratorConfig:
         return c * self.n + c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Landscape:
-    """Per-vertex heights (ft) and base spread rates (ft/min), plus a
-    symmetric wind vector per undirected adjacent pair."""
+    """Float64 arrays: heights (ft) and base spread rates (ft/min) per
+    vertex, and the (arcs, 2) wind vectors in the graph's arc order."""
 
-    heights: tuple[float, ...]
-    base_ros: tuple[float, ...]
-    wind_vectors: dict[tuple[int, int], tuple[float, float]] = field(compare=False)
+    heights: np.ndarray
+    base_ros: np.ndarray
+    wind_vectors: np.ndarray
 
 
 # Unit steps to the 4 neighbours of a cell, heads ascending: up, left, right, down.
@@ -170,31 +171,30 @@ def _cell_noise(config: GeneratorConfig, channel: int) -> np.ndarray:
     )
 
 
-def generate_terrain(config: GeneratorConfig) -> tuple[float, ...]:
+def generate_terrain(config: GeneratorConfig) -> np.ndarray:
     """Vertex heights in [0, N_z] feet from the terrain noise field."""
-    return tuple((config.max_height * _cell_noise(config, CHANNEL_TERRAIN)).tolist())
+    return config.max_height * _cell_noise(config, CHANNEL_TERRAIN)
 
 
-def generate_base_ros(config: GeneratorConfig) -> tuple[float, ...]:
+def generate_base_ros(config: GeneratorConfig) -> np.ndarray:
     """Per-vertex no-wind, no-slope spread rates in [1, 15] ft/min."""
     lo, hi = BASE_ROS_RANGE
-    return tuple((lo + (hi - lo) * _cell_noise(config, CHANNEL_BASE_ROS)).tolist())
+    return lo + (hi - lo) * _cell_noise(config, CHANNEL_BASE_ROS)
 
 
-def generate_wind_field(config: GeneratorConfig) -> dict[tuple[int, int], tuple[float, float]]:
-    """Wind vector per undirected adjacent pair, keyed by (min id, max id).
+def generate_wind_field(config: GeneratorConfig) -> np.ndarray:
+    """Wind vector (x, y) per arc: an (arcs, 2) float64 array in the
+    graph's arc order (_grid_arcs), so row i belongs to the graph's arc i.
 
     The predominant direction is rotated by an angle noise in
     [-pi/6, pi/6] and scaled to a magnitude within the configured
-    interval.  Both noises are evaluated at the midpoint of the two
-    cells, which makes the field symmetric by construction.
+    interval.  Both noises are evaluated at the midpoint of the arc's
+    cells, which (u, v) and (v, u) share: the field is symmetric.
     """
     lo, hi = WIND_LEVELS[config.wind_level]
     base = (math.cos(config.wind_direction), math.sin(config.wind_direction))
     n = config.n
-    tails, heads, dx, dy = _grid_arcs(n)
-    forward = (dx + dy) > 0  # right and down: the arcs with tail < head
-    tails, heads = tails[forward], heads[forward]
+    tails, heads, _, _ = _grid_arcs(n)
     mx = (tails % n + heads % n) / 2.0 / NOISE_PERIOD_CELLS
     my = (tails // n + heads // n) / 2.0 / NOISE_PERIOD_CELLS
     angle_noise = gradient_noise(config.seed, CHANNEL_WIND_ANGLE, mx, my)
@@ -205,7 +205,7 @@ def generate_wind_field(config: GeneratorConfig) -> dict[tuple[int, int], tuple[
     sin_a = np.array([math.sin(t) for t in angle])
     wx = speed * (cos_a * base[0] - sin_a * base[1])
     wy = speed * (sin_a * base[0] + cos_a * base[1])
-    return dict(zip(zip(tails.tolist(), heads.tolist()), zip(wx.tolist(), wy.tolist())))
+    return np.stack((wx, wy), axis=1)
 
 
 def generate_landscape(config: GeneratorConfig) -> Landscape:
@@ -221,7 +221,7 @@ def build_travel_times(config: GeneratorConfig, landscape: Landscape) -> Directe
 
     For each ordered arc (u, v): the slope tangent comes from the height
     difference capped at 45 degrees, the wind component is the projection
-    of the pair's wind vector onto the arc direction, and the travel time
+    of the arc's wind vector onto the arc direction, and the travel time
     is the 3D arc length over the harmonic mean of the two directional
     spread rates.  Both rates share the arc's one Albini multiplier.
 
@@ -233,8 +233,9 @@ def build_travel_times(config: GeneratorConfig, landscape: Landscape) -> Directe
     n = config.n
     d = float(config.cell_spacing)
     tails, heads, dx, dy = _grid_arcs(n)
-    heights = np.asarray(landscape.heights, dtype=np.float64)
-    base_ros = np.asarray(landscape.base_ros, dtype=np.float64)
+    heights, base_ros, wind = landscape.heights, landscape.base_ros, landscape.wind_vectors
+    if wind.shape != (len(tails), 2):
+        raise DomainError(f"wind field must have shape ({len(tails)}, 2), got {wind.shape}")
     nonpositive = base_ros[base_ros <= 0]
     if nonpositive.size:
         raise DomainError(f"base rate of spread must be positive, got {nonpositive[0]}")
@@ -244,8 +245,6 @@ def build_travel_times(config: GeneratorConfig, landscape: Landscape) -> Directe
     dz = np.where(dz < cap, dz, cap)
     dz = np.where(dz > -cap, dz, -cap)
     slope_tan = dz / d
-    keys = zip(np.minimum(tails, heads).tolist(), np.maximum(tails, heads).tolist())
-    wind = np.array(list(map(landscape.wind_vectors.__getitem__, keys)), dtype=np.float64)
     wind_component = wind[:, 0] * dx + wind[:, 1] * dy
     multiplier = albini_multipliers(wind_component, slope_tan)
     r_tail = base_ros[tails] * multiplier

@@ -99,10 +99,9 @@ class LinearModel:
                         raise StructuralError(f"{owner} references unknown variable {var}")
         if self.objective_sense not in (MIN, MAX):
             raise StructuralError(f"objective sense {self.objective_sense!r} is not min or max")
-        if not _KINDS.issuperset({v.kind for v in self.variables}):
-            name, kind = next((v.name, v.kind) for v in self.variables if v.kind not in _KINDS)
-            raise StructuralError(f"variable {name} has kind {kind!r}, not continuous or binary")
         for name, kind, lower, upper in self.variables:
+            if kind not in _KINDS:
+                raise StructuralError(f"variable {name} has kind {kind!r}, not continuous or binary")
             # the two binary bounds that LP and MPS both write: free (BV) and fixed at 0 (FX)
             if kind == BINARY and (lower, upper) not in _BINARY_BOUNDS:
                 raise StructuralError(

@@ -23,6 +23,7 @@ from wsptools.core import (
     DirectedGraph,
     FireOutcome,
     WspInstance,
+    _float,
     compute_arrival_times,
 )
 
@@ -105,7 +106,8 @@ class SolverBudget:
             raise ValueError(f"max_seconds must be positive and finite, got {self.max_seconds}")
         if self.max_iterations is not None and not self.max_iterations > 0:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if math.isnan(self.beam_width) or math.isnan(self.expansions):
+        beam_width = _float(self.beam_width, "beam_width")  # names an int past float range
+        if math.isnan(beam_width) or math.isnan(_float(self.expansions, "expansions")):
             raise ValueError("beam_width and expansions must not be NaN")
 
 

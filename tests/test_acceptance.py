@@ -240,7 +240,7 @@ def test_criterion_07_generator_contract():
         if instance.total_resources != 30:
             failures.append(f"seed {seed}: resources {instance.total_resources}")
         landscape = generate_landscape(config)
-        for (u, v), (wx, wy) in landscape.wind_vectors.items():
+        for wx, wy in landscape.wind_vectors:
             mag = math.hypot(wx, wy)
             if not lo - 1e-9 <= mag <= hi + 1e-9:
                 failures.append(f"seed {seed}: wind magnitude {mag}")
@@ -248,7 +248,7 @@ def test_criterion_07_generator_contract():
         d = float(config.cell_spacing)
         tangent_ok = all(
             min(abs(landscape.heights[u] - landscape.heights[v]), d) / d <= 1.0 + 1e-12
-            for u, v in landscape.wind_vectors
+            for u, v, _ in instance.graph.arcs
         )
         if not tangent_ok:
             failures.append(f"seed {seed}: slope above 45 degrees")

@@ -347,6 +347,25 @@ class TestSolveAndEvaluate:
         assert err == f"error: {named} is too large to convert to float\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["solve", "--algo", "beam", "--beam-width", "{big}", "-i", "{inst}"], "beam_width"),
+            (["solve", "--algo", "beam", "--expansions", "{big}", "-i", "{inst}"], "expansions"),
+            (["generate", "--grid-side", "4", "--decisions", "{big}"], "decision_points"),
+        ],
+        ids=["beam_width", "expansions", "decision_points"],
+    )
+    def test_flag_past_float_range_names_its_setting(self, small_instance, tmp_path, capsys,
+                                                     argv, named):
+        # argparse reads 10**400 as an int; the setting that takes it as a float names itself
+        out = tmp_path / "out.json"
+        argv = [a.format(big=10 ** 400, inst=small_instance) for a in argv]
+        code, _, err = run(capsys, *argv, "-o", str(out))
+        assert code == 2
+        assert err == f"error: {named} is too large to convert to float\n"
+        assert not out.exists()
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
                          "-i", str(tmp_path / "nope.json"), "-o", str(tmp_path / "s.json"))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,19 +189,52 @@ class TestLandscapeFields:
         cfg = GeneratorConfig(seed=4, n=10, wind_level="moderate")
         field = generate_wind_field(cfg)
         lo, hi = WIND_LEVELS["moderate"]
-        assert len(field) == 2 * 10 * 9  # undirected 4-neighbor adjacencies
-        for wx, wy in field.values():
+        assert field.shape == (4 * 10 * 9, 2)  # one row per 4-neighbor arc
+        for wx, wy in field:
             assert lo - 1e-9 <= math.hypot(wx, wy) <= hi + 1e-9
 
     def test_wind_directions_within_spread(self):
         cfg = GeneratorConfig(seed=4, n=10, wind_direction=0.5)
-        for wx, wy in generate_wind_field(cfg).values():
+        for wx, wy in generate_wind_field(cfg):
             diff = math.atan2(wy, wx) - 0.5
             assert abs(diff) <= math.pi / 6.0 + 1e-9
 
-    def test_wind_keys_are_undirected(self):
-        field = generate_wind_field(GeneratorConfig(seed=1, n=6))
-        assert all(u < v for u, v in field)
+    def test_wind_rows_are_undirected(self):
+        cfg = GeneratorConfig(seed=1, n=6)
+        field = generate_wind_field(cfg)
+        arcs = build_travel_times(cfg, generate_landscape(cfg)).arcs
+        assert field.shape == (len(arcs), 2)
+        row = {(u, v): bits(field[i]) for i, (u, v, _) in enumerate(arcs)}
+        assert all(row[(u, v)] == row[(v, u)] for u, v in row)
+
+    def test_wind_row_i_belongs_to_arc_i(self):
+        config = GeneratorConfig(seed=3, n=5, wind_level="strong")
+        landscape = generate_landscape(config)
+        arcs = build_travel_times(config, landscape).arcs
+        pairs = scalar_landscape(config).wind_vectors
+        assert [bits(row) for row in generate_wind_field(config)] == [
+            bits(pairs[(min(u, v), max(u, v))]) for u, v, _ in arcs
+        ]
+        # on flat ground without wind, a wind along arc i alone moves arc i's time alone
+        calm = Landscape(np.zeros(25), landscape.base_ros, np.zeros((len(arcs), 2)))
+        calm_times = [t for _, _, t in build_travel_times(config, calm).arcs]
+        for i in (0, 17, len(arcs) - 1):
+            u, v, _ = arcs[i]
+            wind = np.zeros((len(arcs), 2))
+            wind[i] = (100.0 * (v % 5 - u % 5), 100.0 * (v // 5 - u // 5))
+            times = [t for _, _, t in build_travel_times(config, dataclasses.replace(
+                calm, wind_vectors=wind)).arcs]
+            assert [j for j, (a, b) in enumerate(zip(calm_times, times)) if a != b] == [i]
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 2), (47, 2), (48, 3)], ids=["one-row", "one-row-short", "three-columns"]
+    )
+    def test_wind_field_of_wrong_shape_rejected(self, shape):
+        # numpy would broadcast a (1, 2) field over every arc
+        config = GeneratorConfig(seed=1, n=4)  # 48 arcs
+        landscape = dataclasses.replace(generate_landscape(config), wind_vectors=np.ones(shape))
+        with pytest.raises(DomainError, match=re.escape(f"shape (48, 2), got {shape}")):
+            build_travel_times(config, landscape)
 
 
 class TestTravelTimes:
@@ -217,11 +251,12 @@ class TestTravelTimes:
         graph = build_travel_times(cfg, landscape)
         d = float(cfg.cell_spacing)
         times = {(u, v): t for u, v, t in graph.arcs}
+        row = {(u, v): i for i, (u, v, _) in enumerate(graph.arcs)}
         # horizontal arc from (1,2) to (2,2)
         u, v = 2 * 6 + 1, 2 * 6 + 2
         dz = landscape.heights[v] - landscape.heights[u]
         dz = max(-d, min(d, dz))
-        wind = landscape.wind_vectors[(u, v)]
+        wind = landscape.wind_vectors[row[(u, v)]]
         expected = travel_time(
             math.hypot(d, dz),
             rate_of_spread(landscape.base_ros[u], wind[0], dz / d),
@@ -235,10 +270,12 @@ class TestTravelTimes:
         graph = build_travel_times(cfg, landscape)
         d = float(cfg.cell_spacing)
         times = {(u, v): t for u, v, t in graph.arcs}
+        row = {(u, v): i for i, (u, v, _) in enumerate(graph.arcs)}
         u, v = 2 * 6 + 1, 2 * 6 + 2
         dz = landscape.heights[u] - landscape.heights[v]
         dz = max(-d, min(d, dz))
-        wind = landscape.wind_vectors[(u, v)]
+        # the arc (v, u) has the pair's vector, projected onto -x
+        wind = landscape.wind_vectors[row[(v, u)]]
         expected = travel_time(
             math.hypot(d, dz),
             rate_of_spread(landscape.base_ros[v], -wind[0], dz / d),
@@ -659,6 +696,19 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def reference_arc_wind(config, pairs):
+    """The reference's pair dict as one row per arc, arcs in (tail, head)
+    order as the graph stores them; (u, v) and (v, u) read the same pair."""
+    n = config.n
+    arcs = sorted(
+        (y * n + x, ny * n + nx)
+        for y in range(n)
+        for x in range(n)
+        for nx, ny in scalar_neighbors(n, x, y)
+    )
+    return np.array([pairs[(min(u, v), max(u, v))] for u, v in arcs], dtype=np.float64)
+
+
 BITWISE_CONFIGS = [
     GeneratorConfig(seed=seed, n=n, wind_level=wind, slope_level=slope, wind_direction=direction)
     for seed, (n, wind, slope, direction) in enumerate(
@@ -684,10 +734,9 @@ class TestScalarReference:
         reference = scalar_landscape(config)
         assert bits(landscape.heights) == bits(reference.heights)
         assert bits(landscape.base_ros) == bits(reference.base_ros)
-        assert list(landscape.wind_vectors) == list(reference.wind_vectors)
-        assert bits(c for w in landscape.wind_vectors.values() for c in w) == bits(
-            c for w in reference.wind_vectors.values() for c in w
-        )
+        wind = reference_arc_wind(config, reference.wind_vectors)
+        assert landscape.wind_vectors.shape == wind.shape
+        assert bits(landscape.wind_vectors.ravel()) == bits(wind.ravel())
         arcs = build_travel_times(config, landscape).arcs
         expected = sorted(scalar_arcs(config, reference))
         assert [a[:2] for a in arcs] == [a[:2] for a in expected]
@@ -702,21 +751,27 @@ class TestScalarReference:
         heights = tuple(float(h) for h in rng.uniform(0.0, 3.0 * d, size=n2))
         base_ros = tuple(float(r) for r in rng.uniform(0.5, 20.0, size=n2))
         wind = {}
-        for (u, v), w in generate_wind_field(config).items():
+        for (u, v), w in scalar_landscape(config).wind_vectors.items():
             choice = int(rng.integers(0, 4))
             wind[(u, v)] = [(0.0, 0.0), (-0.0, -0.0), (-w[0], -w[1]), w][choice]
-        landscape = Landscape(heights=heights, base_ros=base_ros, wind_vectors=wind)
+        reference = Landscape(heights=heights, base_ros=base_ros, wind_vectors=wind)
+        landscape = Landscape(
+            heights=np.array(heights),
+            base_ros=np.array(base_ros),
+            wind_vectors=reference_arc_wind(config, wind),
+        )
         arcs = build_travel_times(config, landscape).arcs
-        expected = sorted(scalar_arcs(config, landscape))
+        expected = sorted(scalar_arcs(config, reference))
         assert bits(a[2] for a in arcs) == bits(a[2] for a in expected)
 
     def test_nonpositive_base_rate_rejected(self):
         config = GeneratorConfig(seed=1, n=4)
         landscape = generate_landscape(config)
-        base_ros = list(landscape.base_ros)
+        base_ros = landscape.base_ros.copy()
         base_ros[5] = 0.0
-        bad = Landscape(landscape.heights, tuple(base_ros), landscape.wind_vectors)
+        bad = Landscape(landscape.heights, base_ros, landscape.wind_vectors)
         with pytest.raises(DomainError, match="base rate of spread must be positive, got 0.0"):
             build_travel_times(config, bad)
+        reference = scalar_landscape(config)
         with pytest.raises(DomainError, match="got 0.0"):
-            scalar_arcs(config, bad)
+            scalar_arcs(config, dataclasses.replace(reference, base_ros=tuple(base_ros.tolist())))
