@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain or validation error (a
 ValueError) or a path that cannot be opened (an OSError), 3 resource-limit
-refusal.  Diagnostics go to
-stderr; data goes to files or stdout.
+refusal.  Diagnostics go to stderr; data goes to files or stdout.  A
+failed command leaves no output file but bench's appended records.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import gc
@@ -23,9 +24,9 @@ import numpy as np
 
 # package modules are reached through their module, so a wrapper or test
 # double set on it is seen; benchlab, mip, reductions and testkit are imported
-# by the code that uses them, so `import wsptools.cli` does not pay for them
-# (python 3.11 -X importtime on a 2-core Xeon VM: benchlab 9-13 ms, the other
-# three 15-23 ms together)
+# by the commands that use them, so neither `import wsptools.cli` nor the parser
+# pays for them (python 3.11 -X importtime on a 2-core Xeon VM: benchlab 9-13 ms,
+# the other three 15-23 ms together)
 from wsptools import INSTANCE_FORMAT_VERSION, __version__, core, generator, rothermel, solvers
 
 EXIT_OK = 0
@@ -57,8 +58,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from wsptools import benchlab
-
     parser = _Parser(prog="wsptools", description=__doc__)
     parser.add_argument(
         "--version",
@@ -148,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--profiles", required=True, help="output CSV of profile breakpoints")
     p.add_argument("--sm", required=True, help="output CSV of rank scores")
-    p.add_argument("--delta", type=float, default=benchlab.SM_DELTA_45_INSTANCES,
-                   help="pairwise rank-score significance threshold")
+    p.add_argument("--delta", type=float, default=None,
+                   help="pairwise rank-score significance threshold"
+                        " (default: benchlab.SM_DELTA_45_INSTANCES, for 45 instances)")
 
     p = sub.add_parser("physics", help="physics debugging aids")
     psub = p.add_subparsers(dest="physics_command", required=True)
@@ -167,12 +167,31 @@ def build_parser() -> argparse.ArgumentParser:
 # Command handlers
 
 
+@contextlib.contextmanager
+def _output(path, newline=None, inputs=()):
+    """path opened for writing, unless it is the regular file of one of the
+    command's input paths.  If the body raises, the file is closed, a
+    regular file at path removed (a device such as /dev/null is left
+    alone) and the error re-raised."""
+    if os.path.isfile(path) and any(i and os.path.samefile(path, i) for i in inputs):
+        raise ValueError(f"output {path} is an input file")
+    f = open(path, "w", newline=newline)
+    try:
+        with f:
+            yield f
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+
+
 def _cmd_generate(args) -> int:
     n = args.grid_side if args.grid_side is not None else generator.GRID_LEVELS[args.grid]
     config = generator.GeneratorConfig(n=n, **{
         f.name: getattr(args, f.name) for f in fields(generator.GeneratorConfig) if f.name != "n"
     })
-    core.save_instance(generator.generate_instance(config), args.output)
+    with _output(args.output) as f:
+        f.write(core.instance_to_json(generator.generate_instance(config)))
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -189,9 +208,9 @@ def _print_json(report: dict) -> None:
 
 
 def _cmd_solve(args) -> int:
-    instance = core.load_instance(args.input)
-    result = solvers.SOLVERS[args.algo](instance, _budget(args), args.seed)
-    with open(args.output, "w") as f:
+    instance, budget = core.load_instance(args.input), _budget(args)
+    with _output(args.output, inputs=[args.input]) as f:
+        result = solvers.SOLVERS[args.algo](instance, budget, args.seed)
         f.write(core.solution_to_json(args.input, result.allocation, result.objective))
     print(f"objective {result.objective}", file=sys.stderr)
     return EXIT_OK
@@ -238,19 +257,20 @@ def _cmd_export_mip(args) -> int:
 
     instance = core.load_instance(args.input)
     if args.model == "wsp":
-        model = mip.build_wsp_model(instance)
+        build = functools.partial(mip.build_wsp_model, instance)
     elif args.aux is None:
         raise core.StructuralError("--aux file required for this model")
     elif args.model == "hof":
         aux = _load_keywords(args.aux, "aux", ("targets", "alpha", "beta", "k"), ("integral",))
-        model = mip.build_hof_model(graph=instance.graph, ignition=instance.ignition, **aux)
+        build = functools.partial(mip.build_hof_model, graph=instance.graph,
+                                  ignition=instance.ignition, **aux)
     else:
         aux = _load_keywords(args.aux, "aux", ("weights", "flame_lengths", "flame_threshold", "k"))
-        model = mip.build_wei_model(graph=instance.graph, ignition=instance.ignition,
-                                    horizon=instance.horizon, delay=instance.delay, **aux)
-    text = mip.export_model(model, args.format)
-    with open(args.output, "w") as f:
-        f.write(text)
+        build = functools.partial(mip.build_wei_model, graph=instance.graph,
+                                  ignition=instance.ignition, horizon=instance.horizon,
+                                  delay=instance.delay, **aux)
+    with _output(args.output, inputs=[args.input, args.aux]) as f:
+        f.write(mip.export_model(build(), args.format))
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -276,22 +296,22 @@ def _cmd_reduce(args) -> int:
     from wsptools import reductions
 
     mvnp = _load_mvnp(args.input)
-    if args.target_kind == "wsp":
-        instance, budget = reductions.mvnp_to_wsp(mvnp)
-        core.save_instance(instance, args.output)
-        print(f"decision budget: {budget}", file=sys.stderr)
-        return EXIT_OK
-    if args.target_kind == "wwsp":
-        (instance, decision), key = reductions.mvnp_to_wwsp(mvnp), "decision_budget"
-    else:
-        (instance, decision), key = reductions.mvnp_to_hwsp(mvnp), "decision_threshold"
-    # the reduced instance's fields but the graph, which _graph_json writes;
-    # a set is written as a sorted list
-    doc = {f.name + REDUCED_UNITS.get(f.name, ""): getattr(instance, f.name)
-           for f in fields(instance) if f.name != "graph"}
-    doc.update({name: sorted(v) for name, v in doc.items() if isinstance(v, frozenset)},
-               kind=args.target_kind, **{key: decision})
-    with open(args.output, "w") as f:
+    with _output(args.output, inputs=[args.input]) as f:
+        if args.target_kind == "wsp":
+            instance, budget = reductions.mvnp_to_wsp(mvnp)
+            f.write(core.instance_to_json(instance))
+            print(f"decision budget: {budget}", file=sys.stderr)
+            return EXIT_OK
+        if args.target_kind == "wwsp":
+            (instance, decision), key = reductions.mvnp_to_wwsp(mvnp), "decision_budget"
+        else:
+            (instance, decision), key = reductions.mvnp_to_hwsp(mvnp), "decision_threshold"
+        # the reduced instance's fields but the graph, which _graph_json writes;
+        # a set is written as a sorted list
+        doc = {f.name + REDUCED_UNITS.get(f.name, ""): getattr(instance, f.name)
+               for f in fields(instance) if f.name != "graph"}
+        doc.update({name: sorted(v) for name, v in doc.items() if isinstance(v, frozenset)},
+                   kind=args.target_kind, **{key: decision})
         f.write(core._graph_json(doc, instance.graph))
     return EXIT_OK
 
@@ -344,8 +364,9 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     from wsptools import benchlab
 
-    if not (math.isfinite(args.delta) and args.delta >= 0):
-        raise ValueError(f"--delta must be a finite number at least 0, got {args.delta}")
+    delta = benchlab.SM_DELTA_45_INSTANCES if args.delta is None else args.delta
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"--delta must be a finite number at least 0, got {delta}")
     # one regular file for both outputs would hold one over the other's bytes
     if os.path.realpath(args.profiles) == os.path.realpath(args.sm) and (
         os.path.isfile(args.sm) or not os.path.exists(args.sm)
@@ -355,25 +376,16 @@ def _cmd_report(args) -> int:
     curves = benchlab.performance_profiles(records)
     # a limit or error replication ranks below every ok objective in its block
     blocks = benchlab.records_to_blocks(records, math.inf)
-    scores, significant = benchlab.sm_scores(blocks, delta=args.delta)
-    # both outputs are opened before either is written, so a refusal leaves
-    # no profiles file (a device such as /dev/null is left alone)
-    with open(args.profiles, "w", newline="") as profiles:
-        try:
-            sm = open(args.sm, "w", newline="")
-        except OSError:
-            profiles.close()
-            if os.path.isfile(args.profiles):
-                os.remove(args.profiles)
-            raise
-        with sm:
-            writer = csv.writer(profiles)
-            writer.writerow(["algorithm", "tau", "fraction"])
-            writer.writerows([c.algorithm, tau, p] for c in curves for tau, p in c.breakpoints)
-            writer = csv.writer(sm)
-            writer.writerow(["treatment", "score"])
-            writer.writerows([t, scores[t]] for t in sorted(scores))
-    _print_json({"significant_pairs": [list(p) for p in significant], "delta": args.delta})
+    scores, significant = benchlab.sm_scores(blocks, delta=delta)
+    with (_output(args.profiles, newline="", inputs=[args.records]) as profiles,
+          _output(args.sm, newline="", inputs=[args.records]) as sm):
+        writer = csv.writer(profiles)
+        writer.writerow(["algorithm", "tau", "fraction"])
+        writer.writerows([c.algorithm, tau, p] for c in curves for tau, p in c.breakpoints)
+        writer = csv.writer(sm)
+        writer.writerow(["treatment", "score"])
+        writer.writerows([t, scores[t]] for t in sorted(scores))
+    _print_json({"significant_pairs": [list(p) for p in significant], "delta": delta})
     return EXIT_OK
 
 

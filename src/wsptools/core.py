@@ -100,7 +100,7 @@ class WspInstance:
         for t, count in self.schedule:
             if not (0 < t <= self.horizon):
                 raise StructuralError(f"release time {t} outside (0, horizon]")
-            if t <= prev and prev > 0:
+            if t <= prev:
                 raise StructuralError("release times must be strictly increasing")
             if count < 1:
                 raise StructuralError(f"release count {count} must be >= 1")

@@ -62,6 +62,10 @@ BASE_ROS_RANGE = (1.0, 15.0)  # ft/min
 MAX_SLOPE_TANGENT = 1.0  # tan(45 degrees)
 WIND_ANGLE_SPREAD = math.pi / 6.0
 
+# build_resource_schedule builds lists and a permutation over every point,
+# though at most resource_count of them get a resource
+MAX_DECISION_POINTS = 100_000
+
 HOURS_24 = 1440.0  # minutes
 HOURS_48 = 2880.0
 
@@ -111,6 +115,9 @@ class GeneratorConfig:
                 raise GenerationError(f"unknown {name} {value!r}; choose from {sorted(table)}")
         if _float(self.decision_points, "decision_points") < 1:  # names an int past float range
             raise GenerationError("decision_points must be at least 1")
+        if self.decision_points > MAX_DECISION_POINTS:
+            raise GenerationError(f"decision_points must be at most {MAX_DECISION_POINTS},"
+                                  f" got {self.decision_points}")
 
     @property
     def max_height(self) -> float:

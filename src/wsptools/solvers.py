@@ -74,12 +74,12 @@ def protection_sets(graph: DirectedGraph, delays: dict[int, float], k: int):
     """The protection sets an exhaustive search over delays tries: the
     subsets_up_to k of its cost_changing vertices, the empty set first.
 
-    Refuses when called, before the first set, by check_search_space with
-    the estimate taken over every vertex of delays and the limit MAX_NODES
-    as it is at the call.
+    Refuses when called, before the first set, by check_search_space over
+    those vertices with the limit MAX_NODES as it is at the call.
     """
-    check_search_space(len(delays), [k], MAX_NODES)
-    return subsets_up_to(cost_changing(graph, delays), k)
+    useful = cost_changing(graph, delays)
+    check_search_space(len(useful), [k], MAX_NODES)
+    return subsets_up_to(useful, k)
 
 
 @dataclass(frozen=True)
@@ -310,11 +310,11 @@ def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResu
     burns the fewest vertices before the horizon.  Each new allocation is
     scored by a full kernel run, not repaired, so this oracle does not
     depend on the repair it is used to check.  Only cost_changing vertices
-    are tried; the estimate counts every vertex.
+    are tried, and only they are counted in the estimate.
     """
-    n = instance.graph.vertex_count
-    check_search_space(n, [count for _, count in instance.schedule], max_nodes)
-    useful = cost_changing(instance.graph, dict.fromkeys(range(n), instance.delay))
+    graph = instance.graph
+    useful = cost_changing(graph, dict.fromkeys(range(graph.vertex_count), instance.delay))
+    check_search_space(len(useful), [count for _, count in instance.schedule], max_nodes)
     horizon = instance.horizon
     root = compute_arrival_times(instance, EMPTY_ALLOCATION)
     levels = list(zip(instance.schedule, instance.first_resources))

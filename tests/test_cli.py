@@ -4,11 +4,13 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
-from wsptools import cli, generator, reductions, solvers
+from wsptools import cli, generator, mip, reductions, solvers
 from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records, run_benchmark
 from wsptools.cli import _budget, _load_plan, build_parser, dispatch
 from wsptools.core import (
@@ -84,8 +86,29 @@ class TestParsing:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"instances": [], "algorithms": list(table), "seeds": []}))
         assert _load_plan(plan)["algorithms"] == list(table)
-        args = parser.parse_args(["report", "--records", "r", "--profiles", "p", "--sm", "s"])
-        assert args.delta == SM_DELTA_45_INSTANCES
+
+    def test_report_delta_defaults_to_45_instances(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text("instance,algorithm,seed,objective,wall_seconds,status\n"
+                           "i1,rs,0,3,0.1,ok\ni1,beam,0,2,0.1,ok\n")
+        code, out, _ = run(capsys, "report", "--records", str(records),
+                           "--profiles", os.devnull, "--sm", os.devnull)
+        assert code == 0
+        assert json.loads(out)["delta"] == SM_DELTA_45_INSTANCES == 244.0
+
+    def test_parser_does_not_import_benchlab(self, tmp_path):
+        # only bench and report pay for benchlab and its statistics imports
+        argv = ["generate", "--grid-side", "3", "-o", str(tmp_path / "g.json")]
+        script = ("import sys; from wsptools import cli; "
+                  f"assert cli.dispatch({argv!r}) == 0; "
+                  "print(sorted({'wsptools.benchlab', 'statistics'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_generate_flags_read_generator_tables(self, monkeypatch):
         # the level flags take their choices from the generator's tables; the
@@ -215,6 +238,17 @@ class TestGenerate:
         assert "wind direction must be a finite number" in err
         assert not path.exists()
 
+    def test_decisions_are_bounded(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        code, _, err = run(capsys, "generate", "--grid-side", "4", "--decisions", "100001",
+                           "-o", str(path))
+        assert code == 2
+        assert err == "error: decision_points must be at most 100000, got 100001\n"
+        assert not path.exists()
+        code, _, _ = run(capsys, "generate", "--grid-side", "4", "--decisions", "100000",
+                         "-o", str(path))
+        assert code == 0 and path.exists()
+
     def test_zero_extent_is_domain_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "--grid-side", "5", "--extent", "0",
                            "-o", str(tmp_path / "x.json"))
@@ -277,6 +311,26 @@ class TestSolveAndEvaluate:
                            "-i", str(small_instance), "-o", str(tmp_path / "sol.json"))
         assert code == 3
         assert "refused" in err
+
+    def test_exact_refusal_leaves_no_output(self, small_instance, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        out.write_text("an earlier solution\n")
+        code, _, err = run(capsys, "solve", "--algo", "exact", "--max-nodes", "10",
+                           "-i", str(small_instance), "-o", str(out))
+        assert code == 3 and err.startswith("refused: search-space estimate")
+        assert not out.exists()
+
+    def test_zero_horizon_is_domain_error(self, small_instance, tmp_path, capsys):
+        doc = json.loads(small_instance.read_text())
+        doc["horizon_min"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "s.json"
+        code, _, err = run(capsys, "solve", "--algo", "rs", "--iterations", "1",
+                           "-i", str(bad), "-o", str(out))
+        assert code == 2
+        assert err == "error: horizon must be positive\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_exact_limit_below_one_is_domain_error(self, small_instance, tmp_path, capsys,
@@ -389,6 +443,45 @@ class TestSolveAndEvaluate:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--grid-side", "4"],
+        ["solve", "--algo", "rs", "-i", "{inst}"],
+        ["export-mip", "--model", "wsp", "-i", "{inst}"],
+        ["reduce", "--to", "wsp", "-i", "{mvnp}"],
+    ], ids=lambda argv: argv[0])
+    def test_output_is_opened_before_the_work(self, small_instance, tmp_path, capsys,
+                                              monkeypatch, argv):
+        calls = []
+        for module, name in [(generator, "generate_instance"), (solvers.SOLVERS, "rs"),
+                             (mip, "build_wsp_model"), (reductions, "mvnp_to_wsp")]:
+            patch = monkeypatch.setitem if isinstance(module, dict) else monkeypatch.setattr
+            patch(module, name, lambda *args, name=name: calls.append(name))
+        mvnp = tmp_path / "mvnp.json"
+        mvnp.write_text(json.dumps(FOUR_VERTEX_MVNP))
+        argv = [a.format(inst=small_instance, mvnp=mvnp) for a in argv]
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path))
+        assert code == 2 and err.startswith("error: ")
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algo", "exact", "--max-nodes", "10", "-i", "{inst}", "-o", "{same}"],
+        ["export-mip", "--model", "wsp", "-i", "{inst}", "-o", "{same}"],
+        ["reduce", "--to", "wsp", "-i", "{same}", "-o", "{mvnp}"],
+    ], ids=lambda argv: argv[0])
+    def test_output_naming_an_input_is_refused(self, small_instance, tmp_path, capsys, argv):
+        # the output is opened before the work and removed if the work fails,
+        # which would take the input with it
+        mvnp = tmp_path / "mvnp.json"
+        mvnp.write_text(json.dumps(FOUR_VERTEX_MVNP))
+        same = {"solve": small_instance, "export-mip": small_instance, "reduce": mvnp}[argv[0]]
+        before = same.read_bytes()
+        argv = [a.format(inst=small_instance, mvnp=mvnp,
+                         same=os.path.join(same.parent, ".", same.name)) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: output {argv[-1]} is an input file\n"
+        assert same.read_bytes() == before
 
     @pytest.mark.parametrize(
         "solution, message",
@@ -539,6 +632,12 @@ class TestExportAux:
         assert message in err
 
 
+# two routes from source to sink, of cost 2 and 3 = h; one vertex may go
+FOUR_VERTEX_MVNP = {"vertex_count": 4, "arcs": [[0, 1, 1.0], [0, 2, 1.0], [1, 3, 1.0],
+                                                [2, 3, 2.0]],
+                    "source": 0, "sink": 3, "k": 1, "h": 3.0}
+
+
 class TestReduce:
     @pytest.fixture
     def mvnp_file(self, tmp_path):
@@ -672,6 +771,19 @@ class TestReduce:
         code, out, _ = run(capsys, "verify-reductions", "--max-vertices", "2", "--samples", "20")
         assert code == 0
         assert json.loads(out) == {"samples": 20, "failures": 0, "pass": True}
+
+    def test_exact_counts_only_the_vertices_it_tries(self, tmp_path, capsys):
+        # of the reduced graph's 7 vertices only 0 and 1 have out-arcs: one
+        # resource gives the estimate 1 + 2 = 3, not the 1 + 7 = 8 of every vertex
+        mvnp, reduced = tmp_path / "mvnp.json", tmp_path / "wsp.json"
+        mvnp.write_text(json.dumps(FOUR_VERTEX_MVNP))
+        assert run(capsys, "reduce", "--to", "wsp", "-i", str(mvnp), "-o", str(reduced))[0] == 0
+        out = tmp_path / "sol.json"
+        code, _, err = run(capsys, "solve", "--algo", "exact", "--max-nodes", "5",
+                           "-i", str(reduced), "-o", str(out))
+        assert code == 0, err
+        assert err == "objective 3\n"
+        assert solution_from_json(out.read_text())[2] == 3
 
     @pytest.mark.parametrize("arcs", [[[0, 2, 3.0], [1, 2, 1.0]], []],
                              ids=["source without kept arc", "no arcs"])
@@ -851,6 +963,21 @@ class TestBenchAndReport:
         assert err.startswith("error: ") and "Is a directory" in err
         assert not (tmp_path / "profiles.csv").exists()
         assert not (tmp_path / "sm.csv").exists()
+
+    @pytest.mark.parametrize("output", ["--profiles", "--sm"])
+    def test_output_naming_the_records_is_refused(self, tmp_path, capsys, output):
+        records = tmp_path / "records.csv"
+        text = ("instance,algorithm,seed,objective,wall_seconds,status\n"
+                "i1,rs,0,3,0.1,ok\ni1,beam,0,2,0.1,ok\n")
+        records.write_text(text)
+        outputs = {"--profiles": tmp_path / "profiles.csv", "--sm": tmp_path / "sm.csv",
+                   output: records}
+        code, _, err = run(capsys, "report", "--records", str(records),
+                           *(str(a) for item in outputs.items() for a in item))
+        assert code == 2
+        assert err == f"error: output {records} is an input file\n"
+        assert records.read_text() == text
+        assert not (tmp_path / "profiles.csv").exists()
 
     @pytest.mark.parametrize("exists", [False, True])
     def test_one_file_for_both_outputs(self, tmp_path, capsys, exists):

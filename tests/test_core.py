@@ -487,6 +487,12 @@ class TestInstanceValidation:
         with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
             WspInstance(**dict(fields, **change))
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_horizon_must_be_positive(self, horizon):
+        graph = DirectedGraph(2, ((0, 1, 1.0),))
+        with pytest.raises(StructuralError, match="^horizon must be positive$"):
+            WspInstance(graph, 0, horizon=horizon, delay=0.0, schedule=())
+
     def test_total_resources(self, figure_instance):
         assert figure_instance.total_resources == 3
 

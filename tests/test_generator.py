@@ -14,6 +14,7 @@ from wsptools.generator import (
     FIRST_RELEASE_LEVELS,
     GRID_LEVELS,
     LAST_RELEASE_LEVELS,
+    MAX_DECISION_POINTS,
     META_UNITS,
     RESOURCE_LEVELS,
     SLOPE_LEVELS,
@@ -146,6 +147,13 @@ class TestConfig:
     def test_rejects_no_decision_point(self):
         with pytest.raises(GenerationError, match="^decision_points must be at least 1$"):
             GeneratorConfig(decision_points=0)
+
+    def test_decision_points_are_bounded(self):
+        # the schedule is built over every point: 10**6 of them cost 0.5 s and 100 MB
+        assert GeneratorConfig(decision_points=MAX_DECISION_POINTS).decision_points == 100_000
+        with pytest.raises(GenerationError,
+                           match="^decision_points must be at most 100000, got 100001$"):
+            GeneratorConfig(decision_points=MAX_DECISION_POINTS + 1)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(GenerationError):

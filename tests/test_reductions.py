@@ -150,14 +150,16 @@ def oracle_cases():
     wsp, wsp_budget = mvnp_to_wsp(mvnp)
     wwsp, wwsp_budget = mvnp_to_wwsp(mvnp)
     hwsp, threshold = mvnp_to_hwsp(mvnp)
+    # each estimate counts the vertices its oracle tries: the 3 removable
+    # ones; wsp's 0-3, not its 5 sink copies without out-arcs; hwsp's 1-3,
+    # not s, t or the 6 auxiliary vertices of delay 0
+    assert (wsp.graph.vertex_count, hwsp.graph.vertex_count) == (9, 11)
     return {
         "mvnp": (lambda: solve_mvnp_brute(mvnp), subsets_count(3, 2)),
         "decide_mvnp": (lambda: decide_mvnp(mvnp), subsets_count(3, 2)),
-        "wsp": (lambda: decide_wsp_brute(wsp, wsp_budget),
-                subsets_count(wsp.graph.vertex_count, 2)),
+        "wsp": (lambda: decide_wsp_brute(wsp, wsp_budget), subsets_count(4, 2)),
         "wwsp": (lambda: decide_wwsp_brute(wwsp, wwsp_budget), subsets_count(3, 2)),
-        "hwsp": (lambda: decide_hwsp_brute(hwsp, threshold),
-                 subsets_count(hwsp.graph.vertex_count, 2)),
+        "hwsp": (lambda: decide_hwsp_brute(hwsp, threshold), subsets_count(3, 2)),
     }
 
 

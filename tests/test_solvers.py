@@ -113,13 +113,13 @@ class TestSearchCore:
             check_search_space(4, [10 ** 12], 15)
 
     def test_protection_sets_refuse_when_called(self, monkeypatch):
-        # one cost-changing vertex of five: the estimate 1 + 5 counts every key
+        # one cost-changing vertex of five: the estimate 1 + 1 counts only it
         graph = DirectedGraph(5, ((0, 1, 1.0),))
         delays = dict.fromkeys(range(5), 1.0)
-        monkeypatch.setattr(solvers, "MAX_NODES", 5)
-        with pytest.raises(LimitExceeded, match="search-space estimate 6 exceeds limit 5$"):
+        monkeypatch.setattr(solvers, "MAX_NODES", 1)
+        with pytest.raises(LimitExceeded, match="search-space estimate 2 exceeds limit 1$"):
             protection_sets(graph, delays, 1)  # before the first set is asked for
-        monkeypatch.setattr(solvers, "MAX_NODES", 6)
+        monkeypatch.setattr(solvers, "MAX_NODES", 2)
         assert list(protection_sets(graph, delays, 1)) == [(), (0,)]
 
     def test_protection_sets_are_cost_changing_subsets_in_delays_order(self):
@@ -133,10 +133,11 @@ class TestSearchCore:
         assert list(protection_sets(graph, delays, 0)) == [()]
 
     def test_estimate_beyond_float_range(self):
-        # one level of 300 resources on 2000 vertices: over 1e370 subsets, more
-        # than a float holds, so a float estimate would overflow, not refuse
+        # one level of 300 resources on a 2000-vertex cycle: over 1e370 subsets,
+        # more than a float holds, so a float estimate would overflow, not refuse
         instance = WspInstance(
-            DirectedGraph(2000, ((0, 1, 1.0),)), 0, horizon=10.0, delay=5.0,
+            DirectedGraph(2000, tuple((v, (v + 1) % 2000, 1.0) for v in range(2000))), 0,
+            horizon=10.0, delay=5.0,
             schedule=((1.0, 300),),
         )
         with pytest.raises(LimitExceeded, match="estimate inf exceeds limit 2000000"):
@@ -350,14 +351,24 @@ class TestBruteForce:
             brute_force(instance, max_nodes=1000)
 
     def test_limit_boundary(self):
-        # 4 vertices, levels of 2 and 1: (1 + 4 + 6) * (1 + 4) = 55
+        # 3 of 4 vertices tried (3 has no out-arc), levels of 2 and 1:
+        # (1 + 3 + 3) * (1 + 3) = 28
         instance = WspInstance(
             DirectedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))), 0,
             horizon=10.0, delay=5.0, schedule=((1.0, 2), (2.0, 1)),
         )
-        assert brute_force(instance, max_nodes=55) == brute_force(instance)
-        with pytest.raises(LimitExceeded, match="estimate 55 exceeds limit 54"):
-            brute_force(instance, max_nodes=54)
+        assert brute_force(instance, max_nodes=28) == brute_force(instance)
+        with pytest.raises(LimitExceeded, match="estimate 28 exceeds limit 27"):
+            brute_force(instance, max_nodes=27)
+
+    def test_estimate_counts_only_the_vertices_tried(self):
+        # a star from the ignition to 10 leaves: only the ignition has out-arcs,
+        # so two resources give the estimate 1 + 1 = 2, not the 67 of 11 vertices
+        instance = WspInstance(
+            DirectedGraph(11, tuple((0, v, 1.0) for v in range(1, 11))), 0,
+            horizon=10.0, delay=5.0, schedule=((1.0, 2),),
+        )
+        assert brute_force(instance, max_nodes=5).objective == objective(instance) == 11
 
 
 class TestEvaluationCount:
