@@ -208,6 +208,8 @@ def _print_json(report: dict) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     instance, budget = core.load_instance(args.input), _budget(args)
     with _output(args.output, inputs=[args.input]) as f:
         result = solvers.SOLVERS[args.algo](instance, budget, args.seed)
@@ -319,8 +321,9 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify_reductions(args) -> int:
     from wsptools import reductions, testkit
 
-    if args.samples < 0:
-        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for i in range(args.samples):
@@ -341,7 +344,7 @@ def _load_plan(path) -> dict:
     for key, valid, expected in [
         ("instances", lambda v: isinstance(v, str), "instance file paths"),
         ("algorithms", lambda v: v in names, f"names among {names}"),
-        ("seeds", lambda v: type(v) is int, "integers"),
+        ("seeds", lambda v: type(v) is int and v >= 0, "integers at least 0"),
     ]:
         values = core._json_list(plan, key)
         bad = [v for v in values if not valid(v)]

@@ -243,6 +243,8 @@ def build_hof_model(
     for t in targets:
         if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 0 <= t < n:
             raise StructuralError(f"target {t!r} is not a vertex id in [0, {n})")
+    if len(set(targets)) < len(targets):
+        raise StructuralError(f"target {max(targets, key=targets.count)} is listed twice")
     alpha = _per_vertex("alpha", alpha, n)
     beta = _per_vertex("beta", beta, n)
     _budget(k)

@@ -8,7 +8,6 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -184,17 +183,16 @@ def perimeter_candidates(
 
     Returns the unburned, unprotected, non-ignition vertices ordered by
     (has a burned in-neighbor, earlier arrival, lower id), or the first
-    limit of them, ranking the rest only as far as the fire front falls
-    short.  outcome must be the arrival times under partial_alloc, and
-    fire, if given, its _fire_state at t; it is built from outcome if not.
+    limit of them; the vertices off the fire front are sorted only when it
+    holds fewer than limit.  outcome must be the arrival times under
+    partial_alloc, and fire, if given, its _fire_state at t, else built.
     """
     arrival = outcome.arrival
     open_, front = fire or _fire_state(instance.graph.out_arcs, arrival, t)
     closed = partial_alloc.protected | {instance.ignition}
     ranked = sorted((arrival[v], v) for v in front if v not in closed)
     if limit is None or len(ranked) < limit:
-        rest = ((arrival[v], v) for v in open_ if v not in front and v not in closed)
-        ranked += sorted(rest) if limit is None else heapq.nsmallest(limit - len(ranked), rest)
+        ranked += sorted((arrival[v], v) for v in open_ if v not in front and v not in closed)
     return [v for _, v in ranked[:limit]]
 
 
@@ -206,32 +204,32 @@ def beam_search(
     """Level-by-level beam over release times.
 
     Each node holds a partial allocation; children assign the level's
-    resources to combinations of the top perimeter candidates.  Nodes are
-    ranked by the horizon objective of the partial allocation, ties by
-    fewer burned vertices at the next release time, then by the
-    lexicographically smallest allocation.  beam_width and
+    resources to combinations of the top perimeter candidates, and a node
+    without any goes on through the one, empty, combination.  Children
+    are ranked by the horizon objective, ties by fewer burned vertices at
+    the level's next release time (the horizon after the last level),
+    then by the lexicographically smallest allocation.  beam_width and
     expansions_per_node may be math.inf for exhaustive behavior.
 
-    Every allocation is evaluated once, when it is created, by repairing
-    the outcome of the allocation one protection shorter; a node carries
-    its rank key, fire outcome and the _fire_state it advances from to the
-    next level.  A node's burned counts are that allocation's plus the
-    change the repair made.
+    Every allocation is evaluated once, when it is created: each prefix of
+    a node's combinations is repaired once, from the prefix one shorter,
+    and kept by its prefix tuple for the siblings that share it.  A node
+    carries its rank key, fire outcome and the _fire_state it advances
+    from; its burned counts are its prefix's plus the repair's change.
     """
     if not (beam_width >= 1 and expansions_per_node >= 1):
         raise ValueError("beam_width and expansions_per_node must be at least 1")
 
     schedule, horizon = instance.schedule, instance.horizon
-    # the rank key's "next release" is the release point after the last one
-    # an allocation uses: the first for the root, i + 1 for children made at
-    # level i, with the horizon after the last level
-    times = [t for t, _ in schedule] + [horizon]
     expansions = int(expansions_per_node) if math.isfinite(expansions_per_node) else None
     root = compute_arrival_times(instance, EMPTY_ALLOCATION)
-    key = (root.burned_count(horizon), root.burned_count(times[0]), ())
-    beam = [(key, EMPTY_ALLOCATION, root, None)]
-    for level, ((release_time, count), first) in enumerate(zip(schedule, instance.first_resources)):
-        next_time = times[level + 1]
+    # a key's counts are at H and at the release after the level that made it
+    # (H after the last); the root's second count is read only without levels
+    burned = root.burned_count(horizon)
+    beam = [((burned, burned, ()), EMPTY_ALLOCATION, root, None)]
+    next_times = [t for t, _ in schedule[1:]] + [horizon]
+    for (release_time, count), first, next_time in zip(schedule, instance.first_resources,
+                                                        next_times):
         # the first e combinations of k candidates draw on the first k - 1 + e only
         limit = None if expansions is None else count - 1 + expansions
         children = []
@@ -242,31 +240,27 @@ def beam_search(
             fire = _fire_state(instance.graph.out_arcs, arrival, release_time, fire)
             candidates = perimeter_candidates(instance, alloc, release_time, outcome, limit,
                                               fire=fire)
-            take = min(count, len(candidates))
-            if take == 0:
-                children.append((key, alloc, outcome, fire))
-                continue
-            combos = itertools.islice(itertools.combinations(candidates, take), expansions)
+            # without candidates the one combination is empty: the node goes on re-keyed
+            combos = itertools.combinations(candidates, min(count, len(candidates)))
             burned_next = len(arrival) - len([v for v in fire[0] if arrival[v] >= next_time])
-            # stack[i]: (burned at H, burned at next_time, allocation, outcome)
-            # of the last combination's first i vertices, shared by siblings
-            stack, last = [(key[0], burned_next, alloc, outcome)], ()
-            for combo in combos:
-                size = next((i for i, (u, v) in enumerate(zip(last, combo)) if u != v), 0)
-                del stack[size + 1:]
-                for size in range(size, take):
-                    burned_h, burned_next, p_alloc, p_outcome = stack[-1]
-                    node = p_alloc.extended([(first + size, combo[size])])
+            # prefix -> (burned at H, burned at next_time, allocation, outcome),
+            # each repaired once from the prefix one shorter and shared by siblings
+            prefixes = {(): (key[0], burned_next, alloc, outcome)}
+            for combo in itertools.islice(combos, expansions):
+                for size, v in enumerate(combo):
+                    if combo[: size + 1] in prefixes:
+                        continue
+                    burned_h, burned_next, p_alloc, p_outcome = prefixes[combo[:size]]
+                    node = p_alloc.extended([(first + size, v)])
                     node_outcome = compute_arrival_times(instance, node, parent=(p_alloc, p_outcome))
                     old, new = p_outcome.arrival, node_outcome.arrival
-                    for v in node_outcome.changed:
-                        burned_h += (new[v] < horizon) - (old[v] < horizon)
-                        burned_next += (new[v] < next_time) - (old[v] < next_time)
-                    stack.append((burned_h, burned_next, node, node_outcome))
-                burned_h, burned_next, node, node_outcome = stack[-1]
+                    for u in node_outcome.changed:
+                        burned_h += (new[u] < horizon) - (old[u] < horizon)
+                        burned_next += (new[u] < next_time) - (old[u] < next_time)
+                    prefixes[combo[: size + 1]] = (burned_h, burned_next, node, node_outcome)
+                burned_h, burned_next, node, node_outcome = prefixes[combo]
                 vertices = tuple(sorted(v for _, v in node.assignments))
                 children.append(((burned_h, burned_next, vertices), node, node_outcome, fire))
-                last = combo
         children.sort(key=itemgetter(0))
         if math.isfinite(beam_width):
             children = children[: int(beam_width)]

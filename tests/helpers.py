@@ -99,12 +99,14 @@ def child_by_child_beam(instance: WspInstance, beam_width, expansions_per_node):
         next_time = times[level + 1]
         limit = None if expansions is None else count - 1 + expansions
         children = []
-        for parent in beam:
-            _, alloc, outcome = parent
+        for _, alloc, outcome in beam:
             candidates = perimeter_candidates(instance, alloc, release_time, outcome, limit)
             take = min(count, len(candidates))
             if take == 0:
-                children.append(parent)
+                # the node goes on, ranked at this level's next time like its siblings
+                key = (outcome.burned_count(horizon), outcome.burned_count(next_time),
+                       tuple(sorted(v for _, v in alloc.assignments)))
+                children.append((key, alloc, outcome))
                 continue
             combos = itertools.combinations(candidates, take)
             if expansions is not None:

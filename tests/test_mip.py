@@ -874,6 +874,15 @@ class TestBuilderInputs:
         with pytest.raises(StructuralError):
             build_hof_model(**args)
 
+    def test_hof_names_a_repeated_target(self, graph):
+        # the second row earliest_1 was refused as a repeated constraint name
+        args = dict(graph=graph, ignition=0, alpha=[1.0] * 3, beta=[1.0] * 3, k=1.0)
+        with pytest.raises(StructuralError, match="^target 1 is listed twice$"):
+            build_hof_model(targets=[1, 2, 1], **args)
+        # without a repeat the list's order changes no byte
+        assert export_model(build_hof_model(targets=[2, 1], **args)) == \
+            export_model(build_hof_model(targets=[1, 2], **args))
+
     @pytest.mark.parametrize(
         "change",
         [

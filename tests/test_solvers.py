@@ -1,6 +1,8 @@
+import builtins
 import inspect
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from wsptools.solvers import (
     subsets_up_to,
 )
 
-from helpers import random_grid_instance, random_wsp_instance
+from helpers import child_by_child_beam, random_grid_instance, random_wsp_instance
 
 
 def no_resource_instance():
@@ -282,6 +284,45 @@ class TestBeamSearch:
         result = beam_search(figure_instance, beam_width=8, expansions_per_node=8)
         assert result.objective == 6
 
+    @staticmethod
+    def final_nodes(instance, width, expansions):
+        """beam_search's result and the final (key, allocation, outcome)
+        nodes it picks the best of."""
+        final = []
+
+        def recording_min(*args, **kwargs):
+            if "key" in kwargs:  # the pick of the best final node
+                final.extend(args[0])
+            return builtins.min(*args, **kwargs)
+
+        with mock.patch.object(solvers, "min", recording_min, create=True):
+            result = beam_search(instance, width, expansions)
+        return result, final
+
+    def test_node_without_candidates_is_ranked_at_the_next_time(self):
+        # 4 vertices, arcs (0,2), (2,0), (2,3), ignition 2, 3 release points:
+        # nodes run out of candidates before the last level
+        instance = random_wsp_instance(np.random.default_rng(2441), 6)
+        assert instance.graph.vertex_count == 4 and len(instance.schedule) == 3
+        result, final = self.final_nodes(instance, 3, 3)
+        # after the last level every key's second count is at the horizon
+        assert [key[1] for key, _, _ in final] == [key[0] for key, _, _ in final]
+        assert result.allocation.assignments == ((0, 0), (1, 1), (2, 3))
+        assert result.objective == objective(instance, result.allocation) == 3
+
+    @pytest.mark.parametrize("n, seed", [(3, 7), (3, 8), (3, 12), (4, 18), (4, 41), (4, 43)])
+    @pytest.mark.parametrize("width, expansions", [(32, 16), (2, 3)])
+    def test_stuck_nodes_match_the_child_by_child_beam(self, n, seed, width, expansions):
+        # ten release points on a 3 x 3 or 4 x 4 grid: nodes run out of
+        # candidates, and a key kept from an earlier level decided ties here
+        instance = generate_instance(GeneratorConfig(seed=seed, n=n, decision_points=10))
+        result, final = self.final_nodes(instance, width, expansions)
+        expected, expected_final = child_by_child_beam(instance, width, expansions)
+        assert result == expected
+        assert [key for key, _, _ in final] == [key for key, _, _ in expected_final]
+        assert [(alloc.assignments, outcome.arrival) for _, alloc, outcome in final] == \
+            [(alloc.assignments, outcome.arrival) for _, alloc, outcome in expected_final]
+
 
 class TestBruteForce:
     def test_no_resources(self):
@@ -453,9 +494,9 @@ class TestBeamWork:
 
         monkeypatch.setattr(FireOutcome, "burned_count", counting_burned_count)
         beam_search(instance, 2, 3)
-        # the root's counts at H and at the first release; every other count
-        # comes from a carried open list or a repair's changed vertices
-        assert len(counted) == 2
+        # the root's count at H; every other count comes from a carried open
+        # list or a repair's changed vertices
+        assert len(counted) == 1
         assert all(outcome is instance.free_burn for outcome in counted)
 
     def test_perimeter_candidates_runs_once_per_expanded_parent(self, monkeypatch):
