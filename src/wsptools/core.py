@@ -40,6 +40,8 @@ class DirectedGraph:
         object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
         previous = None
         for tail, head, time in self.arcs:
+            if type(tail) is not int or type(head) is not int:  # bool and numpy ints too
+                raise StructuralError(f"arc ({tail},{head}) has a vertex id that is not an int")
             if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
                 raise StructuralError(f"arc ({tail},{head}) has vertex id out of range")
             if tail == head:
@@ -391,16 +393,18 @@ def _arcs_json(graph: DirectedGraph) -> str:
     """The arcs, as stored, as json.dumps(..., indent=1) writes them as
     the value of a top-level key.
 
-    The compact C encoder writes every number, so ints, floats and float
-    subclasses come out as the indented encoder would write them; the
-    brackets and separators are then respaced.  Arc entries are numbers,
-    so "], [" and ", " occur only between them.
+    The compact C encoder writes the times in one pass, so ints, floats
+    and float subclasses come out as the indented encoder would write
+    them (a number's text holds no ", ", the separator split on); the
+    vertex ids are ints (the graph refuses any other type), whose
+    f-string is json's text.
     """
     if not graph.arcs:
         return "[]"
-    compact = json.dumps(graph.arcs)
-    inner = compact[2:-2].replace("], [", "\n  ],\n  [\n   ").replace(", ", ",\n   ")
-    return "[\n  [\n   " + inner + "\n  ]\n ]"
+    times = json.dumps([t for _, _, t in graph.arcs], check_circular=False)[1:-1].split(", ")
+    return "[\n  " + ",\n  ".join([
+        f"[\n   {u},\n   {v},\n   {text}\n  ]" for (u, v, _), text in zip(graph.arcs, times)
+    ]) + "\n ]"
 
 
 def _graph_json(doc: dict, graph: DirectedGraph) -> str:

@@ -65,6 +65,9 @@ WIND_ANGLE_SPREAD = math.pi / 6.0
 # build_resource_schedule builds lists and a permutation over every point,
 # though at most resource_count of them get a resource
 MAX_DECISION_POINTS = 100_000
+# arrays grow with n**2 (a side of 320 takes 1.7 s and 218 MB): a side of
+# a few thousand asks for gigabytes, and 10**6 fails in numpy's allocator
+MAX_GRID_SIDE = 1000
 
 HOURS_24 = 1440.0  # minutes
 HOURS_48 = 2880.0
@@ -94,6 +97,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 2:
             raise GenerationError("grid side must be at least 2")
+        if self.n > MAX_GRID_SIDE:
+            raise GenerationError(f"grid side must be at most {MAX_GRID_SIDE}, got {self.n}")
         if not self.n <= self.landscape_extent <= self.n * 2.0**53:
             raise GenerationError(
                 f"landscape extent must be between n = {self.n} and n * 2**53 feet,"
@@ -154,17 +159,22 @@ _STEPS_X = np.array([0, -1, 1, 0])
 _STEPS_Y = np.array([-1, 0, 0, 1])
 
 
+@functools.lru_cache(maxsize=len(GRID_LEVELS))
 def _grid_arcs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tails, heads and unit steps (dx, dy) of the directed 4-neighbour
     arcs of an n x n grid in the graph's arc order: tails ascending
-    (row-major vertex ids), each tail's neighbours up, left, right, down."""
+    (row-major vertex ids), each tail's neighbours up, left, right, down.
+    Kept per n (an instance reads them twice), read-only as callers share them."""
     cells = np.arange(n * n)
     x, y = (cells % n)[:, None] + _STEPS_X, (cells // n)[:, None] + _STEPS_Y
     inside = (0 <= x) & (x < n) & (0 <= y) & (y < n)
     tails = np.broadcast_to(cells[:, None], inside.shape)[inside]
     dx = np.broadcast_to(_STEPS_X, inside.shape)[inside]
     dy = np.broadcast_to(_STEPS_Y, inside.shape)[inside]
-    return tails, tails + dx + n * dy, dx, dy
+    arrays = tails, tails + dx + n * dy, dx, dy
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _cell_noise(config: GeneratorConfig, channel: int) -> np.ndarray:
@@ -196,12 +206,18 @@ def generate_wind_field(config: GeneratorConfig) -> np.ndarray:
     The predominant direction is rotated by an angle noise in
     [-pi/6, pi/6] and scaled to a magnitude within the configured
     interval.  Both noises are evaluated at the midpoint of the arc's
-    cells, which (u, v) and (v, u) share: the field is symmetric.
+    cells, which (u, v) and (v, u) share: the field is symmetric, so it
+    is computed once per undirected edge, at its forward arc (u < v),
+    and each arc takes the row of its edge.
     """
     lo, hi = WIND_LEVELS[config.wind_level]
     base = (math.cos(config.wind_direction), math.sin(config.wind_direction))
     n = config.n
     tails, heads, _, _ = _grid_arcs(n)
+    forward = tails < heads
+    edges = np.minimum(tails, heads) * (n * n) + np.maximum(tails, heads)
+    row = np.searchsorted(edges[forward], edges)
+    tails, heads = tails[forward], heads[forward]
     mx = (tails % n + heads % n) / 2.0 / NOISE_PERIOD_CELLS
     my = (tails // n + heads // n) / 2.0 / NOISE_PERIOD_CELLS
     angle_noise = gradient_noise(config.seed, CHANNEL_WIND_ANGLE, mx, my)
@@ -212,7 +228,7 @@ def generate_wind_field(config: GeneratorConfig) -> np.ndarray:
     sin_a = np.array([math.sin(t) for t in angle])
     wx = speed * (cos_a * base[0] - sin_a * base[1])
     wy = speed * (sin_a * base[0] + cos_a * base[1])
-    return np.stack((wx, wy), axis=1)
+    return np.stack((wx, wy), axis=1)[row]
 
 
 def generate_landscape(config: GeneratorConfig) -> Landscape:
@@ -273,7 +289,7 @@ def free_burn_quantile(arrivals, p: float, positive: bool = False) -> float:
     """
     if not 0 < p <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {p}")
-    finite = sorted(a for a in arrivals if math.isfinite(a))
+    finite = sorted(filter(math.isfinite, arrivals))  # a sorted input sorts in one pass
     if not finite:
         raise GenerationError("no vertex has a finite free-burn arrival time")
     threshold = (p / 100.0) * len(arrivals)
@@ -325,7 +341,8 @@ def generate_instance(config: GeneratorConfig) -> WspInstance:
     """Compose all generation steps into a complete instance."""
     landscape = generate_landscape(config)
     graph = build_travel_times(config, landscape)
-    arrivals = single_source_distances(graph, config.ignition)
+    # sorted once, so each free_burn_quantile sort is one pass
+    arrivals = sorted(single_source_distances(graph, config.ignition))
     horizon = compute_horizon(arrivals)
     delay = DELAY_LEVELS[config.delay_level](horizon)
     rng = np.random.default_rng(_mix_seed(config.seed, 1000))

@@ -257,6 +257,15 @@ class TestGenerate:
                          "-o", str(path))
         assert code == 0 and path.exists()
 
+    def test_grid_side_is_bounded(self, tmp_path, capsys):
+        # numpy would be asked for 7.28 TiB; the config refuses the side first
+        path = tmp_path / "x.json"
+        code, _, err = run(capsys, "generate", "--grid-side", "1000000", "--extent", "1e7",
+                           "-o", str(path))
+        assert code == 2
+        assert err == "error: grid side must be at most 1000, got 1000000\n"
+        assert not path.exists()
+
     def test_zero_extent_is_domain_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "--grid-side", "5", "--extent", "0",
                            "-o", str(tmp_path / "x.json"))

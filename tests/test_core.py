@@ -69,6 +69,15 @@ class TestGraphValidation:
         with pytest.raises(StructuralError):
             DirectedGraph(2, ((0, 2, 1.0),))
 
+    @pytest.mark.parametrize("head, shown", [
+        (1.5, "1.5"), (True, "True"), (np.int64(1), "1"),
+    ], ids=["float", "bool", "numpy"])
+    def test_rejects_vertex_id_not_an_int(self, head, shown):
+        # a float id would fail only later, in fire_arrivals, and True would pass as vertex 1
+        with pytest.raises(StructuralError,
+                           match=rf"^arc \(0,{shown}\) has a vertex id that is not an int$"):
+            DirectedGraph(3, ((0, head, 1.0), (0, 2, 1.0)))
+
     def test_rejects_duplicate_pair_apart_in_the_input(self):
         with pytest.raises(StructuralError, match=r"^duplicate arc \(0,1\)$"):
             DirectedGraph(2, ((0, 1, 2.0), (1, 0, 1.0), (0, 1, 1.0)))

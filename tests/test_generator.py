@@ -15,6 +15,7 @@ from wsptools.generator import (
     GRID_LEVELS,
     LAST_RELEASE_LEVELS,
     MAX_DECISION_POINTS,
+    MAX_GRID_SIDE,
     META_UNITS,
     RESOURCE_LEVELS,
     SLOPE_LEVELS,
@@ -22,6 +23,7 @@ from wsptools.generator import (
     GenerationError,
     GeneratorConfig,
     Landscape,
+    _grid_arcs,
     build_resource_schedule,
     build_travel_times,
     compute_horizon,
@@ -155,6 +157,15 @@ class TestConfig:
                            match="^decision_points must be at most 100000, got 100001$"):
             GeneratorConfig(decision_points=MAX_DECISION_POINTS + 1)
 
+    def test_grid_side_is_bounded(self):
+        # arrays grow with n**2 (a side of 320 takes 218 MB): the bound is
+        # built as a config only, never generated
+        assert GeneratorConfig(n=MAX_GRID_SIDE).n == 1000
+        for n in (MAX_GRID_SIDE + 1, 10**6):
+            with pytest.raises(GenerationError,
+                               match=f"^grid side must be at most 1000, got {n}$"):
+                GeneratorConfig(n=n, landscape_extent=1e7)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(GenerationError):
             GeneratorConfig(n=1)
@@ -206,6 +217,13 @@ class TestLandscapeFields:
         for wx, wy in generate_wind_field(cfg):
             diff = math.atan2(wy, wx) - 0.5
             assert abs(diff) <= math.pi / 6.0 + 1e-9
+
+    def test_grid_arcs_are_shared_and_read_only(self):
+        arrays = _grid_arcs(6)
+        assert _grid_arcs(6) is arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_wind_rows_are_undirected(self):
         cfg = GeneratorConfig(seed=1, n=6)
@@ -749,6 +767,18 @@ class TestScalarReference:
         expected = sorted(scalar_arcs(config, reference))
         assert [a[:2] for a in arcs] == [a[:2] for a in expected]
         assert bits(a[2] for a in arcs) == bits(a[2] for a in expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 13])
+    def test_wind_field_bitwise(self, n):
+        # rows are computed per undirected edge and gathered to both arcs
+        for seed, (wind, direction) in enumerate(zip(
+            ("light", "moderate", "strong", "strong"), (0.0, 0.9, -2.7, math.pi)
+        )):
+            config = GeneratorConfig(seed=seed, n=n, wind_level=wind, wind_direction=direction)
+            expected = reference_arc_wind(config, scalar_landscape(config).wind_vectors)
+            field = generate_wind_field(config)
+            assert field.shape == expected.shape
+            assert bits(field.ravel()) == bits(expected.ravel())
 
     def test_hand_made_landscape_hits_every_case(self, rng):
         # heights far apart (the 45-degree cap binds both ways), winds of

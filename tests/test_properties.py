@@ -67,6 +67,35 @@ def test_round_trip(instance):
     assert instance_to_json(back) == text
 
 
+# repr switches to exponent form below 1e-4 and from 1e16 up; subnormals
+# have the fewest digits
+writer_times = (
+    positive.filter(math.isfinite)
+    | st.floats(min_value=5e-324, max_value=2.2250738585072014e-308)
+    | st.floats(min_value=1e-6, max_value=1e-3)
+    | st.floats(min_value=1e15, max_value=1e17)
+    | st.sampled_from([5e-324, 1e-5, math.nextafter(1e-4, 0.0), 1e-4, 1e16,
+                       math.nextafter(1e16, 0.0), 1.0, 0.1])
+    | st.integers(min_value=1, max_value=10**20)
+)
+
+
+@st.composite
+def writer_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] != p[1]), max_size=30))
+    return DirectedGraph(n, tuple((u, v, draw(writer_times)) for u, v in sorted(pairs)))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(writer_graphs())
+def test_arc_writer_equals_the_indented_encoder(graph):
+    # the arc times are written in one compact pass, the ids by f-string
+    instance = WspInstance(graph, ignition=0, horizon=1.0, delay=0.0, schedule=())
+    assert instance_to_json(instance) == indented_json(instance)
+
+
 # Arc times of 1e-300 and 1e-17 leave a float arrival unchanged, which makes
 # tight arcs between vertices of equal arrival; delay 0.0 and 1e-300 leave
 # some protections without effect.

@@ -2,9 +2,9 @@
 
 perfbench/tracer.py wraps each function its TARGETS table names, looked
 up with getattr, so `run.py --trace 1` and `selfcheck.py` break when one
-of those names goes.  perfbench/workloads.py checks every solve request
-against the digests in references.json.  These tests load both modules
-by path and leave perfbench/ as it is.
+of those names goes.  perfbench/workloads.py checks every solve,
+generate and export request against the digests in references.json.
+These tests load both modules by path and leave perfbench/ as it is.
 
 The last tests hold the package to its line budget and to no unused
 import, and run README's library example.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from wsptools import solvers
+from wsptools import core, solvers
 from wsptools.core import compute_arrival_times
 from wsptools.generator import GeneratorConfig, generate_instance
 
@@ -54,6 +54,30 @@ def test_solve_pool_matches_the_benchmark_references():
         rs_seed = 7 * j % workloads.RS_SEEDS
         rs = workloads.result_digest(workloads.run_rs(instance, rs_seed))
         assert rs == references["rs"][j][rs_seed], (j, rs_seed)
+
+
+def test_generate_pool_matches_the_benchmark_references(tmp_path):
+    # every 32nd instance file of the pool, through the CLI as the benchmark runs it
+    workloads = load_by_path("workloads")
+    references = json.loads((PERFBENCH / "references.json").read_text())["generate"]
+    path = str(tmp_path / "instance.json")
+    for j in range(0, workloads.GENERATE_POOL, 32):
+        code, _, err = workloads.dispatch_quiet(workloads.generate_args(j, path))
+        assert code == 0, (j, err)
+        assert workloads.file_sha256(path) == references[j], j
+
+
+def test_export_pool_matches_the_benchmark_references(tmp_path):
+    workloads = load_by_path("workloads")
+    references = json.loads((PERFBENCH / "references.json").read_text())["export"]
+    source, target = str(tmp_path / "instance.json"), str(tmp_path / "model")
+    for j in range(workloads.EXPORT_POOL):
+        core.save_instance(generate_instance(workloads.grid_config(j, workloads.EXPORT_GRID)),
+                           source)
+        for fmt in workloads.FORMATS:
+            code, _, err = workloads.dispatch_quiet(workloads.export_args(fmt, source, target))
+            assert code == 0, (j, fmt, err)
+            assert workloads.file_sha256(target) == references[fmt][j], (j, fmt)
 
 
 def test_every_target_resolves(tracer):
