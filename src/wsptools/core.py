@@ -36,23 +36,32 @@ class DirectedGraph:
     arcs: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        # the sort compares times only within a duplicate pair, refused below
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
-        previous = None
-        for tail, head, time in self.arcs:
+        try:  # the sort compares times only within a duplicate pair, refused below
+            arcs = tuple(sorted(self.arcs))
+        except TypeError:  # an id or a time that does not compare: the checks name its arc
+            arcs = None
+        n, last_tail, last_head = self.vertex_count, None, None
+        for tail, head, time in self.arcs if arcs is None else arcs:
             if type(tail) is not int or type(head) is not int:  # bool and numpy ints too
                 raise StructuralError(f"arc ({tail},{head}) has a vertex id that is not an int")
-            if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
+            if not (0 <= tail < n and 0 <= head < n):
                 raise StructuralError(f"arc ({tail},{head}) has vertex id out of range")
             if tail == head:
                 raise StructuralError(f"self-loop at vertex {tail}")
-            if (tail, head) == previous:
+            if head == last_head and tail == last_tail:
                 raise StructuralError(f"duplicate arc ({tail},{head})")
-            if not 0 < time < INF:  # NaN included
-                raise StructuralError(
-                    f"arc ({tail},{head}) travel time {time} is not finite and positive"
-                )
-            previous = tail, head
+            if type(time) is bool:  # it compares as 0 or 1, but instance_to_json writes true
+                raise StructuralError(f"arc ({tail},{head}) travel time {time} is not a number")
+            try:
+                positive = 0 < time < INF  # NaN fails
+            except TypeError:  # a str or None does not compare
+                raise StructuralError(f"arc ({tail},{head}) travel time {time!r} is not a number") from None
+            if not positive:
+                raise StructuralError(f"arc ({tail},{head}) travel time {time} is not finite and positive")
+            last_tail, last_head = tail, head
+        if arcs is None:  # each arc passed, yet they do not sort: sequences of mixed types
+            raise StructuralError("arcs must be (tail, head, travel time) tuples")
+        object.__setattr__(self, "arcs", arcs)
 
     @cached_property
     def out_arcs(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:

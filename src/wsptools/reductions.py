@@ -245,34 +245,35 @@ def evaluate_hwsp(instance: HwspInstance, protected) -> float:
 # when it is called, so patching that one constant moves every refusal
 
 
-def solve_mvnp_brute(mvnp: MvnpInstance) -> tuple[frozenset[int], float]:
-    """Best removal set and the resulting s-t distance (may be +inf).
-
-    A removal set is scored by an infinite delay on its vertices'
-    out-arcs: the s-t distance is then the least path cost avoiding them,
-    the same bits as on the graph without them.  The removal sets are the
-    protection_sets of every vertex but s and t.
-    """
+def removal_distances(mvnp: MvnpInstance):
+    """(removal set, s-t distance) for each protection_sets removal set of
+    the vertices but s and t, refusing when called.  An infinite delay on
+    a removal set's out-arcs scores it: the s-t distance is then the least
+    path cost avoiding it, the same bits as without it, and may be +inf."""
     g, s, t = mvnp.graph, mvnp.source, mvnp.sink
     removable = {v: math.inf for v in range(g.vertex_count) if v not in (s, t)}
-    best_set, best_value = (), -math.inf
-    for subset in solvers.protection_sets(g, removable, mvnp.k):
-        value = fire_arrivals(g, s, dict.fromkeys(subset, math.inf)).arrival[t]
-        if value > best_value:
-            best_set, best_value = subset, value
+    subsets = solvers.protection_sets(g, removable, mvnp.k)
+    return ((subset, fire_arrivals(g, s, dict.fromkeys(subset, math.inf)).arrival[t])
+            for subset in subsets)
+
+
+def solve_mvnp_brute(mvnp: MvnpInstance) -> tuple[frozenset[int], float]:
+    """The first removal set of removal_distances with the longest s-t
+    distance, and that distance."""
+    best_set, best_value = max(removal_distances(mvnp), key=lambda pair: pair[1])
     return frozenset(best_set), best_value
 
 
 def decide_mvnp(mvnp: MvnpInstance) -> bool:
-    _, value = solve_mvnp_brute(mvnp)
-    return value >= mvnp.h
+    return any(value >= mvnp.h for _, value in removal_distances(mvnp))
 
 
 def decide_wsp_brute(instance: WspInstance, budget: int) -> bool:
     """Exhaustive decision: some feasible allocation burns at most budget
     vertices before the horizon."""
-    # brute_force's default limit was bound when it was defined
-    return solvers.brute_force(instance, solvers.MAX_NODES).objective <= budget
+    # complete_allocations' default limit was bound when it was defined
+    leaves = solvers.complete_allocations(instance, solvers.MAX_NODES)
+    return any(outcome.burned_count(instance.horizon) <= budget for _, outcome in leaves)
 
 
 def decide_wwsp_brute(instance: WwspInstance, budget: float) -> bool:

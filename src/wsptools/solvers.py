@@ -292,27 +292,26 @@ def _leaves(instance: WspInstance, useful: list[int], levels, alloc: Allocation,
         yield from _leaves(instance, useful, rest, child, compute_arrival_times(instance, child))
 
 
-def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResult:
-    """Provably optimal allocation by exhaustive incremental enumeration.
-
-    At each release time every subset of the feasible candidates up to
-    the released count is tried, so deliberately unused resources are
-    covered.  Refuses with the size estimate when the search space
-    exceeds max_nodes (see check_search_space).
-
-    Returns the first complete allocation, in enumeration order, that
-    burns the fewest vertices before the horizon.  Each new allocation is
-    scored by a full kernel run, not repaired, so this oracle does not
-    depend on the repair it is used to check.  Only cost_changing vertices
-    are tried, and only they are counted in the estimate.
-    """
+def complete_allocations(instance: WspInstance, max_nodes: int = MAX_NODES):
+    """The _leaves of instance from the empty allocation over its
+    cost_changing vertices and every release level, deliberately unused
+    resources included.  Full kernel runs, not repairs, keep this oracle
+    apart from the repair it checks.  Refuses when called, before the
+    first leaf, when check_search_space over those vertices exceeds
+    max_nodes."""
     graph = instance.graph
     useful = cost_changing(graph, dict.fromkeys(range(graph.vertex_count), instance.delay))
     check_search_space(len(useful), [count for _, count in instance.schedule], max_nodes)
-    horizon = instance.horizon
     root = compute_arrival_times(instance, EMPTY_ALLOCATION)
     levels = list(zip(instance.schedule, instance.first_resources))
-    leaves = _leaves(instance, useful, levels, EMPTY_ALLOCATION, root)
+    return _leaves(instance, useful, levels, EMPTY_ALLOCATION, root)
+
+
+def brute_force(instance: WspInstance, max_nodes: int = MAX_NODES) -> SolverResult:
+    """Provably optimal allocation: the first of complete_allocations, in
+    its order, that burns the fewest vertices before the horizon."""
+    horizon = instance.horizon
+    leaves = complete_allocations(instance, max_nodes)
     best, outcome = min(leaves, key=lambda leaf: leaf[1].burned_count(horizon))
     return SolverResult(best, outcome.burned_count(horizon))
 

@@ -11,6 +11,9 @@ import numpy as np
 from wsptools.core import DirectedGraph
 from wsptools.reductions import MvnpInstance
 
+# random_mvnp_instance's largest max_vertices: its draw is O(n**2) Python steps
+MAX_VERTICES = 200
+
 
 def random_digraph(rng: np.random.Generator, max_vertices: int = 60, arc_prob: float = 0.3,
                    max_cost: float = 10.0, integer_costs: bool = False) -> DirectedGraph:
@@ -35,9 +38,11 @@ def random_mvnp_instance(
 ) -> MvnpInstance:
     """Small interdiction instance with integer costs, source 0 and
     sink the last vertex (the sink may be unreachable).  One graph is
-    drawn per instance, of 2 to max_vertices vertices."""
+    drawn per instance, of 2 to max_vertices (at most MAX_VERTICES)."""
     if max_vertices < 2:
         raise ValueError(f"max_vertices must be at least 2, got {max_vertices}")
+    if max_vertices > MAX_VERTICES:
+        raise ValueError(f"max_vertices must be at most {MAX_VERTICES}, got {max_vertices}")
     graph = random_digraph(
         rng, max_vertices=max_vertices, arc_prob=0.4, max_cost=max_cost, integer_costs=True
     )

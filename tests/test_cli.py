@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import pytest
 
-from wsptools import cli, generator, mip, reductions, solvers
+from wsptools import cli, generator, mip, reductions, solvers, testkit
 from wsptools.benchlab import SM_DELTA_45_INSTANCES, read_records, run_benchmark
 from wsptools.cli import _budget, _load_plan, build_parser, dispatch
 from wsptools.core import (
@@ -798,6 +798,17 @@ class TestReduce:
         code, _, err = run(capsys, "verify-reductions", "--max-vertices", "1")
         assert code == 2
         assert err == "error: max_vertices must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("value", [str(testkit.MAX_VERTICES + 1), "100000", str(10**400)],
+                             ids=["bound+1", "1e5", "1e400"])
+    def test_verify_reductions_too_many_vertices(self, capsys, value, monkeypatch):
+        # 100000 started an O(n**2) draw that ran for hours, and 10**400
+        # failed in numpy with a message that named no flag
+        monkeypatch.setattr(testkit, "random_digraph", None)  # no draw is made
+        code, out, err = run(capsys, "verify-reductions", "--max-vertices", value, "--samples", "1")
+        assert code == 2 and out == ""
+        assert err == (f"error: max_vertices must be at most {testkit.MAX_VERTICES}, "
+                       f"got {value}\n")
 
     def test_verify_reductions_two_vertices_returns(self, capsys):
         # every sample is the one graph drawn for it: source 0, sink 1

@@ -70,13 +70,33 @@ class TestGraphValidation:
             DirectedGraph(2, ((0, 2, 1.0),))
 
     @pytest.mark.parametrize("head, shown", [
-        (1.5, "1.5"), (True, "True"), (np.int64(1), "1"),
-    ], ids=["float", "bool", "numpy"])
+        (1.5, "1.5"), (True, "True"), (np.int64(1), "1"), ("1", "1"), (None, "None"),
+    ], ids=["float", "bool", "numpy", "str", "none"])
     def test_rejects_vertex_id_not_an_int(self, head, shown):
-        # a float id would fail only later, in fire_arrivals, and True would pass as vertex 1
+        # a float id would fail only later, in fire_arrivals, and True would pass as vertex 1;
+        # a str or None id made the sort raise a bare TypeError
         with pytest.raises(StructuralError,
                            match=rf"^arc \(0,{shown}\) has a vertex id that is not an int$"):
             DirectedGraph(3, ((0, head, 1.0), (0, 2, 1.0)))
+
+    @pytest.mark.parametrize("arcs, shown", [
+        (((0, 1, "x"),), "'x'"),  # 0 < "x" raised a bare TypeError
+        (((0, 1, "x"), (0, 1, 2.0)), "'x'"),  # the sort of a duplicate pair raised it
+        (((0, 1, True), (1, 0, 2.0)), "True"),  # accepted, written as true, refused on load
+    ], ids=["str", "str-duplicate", "bool"])
+    def test_time_not_a_number_names_its_arc(self, arcs, shown):
+        with pytest.raises(StructuralError,
+                           match=rf"^arc \(0,1\) travel time {shown} is not a number$"):
+            DirectedGraph(2, arcs)
+
+    def test_arcs_of_mixed_sequence_types_refused(self):
+        # every arc passes its checks, but a list and a tuple do not sort
+        with pytest.raises(StructuralError, match=r"^arcs must be \(tail, head, travel time\) tuples$"):
+            DirectedGraph(2, ((0, 1, 1.0), [1, 0, 2.0]))
+
+    def test_accepts_int_and_float_subclass_times(self):
+        graph = DirectedGraph(3, ((1, 2, np.float64(2.5)), (0, 1, 3)))
+        assert graph.arcs == ((0, 1, 3), (1, 2, 2.5))
 
     def test_rejects_duplicate_pair_apart_in_the_input(self):
         with pytest.raises(StructuralError, match=r"^duplicate arc \(0,1\)$"):

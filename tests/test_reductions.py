@@ -390,6 +390,15 @@ class TestEquivalenceSweep:
                 random_mvnp_instance(rng, max_vertices=max_vertices)
         assert draws[0] == 150
 
+    def test_max_vertices_bound(self):
+        rng = np.random.default_rng(0)
+        assert random_mvnp_instance(rng, max_vertices=testkit.MAX_VERTICES).graph.vertex_count > 2
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^max_vertices must be at most "
+                                             f"{testkit.MAX_VERTICES}, got 100000$"):
+            random_mvnp_instance(rng, max_vertices=100000)
+        assert rng.bit_generator.state == state  # refused before any draw
+
     def test_all_reductions_agree_on_random_instances(self, rng):
         yes = no = 0
         for _ in range(40):
@@ -568,12 +577,100 @@ class TestProtectionSkip:
         assert brute_force(instance).allocation == EMPTY_ALLOCATION
 
 
+def two_route_mvnp():
+    """s = 0 reaches t = 4 by 0 -> 1 -> 2 -> 4 (cost 3 < h) or 0 -> 3 -> 4
+    (cost 20); removing 1 or 2 leaves only the long route: a "yes"
+    instance whose first witness, {1}, is not the last removal set."""
+    graph = DirectedGraph(5, ((0, 1, 1.0), (1, 2, 1.0), (2, 4, 1.0), (0, 3, 10.0), (3, 4, 10.0)))
+    return MvnpInstance(graph, 0, 4, k=1, h=5.0)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Counts fire_arrivals runs, those of compute_arrival_times included."""
+    calls = [0]
+    run = core.fire_arrivals
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(core, "fire_arrivals", counting)
+    monkeypatch.setattr(reductions, "fire_arrivals", counting)
+    return calls
+
+
+class TestFirstWitness:
+    """decide_mvnp and decide_wsp_brute stop at their first witness in
+    the enumeration their optimizer takes the first best of, and answer
+    what that optimum answers."""
+
+    def test_decide_mvnp_stops_at_the_first_witness(self, kernel_runs):
+        mvnp = two_route_mvnp()
+        assert list(reductions.removal_distances(mvnp)) == [
+            ((), 3.0), ((1,), 20.0), ((2,), 20.0), ((3,), 3.0)]
+        kernel_runs[0] = 0
+        assert decide_mvnp(mvnp) is True
+        assert kernel_runs[0] == 2  # (), then the witness (1,)
+        kernel_runs[0] = 0
+        assert solve_mvnp_brute(mvnp) == (frozenset({1}), 20.0)
+        assert kernel_runs[0] == 4
+
+    def test_decide_wsp_brute_stops_at_the_first_witness(self, kernel_runs):
+        # the leaves in order: the root (0-2 and the 5 sink copies burn), then 1 or 2 protected
+        wsp, budget = mvnp_to_wsp(two_route_mvnp())
+        burned = [outcome.burned_count(wsp.horizon)
+                  for _, outcome in solvers.complete_allocations(wsp)]
+        assert (budget, burned) == (4, [8, 2, 3])
+        # fresh instances: the root outcome is instance.free_burn, kept once run
+        wsp, budget = mvnp_to_wsp(two_route_mvnp())
+        kernel_runs[0] = 0
+        assert decide_wsp_brute(wsp, budget) is True
+        assert kernel_runs[0] == 2  # the root, then the witness
+        wsp, budget = mvnp_to_wsp(two_route_mvnp())
+        kernel_runs[0] = 0
+        assert brute_force(wsp).objective == 2
+        assert kernel_runs[0] == 3
+
+    def test_complete_allocations_refuses_when_called(self, kernel_runs):
+        wsp, _ = mvnp_to_wsp(two_route_mvnp())
+        kernel_runs[0] = 0
+        # useful vertices 0, 1 and 2, one resource: 1 + 3 sets
+        with pytest.raises(LimitExceeded, match="^search-space estimate 4 exceeds limit 3$"):
+            solvers.complete_allocations(wsp, 3)
+        assert kernel_runs[0] == 0
+        leaves = solvers.complete_allocations(wsp, 4)
+        assert kernel_runs[0] == 1  # the root only, before the first leaf is asked for
+        assert len(list(leaves)) == 3
+        assert kernel_runs[0] == 3
+
+    def test_removal_distances_refuse_when_called(self, kernel_runs, monkeypatch):
+        monkeypatch.setattr(solvers, "MAX_NODES", 3)
+        with pytest.raises(LimitExceeded, match="^search-space estimate 4 exceeds limit 3$"):
+            reductions.removal_distances(two_route_mvnp())
+        assert kernel_runs[0] == 0
+
+    def test_decisions_equal_the_optima_on_random_samples(self):
+        rng = np.random.default_rng(34)
+        answers = []
+        for _ in range(1000):
+            mvnp = random_mvnp_instance(rng, max_vertices=9, max_k=3)
+            answers.append(decide_mvnp(mvnp))
+            assert answers[-1] == (solve_mvnp_brute(mvnp)[1] >= mvnp.h), mvnp
+            wsp, wsp_budget = mvnp_to_wsp(mvnp)
+            best = brute_force(wsp).objective
+            for budget in {best - 1, best, wsp_budget}:
+                assert decide_wsp_brute(wsp, budget) == (best <= budget), (mvnp, budget)
+        assert 200 < sum(answers) < 800  # both answers, many times each
+
+
 def test_verify_reductions_kernel_runs_pinned(monkeypatch):
     """Deterministic work gate: fire_arrivals runs of verify_reductions
     over 50 samples (2279 before the searches skipped protections that
     change no arc cost; 748 while the sampler redrew graphs of 2 vertices
     and those whose source had no arc besides the sink's, a different
-    sample stream)."""
+    sample stream; 505 while decide_mvnp and decide_wsp_brute searched
+    every set)."""
     calls = [0]
     run = core.fire_arrivals
 
@@ -586,7 +683,7 @@ def test_verify_reductions_kernel_runs_pinned(monkeypatch):
     rng = np.random.default_rng(0)
     for _ in range(50):
         assert verify_reductions(random_mvnp_instance(rng))["agree"]
-    assert calls[0] == 505
+    assert calls[0] == 364
 
 
 def test_searches_leave_no_cyclic_garbage():
