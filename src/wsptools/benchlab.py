@@ -152,27 +152,23 @@ def sm_scores(
     """
     if not blocks:
         raise ValueError("no blocks")
-    treatments = None
-    c = None
+    first = next(iter(blocks.values()))
+    treatments = sorted(first)
+    c = len(first[treatments[0]]) if treatments else 0  # every cell's replication count
     for block_id, cells in blocks.items():
         names = sorted(cells)
-        if treatments is None:
-            treatments = names
-        elif names != treatments:
+        if names != treatments:
             raise ValueError(f"block {block_id} has treatments {names}, expected {treatments}")
         for t, values in cells.items():
-            if c is None:
-                c = len(values)
             if len(values) != c or c == 0:
                 raise ValueError(f"unbalanced cell ({block_id}, {t}): {len(values)} values")
 
     scores = {t: 0.0 for t in treatments}
     for cells in blocks.values():
-        owners = [t for t in treatments for _ in cells[t]]
+        # ranked in treatment order, so treatment i holds ranks i*c .. i*c + c - 1
         ranks = _average_ranks([v for t in treatments for v in cells[t]])
-        for t in treatments:
-            mean_rank = sum(r for r, o in zip(ranks, owners) if o == t) / c
-            scores[t] += mean_rank
+        for i, t in enumerate(treatments):
+            scores[t] += sum(ranks[i * c : (i + 1) * c]) / c
 
     significant = [
         (a, b)

@@ -43,20 +43,20 @@ class DirectedGraph:
         n, last_tail, last_head = self.vertex_count, None, None
         for tail, head, time in self.arcs if arcs is None else arcs:
             if type(tail) is not int or type(head) is not int:  # bool and numpy ints too
-                raise StructuralError(f"arc ({tail},{head}) has a vertex id that is not an int")
+                kind = type(head if type(tail) is int else tail).__name__
+                raise StructuralError(f"arc ({tail},{head}) has a vertex id of type {kind}, not int")
             if not (0 <= tail < n and 0 <= head < n):
                 raise StructuralError(f"arc ({tail},{head}) has vertex id out of range")
             if tail == head:
                 raise StructuralError(f"self-loop at vertex {tail}")
             if head == last_head and tail == last_tail:
                 raise StructuralError(f"duplicate arc ({tail},{head})")
-            if type(time) is bool:  # it compares as 0 or 1, but instance_to_json writes true
-                raise StructuralError(f"arc ({tail},{head}) travel time {time} is not a number")
-            try:
-                positive = 0 < time < INF  # NaN fails
-            except TypeError:  # a str or None does not compare
-                raise StructuralError(f"arc ({tail},{head}) travel time {time!r} is not a number") from None
-            if not positive:
+            if type(time) is not float:  # one type test on the common path; the kernel and
+                # the writer take ints in float range and floats, as instance files hold
+                if type(time) is bool or not isinstance(time, (int, float)):
+                    raise StructuralError(f"arc ({tail},{head}) travel time {time!r} is not a number")
+                _float(time, f"arc ({tail},{head}) travel time")
+            if not 0 < time < INF:  # NaN fails
                 raise StructuralError(f"arc ({tail},{head}) travel time {time} is not finite and positive")
             last_tail, last_head = tail, head
         if arcs is None:  # each arc passed, yet they do not sort: sequences of mixed types
@@ -337,16 +337,25 @@ def compute_arrival_times(
     vertex alloc protects.  parent, if given, is (parent_alloc,
     parent_outcome): an allocation whose protected vertices alloc protects
     too, and its outcome on this instance, to repair the arrivals from.
-    With neither, the result is instance.free_burn.
+    With neither, the result is instance.free_burn.  The instance keeps
+    any other full run, with alloc.protected, until the next one: the
+    delay is uniform, so the same set again returns it, and checking then
+    scoring one allocation runs the kernel once.  Repairs neither read nor
+    replace it.
     """
-    if parent is None and not alloc.assignments:
-        return instance.free_burn
     if parent is not None:
         if not parent[0].protected <= alloc.protected:
             raise StructuralError("the parent protects a vertex the allocation does not")
         parent = (alloc.protected - parent[0].protected, parent[1])
+    elif not alloc.assignments:
+        return instance.free_burn
+    elif (kept := instance.__dict__.get("_full_run")) and kept[0] == alloc.protected:
+        return kept[1]
     delays = dict.fromkeys(alloc.protected, instance.delay)
-    return fire_arrivals(instance.graph, instance.ignition, delays, parent)
+    outcome = fire_arrivals(instance.graph, instance.ignition, delays, parent)
+    if parent is None:  # in the instance's __dict__, as cached_property keeps free_burn
+        instance.__dict__["_full_run"] = (alloc.protected, outcome)
+    return outcome
 
 
 def single_source_distances(graph: DirectedGraph, source: int) -> list[float]:

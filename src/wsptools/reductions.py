@@ -178,15 +178,10 @@ def cost_preserving_augmentation(graph: DirectedGraph) -> tuple[DirectedGraph, f
     preserved.  Returns the new graph and the set of auxiliary ids; a
     graph without arcs comes back equal, with no auxiliary vertex."""
     eps = min((t for _, _, t in graph.arcs), default=0.0)
-    arcs = []
-    aux = graph.vertex_count
-    aux_ids = []
-    for u, v, t in graph.arcs:
-        arcs.append((u, aux, eps / 2.0))
-        arcs.append((aux, v, t - eps / 2.0))
-        aux_ids.append(aux)
-        aux += 1
-    return DirectedGraph(vertex_count=aux, arcs=tuple(arcs)), frozenset(aux_ids)
+    n, m = graph.vertex_count, len(graph.arcs)  # arc i goes through vertex n + i
+    arcs = [arc for aux, (u, v, t) in enumerate(graph.arcs, n)
+            for arc in ((u, aux, eps / 2.0), (aux, v, t - eps / 2.0))]
+    return DirectedGraph(vertex_count=n + m, arcs=tuple(arcs)), frozenset(range(n, n + m))
 
 
 def mvnp_to_hwsp(mvnp: MvnpInstance) -> tuple[HwspInstance, float]:

@@ -3,6 +3,7 @@ import math
 import re
 from bisect import bisect_left
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,21 +70,31 @@ class TestGraphValidation:
         with pytest.raises(StructuralError):
             DirectedGraph(2, ((0, 2, 1.0),))
 
-    @pytest.mark.parametrize("head, shown", [
-        (1.5, "1.5"), (True, "True"), (np.int64(1), "1"), ("1", "1"), (None, "None"),
+    @pytest.mark.parametrize("head, shown, kind", [
+        (1.5, "1.5", "float"), (True, "True", "bool"), (np.int64(1), "1", "int64"),
+        ("1", "1", "str"), (None, "None", "NoneType"),
     ], ids=["float", "bool", "numpy", "str", "none"])
-    def test_rejects_vertex_id_not_an_int(self, head, shown):
+    def test_rejects_vertex_id_not_an_int(self, head, shown, kind):
         # a float id would fail only later, in fire_arrivals, and True would pass as vertex 1;
-        # a str or None id made the sort raise a bare TypeError
+        # a str or None id made the sort raise a bare TypeError; the type tells the str
+        # "1" from the int 1
         with pytest.raises(StructuralError,
-                           match=rf"^arc \(0,{shown}\) has a vertex id that is not an int$"):
+                           match=rf"^arc \(0,{shown}\) has a vertex id of type {kind}, not int$"):
             DirectedGraph(3, ((0, head, 1.0), (0, 2, 1.0)))
+
+    def test_vertex_id_type_named_for_a_bad_tail(self):
+        with pytest.raises(StructuralError, match=r"^arc \(0\.5,1\) has a vertex id of type float"):
+            DirectedGraph(2, ((0.5, 1, 1.0),))
 
     @pytest.mark.parametrize("arcs, shown", [
         (((0, 1, "x"),), "'x'"),  # 0 < "x" raised a bare TypeError
         (((0, 1, "x"), (0, 1, 2.0)), "'x'"),  # the sort of a duplicate pair raised it
         (((0, 1, True), (1, 0, 2.0)), "True"),  # accepted, written as true, refused on load
-    ], ids=["str", "str-duplicate", "bool"])
+        # fire_arrivals raised a bare TypeError, and the writer did
+        (((0, 1, Decimal("2.5")), (1, 0, 2.0)), r"Decimal\('2\.5'\)"),
+        (((0, 1, Fraction(5, 2)),), r"Fraction\(5, 2\)"),  # no JSON number
+        (((0, 1, np.int64(3)),), r"np\.int64\(3\)"),  # no JSON number
+    ], ids=["str", "str-duplicate", "bool", "decimal", "fraction", "numpy-int"])
     def test_time_not_a_number_names_its_arc(self, arcs, shown):
         with pytest.raises(StructuralError,
                            match=rf"^arc \(0,1\) travel time {shown} is not a number$"):
@@ -93,6 +104,12 @@ class TestGraphValidation:
         # every arc passes its checks, but a list and a tuple do not sort
         with pytest.raises(StructuralError, match=r"^arcs must be \(tail, head, travel time\) tuples$"):
             DirectedGraph(2, ((0, 1, 1.0), [1, 0, 2.0]))
+
+    def test_int_time_past_float_range_names_its_arc(self):
+        # fire_arrivals raised a bare OverflowError
+        with pytest.raises(StructuralError,
+                           match=r"^arc \(1,0\) travel time is too large to convert to float$"):
+            DirectedGraph(2, ((0, 1, 1.0), (1, 0, 10**400)))
 
     def test_accepts_int_and_float_subclass_times(self):
         graph = DirectedGraph(3, ((1, 2, np.float64(2.5)), (0, 1, 3)))
@@ -485,12 +502,11 @@ class TestInstanceJsonWriter:
         for instance in (generated, figure_instance):
             assert instance_to_json(instance) == indented_json(instance)
 
-    def test_unserializable_time_raises_like_json(self):
-        instance = self.instance([(0, 1, 1.0), (1, 2, Decimal("2.5"))])
-        with pytest.raises(TypeError, match="Decimal"):
-            indented_json(instance)
-        with pytest.raises(TypeError, match="Decimal"):
-            instance_to_json(instance)
+    def test_unserializable_time_never_reaches_the_writer(self):
+        # the graph refuses a time json cannot write, or one no load reads back as a float
+        for time in (Decimal("2.5"), 10**400):
+            with pytest.raises(StructuralError, match=r"^arc \(1,2\) travel time "):
+                self.instance([(0, 1, 1.0), (1, 2, time)])
 
 
 class TestInstanceValidation:

@@ -9,12 +9,13 @@ equality with the kernel as it was first written.
 import dataclasses
 import heapq
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from wsptools import core, solvers
+from wsptools import cli, core, solvers
 from wsptools.core import (
     EMPTY_ALLOCATION,
     INF,
@@ -22,8 +23,12 @@ from wsptools.core import (
     DirectedGraph,
     StructuralError,
     WspInstance,
+    check_feasibility,
     compute_arrival_times,
     fire_arrivals,
+    objective,
+    save_instance,
+    solution_to_json,
 )
 from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.solvers import SolverBudget, beam_search, brute_force, random_search
@@ -130,6 +135,74 @@ class TestFireArrivals:
     def test_rejects_vertices_out_of_range(self, figure_instance, source, delays, message):
         with pytest.raises(StructuralError, match=message):
             fire_arrivals(figure_instance.graph, source, delays)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The parent argument of every core.fire_arrivals call made so far:
+    None for a full run."""
+    parents, run = [], core.fire_arrivals
+
+    def counting(graph, source, delays, parent=None):
+        parents.append(parent)
+        return run(graph, source, delays, parent)
+
+    monkeypatch.setattr(core, "fire_arrivals", counting)
+    return parents
+
+
+class TestKeptFullRun:
+    """An instance keeps its last full run of a non-empty protected set."""
+
+    A = Allocation(((0, 2), (1, 4), (2, 6)))
+    B = Allocation(((0, 1),))
+
+    def test_scoring_twice_runs_once(self, figure_instance, kernel_runs):
+        first = compute_arrival_times(figure_instance, self.A)
+        assert compute_arrival_times(figure_instance, self.A) is first
+        assert kernel_runs == [None]
+
+    def test_alternating_sets_each_run_in_full(self, figure_instance, kernel_runs):
+        allocs = (self.A, self.B, self.A)
+        outcomes = [compute_arrival_times(figure_instance, alloc) for alloc in allocs]
+        assert kernel_runs == [None] * 3
+        assert outcomes[0].arrival != outcomes[1].arrival
+        for alloc, outcome in zip(allocs, outcomes):
+            fresh = dataclasses.replace(figure_instance)
+            assert outcome.arrival == compute_arrival_times(fresh, alloc).arrival
+            assert outcome.changed is None
+
+    def test_same_vertices_on_other_resources_share_the_run(self, figure_instance, kernel_runs):
+        kept = compute_arrival_times(figure_instance, self.A)
+        shuffled = Allocation(((0, 6), (1, 2), (2, 4)))
+        assert compute_arrival_times(figure_instance, shuffled) is kept
+        assert kernel_runs == [None]
+
+    def test_repairs_neither_read_nor_replace_it(self, figure_instance, kernel_runs):
+        free_burn = figure_instance.free_burn
+        kept = compute_arrival_times(figure_instance, self.A)
+        child = self.A.extended([(3, 7)])
+        compute_arrival_times(figure_instance, child, parent=(self.A, kept))
+        # a repair of the kept set itself is a repair, not the kept run
+        again = compute_arrival_times(figure_instance, self.A, parent=(EMPTY_ALLOCATION, free_burn))
+        assert again is not kept and again.arrival == kept.arrival
+        assert compute_arrival_times(figure_instance, self.A) is kept
+        assert [parent is None for parent in kernel_runs] == [True, True, False, False]
+
+    def test_check_then_score_runs_once(self, figure_instance, kernel_runs):
+        assert check_feasibility(figure_instance, self.A) == []
+        assert objective(figure_instance, self.A) == 6
+        assert kernel_runs == [None]
+
+    def test_evaluate_command_runs_once(self, figure_instance, kernel_runs, tmp_path, capsys):
+        save_instance(figure_instance, tmp_path / "inst.json")
+        (tmp_path / "sol.json").write_text(solution_to_json("figure", self.A, 6))
+        kernel_runs.clear()
+        assert cli.dispatch(["evaluate", "-i", str(tmp_path / "inst.json"),
+                             "-s", str(tmp_path / "sol.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["objective"], report["feasible"]) == (6, True)
+        assert kernel_runs == [None]
 
 
 def _vertices(*vertices):
