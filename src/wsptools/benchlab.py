@@ -215,7 +215,7 @@ def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[Ru
         path, algorithm, seed = cell
         if path != loaded:
             loaded, instance = path, load_instance(path)
-            instance.free_burn  # computed once and kept by the instance
+            instance.free_burn  # computed once and kept by the graph
         start = time.monotonic()
         try:
             result = SOLVERS[algorithm](instance, budget, seed)

@@ -143,9 +143,9 @@ class WspInstance:
         """Release time of resource id (0-based)."""
         return self.schedule[self.release_point_of(resource)][0]
 
-    @cached_property
+    @property
     def free_burn(self) -> FireOutcome:
-        """Fire arrivals with nothing protected, computed on first use and kept."""
+        """Fire arrivals with nothing protected, kept by the graph (see fire_arrivals)."""
         return fire_arrivals(self.graph, self.ignition, {})
 
 
@@ -196,7 +196,8 @@ def _settle(out_arcs, dist: list[float], heap: list, delays: dict[int, float]) -
 
     An arc leaving a vertex u in delays costs (d + t) + delays[u], any
     other arc d + t.  Callers rely on this exact summation order: the
-    horizon test is strict, so a last-bit change is observable.
+    horizon test is strict, so a last-bit change is observable.  A sink
+    (no out-arcs) relaxes nothing, so it gets its dist without a heap entry.
     """
     while heap:
         d, u = heappop(heap)
@@ -207,14 +208,16 @@ def _settle(out_arcs, dist: list[float], heap: list, delays: dict[int, float]) -
                 nd = d + t
                 if nd < dist[v]:
                     dist[v] = nd
-                    heappush(heap, (nd, v))
+                    if out_arcs[v]:
+                        heappush(heap, (nd, v))
         else:
             extra = delays[u]
             for _, v, t in out_arcs[u]:
                 nd = d + t + extra
                 if nd < dist[v]:
                     dist[v] = nd
-                    heappush(heap, (nd, v))
+                    if out_arcs[v]:
+                        heappush(heap, (nd, v))
     return dist
 
 
@@ -282,7 +285,7 @@ def _repair(
                 if nd < best:
                     best = nd
         dist[v] = best
-        if best < INF:  # an infinite label relaxes nothing
+        if best < INF and out_arcs[v]:  # an infinite label or a sink relaxes nothing
             heap.append((best, v))
     heapify(heap)
     _settle(out_arcs, dist, heap, delays)
@@ -308,6 +311,10 @@ def fire_arrivals(
     them.  The arrivals are then repaired from parent_outcome (see
     _repair), with the same bits as a full run, and the result's changed
     holds the vertices whose arrival differs from the parent's.
+
+    The graph keeps its last run with no parent and empty delays, which
+    the next such call from the same source returns; delays and repairs
+    neither read nor replace it.
     """
     n = graph.vertex_count
     if not (0 <= source < n):
@@ -316,9 +323,14 @@ def fire_arrivals(
         if not (0 <= v < n):
             raise StructuralError(f"protected vertex {v} out of range")
     if parent is None:
+        if not delays and (kept := graph.__dict__.get("_free_run")) and kept[0] == source:
+            return kept[1]
         dist = [INF] * n
         dist[source] = 0.0
-        return FireOutcome(tuple(_settle(graph.out_arcs, dist, [(0.0, source)], delays)))
+        outcome = FireOutcome(tuple(_settle(graph.out_arcs, dist, [(0.0, source)], delays)))
+        if not delays:  # in the graph's __dict__, as cached_property keeps out_arcs
+            graph.__dict__["_free_run"] = (source, outcome)
+        return outcome
     added, parent_outcome = parent
     if not added <= delays.keys():
         raise StructuralError("an added vertex has no delay")
@@ -337,11 +349,11 @@ def compute_arrival_times(
     vertex alloc protects.  parent, if given, is (parent_alloc,
     parent_outcome): an allocation whose protected vertices alloc protects
     too, and its outcome on this instance, to repair the arrivals from.
-    With neither, the result is instance.free_burn.  The instance keeps
-    any other full run, with alloc.protected, until the next one: the
-    delay is uniform, so the same set again returns it, and checking then
-    scoring one allocation runs the kernel once.  Repairs neither read nor
-    replace it.
+    With neither, the result is instance.free_burn, the graph's kept run.
+    The instance keeps any other full run, with alloc.protected, until the
+    next one: the delay is uniform, so the same set again returns it, and
+    checking then scoring one allocation runs the kernel once.  Repairs
+    neither read nor replace it.
     """
     if parent is not None:
         if not parent[0].protected <= alloc.protected:
@@ -353,7 +365,7 @@ def compute_arrival_times(
         return kept[1]
     delays = dict.fromkeys(alloc.protected, instance.delay)
     outcome = fire_arrivals(instance.graph, instance.ignition, delays, parent)
-    if parent is None:  # in the instance's __dict__, as cached_property keeps free_burn
+    if parent is None:  # in the instance's __dict__, as the graph keeps its free run
         instance.__dict__["_full_run"] = (alloc.protected, outcome)
     return outcome
 

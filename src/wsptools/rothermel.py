@@ -82,7 +82,8 @@ def albini_multipliers(wind_speeds_signed, slope_tangents_signed) -> np.ndarray:
     phi_w = np.zeros(u.shape)
     phi_s = np.zeros(a.shape)
     phi_w[live] = per_distinct(wind_factor, np.abs(u[live]))
-    phi_s[live] = per_distinct(slope_factor, a[live])
+    # (-x)**2 is x**2 bit for bit, so the slope factor runs once per distinct |tan|
+    phi_s[live] = per_distinct(slope_factor, np.abs(a[live]))
     wind_excess = phi_w - phi_s
     slope_excess = phi_s - phi_w
     # max(0.0, x) is x only where x > 0.0

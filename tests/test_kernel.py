@@ -28,10 +28,13 @@ from wsptools.core import (
     fire_arrivals,
     objective,
     save_instance,
+    single_source_distances,
     solution_to_json,
 )
 from wsptools.generator import GeneratorConfig, generate_instance
+from wsptools.reductions import mvnp_to_wsp
 from wsptools.solvers import SolverBudget, beam_search, brute_force, random_search
+from wsptools.testkit import random_mvnp_instance
 
 from helpers import random_allocation, random_grid_instance, random_wsp_instance
 
@@ -205,6 +208,165 @@ class TestKeptFullRun:
         assert kernel_runs == [None]
 
 
+@pytest.fixture
+def settle_runs(monkeypatch):
+    """The number of core._settle runs made so far."""
+    runs, settle = [0], core._settle
+
+    def counting(*args):
+        runs[0] += 1
+        return settle(*args)
+
+    monkeypatch.setattr(core, "_settle", counting)
+    return runs
+
+
+class TestKeptFreeRun:
+    """A graph keeps its last unprotected run (no parent, empty delays)
+    with its source."""
+
+    @staticmethod
+    def graph():
+        return DirectedGraph(4, ((0, 1, 1.0), (0, 2, 4.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 1.0)))
+
+    def test_same_source_twice_settles_once(self, settle_runs):
+        graph = self.graph()
+        first = fire_arrivals(graph, 0, {})
+        assert fire_arrivals(graph, 0, {}) is first
+        assert settle_runs[0] == 1
+        assert first.arrival == (0.0, 1.0, 3.0, 4.0) and first.changed is None
+
+    def test_another_source_replaces_it(self, settle_runs):
+        graph = self.graph()
+        from_0 = fire_arrivals(graph, 0, {})
+        from_2 = fire_arrivals(graph, 2, {})
+        assert fire_arrivals(graph, 2, {}) is from_2
+        assert settle_runs[0] == 2
+        again = fire_arrivals(graph, 0, {})
+        assert again is not from_0 and again.arrival == from_0.arrival
+        assert settle_runs[0] == 3
+        assert from_2.arrival == (2.0, 3.0, 0.0, 1.0)
+
+    def test_delays_and_repairs_neither_read_nor_replace_it(self, settle_runs):
+        graph = self.graph()
+        kept = fire_arrivals(graph, 0, {})
+        # a zero delay changes no bit, yet a call with delays is a full run of its own
+        zero = fire_arrivals(graph, 0, {1: 0.0})
+        assert zero is not kept and zero.arrival == kept.arrival
+        delayed = fire_arrivals(graph, 0, {1: 5.0})
+        assert delayed.arrival == (0.0, 1.0, 4.0, 5.0)
+        assert settle_runs[0] == 3
+        repaired = fire_arrivals(graph, 0, {1: 5.0}, (frozenset({1}), kept))
+        assert repaired.arrival == delayed.arrival and repaired.changed == {2, 3}
+        # a repair under empty delays is a repair, not the kept run
+        unchanged = fire_arrivals(graph, 0, {}, (frozenset(), kept))
+        assert unchanged is not kept and unchanged.changed == frozenset()
+        assert fire_arrivals(graph, 0, {}) is kept
+
+    def test_mutating_distances_leaves_the_kept_run(self):
+        graph = self.graph()
+        distances = single_source_distances(graph, 0)
+        distances[1] = -1.0
+        assert single_source_distances(graph, 0) == [0.0, 1.0, 3.0, 4.0]
+        assert fire_arrivals(graph, 0, {}).arrival == (0.0, 1.0, 3.0, 4.0)
+
+    def test_free_burn_is_the_graphs_run(self, figure_instance, settle_runs):
+        free_burn = figure_instance.free_burn
+        assert figure_instance.free_burn is free_burn
+        assert fire_arrivals(figure_instance.graph, 0, {}) is free_burn
+        assert "free_burn" not in figure_instance.__dict__  # the instance keeps no copy
+        # an instance on the same graph shares it
+        assert dataclasses.replace(figure_instance, delay=1.0).free_burn is free_burn
+        assert settle_runs[0] == 1
+
+    def test_instances_on_one_graph_with_two_ignitions(self, figure_instance, settle_runs):
+        other = dataclasses.replace(figure_instance, ignition=3)
+        for instance in (figure_instance, other, figure_instance):
+            assert instance.free_burn.arrival == reference_arrival_times(instance)
+        assert settle_runs[0] == 3  # each ignition replaces the other's run
+
+    def test_generated_instance_runs_no_free_burn(self, settle_runs):
+        # the generator ran the unprotected run for the horizon, on the same graph
+        instance = generate_instance(GeneratorConfig(seed=3, n=12))
+        settle_runs[0] = 0
+        free_burn = compute_arrival_times(instance)
+        assert settle_runs[0] == 0
+        assert free_burn is instance.free_burn
+        assert free_burn.arrival == reference_arrival_times(instance)
+
+
+@pytest.fixture
+def popped(monkeypatch):
+    """The vertex of every heap entry the kernel has popped so far."""
+    vertices, heappop = [], core.heappop
+
+    def recording_heappop(heap):
+        entry = heappop(heap)
+        vertices.append(entry[1])
+        return entry
+
+    monkeypatch.setattr(core, "heappop", recording_heappop)
+    return vertices
+
+
+def reduced_instances(seed, count=60, max_vertices=12):
+    """Timed reductions of random interdiction instances, which add
+    |V| sink leaves per short predecessor of the sink."""
+    rng = np.random.default_rng(seed)
+    return [mvnp_to_wsp(random_mvnp_instance(rng, max_vertices=max_vertices))[0]
+            for _ in range(count)]
+
+
+class TestSinks:
+    """A vertex without out-arcs gets its arrival without a heap entry."""
+
+    def test_fan_out_to_sinks(self, popped):
+        # the sinks 1-4 tie at 1.0; the sink 6 gets 3.0 from 0, then 1.0 through 5
+        graph = DirectedGraph(7, (
+            (0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0), (0, 5, 0.5), (0, 6, 3.0),
+            (5, 6, 0.5),
+        ))
+        instance = WspInstance(graph, 0, horizon=10.0, delay=2.0, schedule=())
+        assert fire_arrivals(graph, 0, {}).arrival == reference_arrival_times(instance) == (
+            0.0, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0)
+        assert popped == [0, 5]
+        popped.clear()
+        delayed = fire_arrivals(graph, 0, {5: 2.0})
+        assert delayed.arrival == reference_arrival_times(instance, _vertices(5)) == (
+            0.0, 1.0, 1.0, 1.0, 1.0, 0.5, 3.0)
+        assert popped == [0, 5]
+
+    def test_reduced_instances_bitwise_without_sink_pops(self, popped):
+        rng = np.random.default_rng(36)
+        sinks_reached = 0
+        for instance in reduced_instances(36):
+            out_arcs = instance.graph.out_arcs
+            for alloc in (EMPTY_ALLOCATION, random_allocation(rng, instance)):
+                popped.clear()
+                outcome = compute_arrival_times(instance, alloc)
+                assert outcome.arrival == reference_arrival_times(instance, alloc)
+                # the ignition's own entry is the only one that may be a sink's
+                assert all(out_arcs[v] for v in popped[1:])
+                sinks_reached += sum(1 for v, a in enumerate(outcome.arrival)
+                                     if a < INF and not out_arcs[v])
+        assert sinks_reached > 1000
+
+    def test_repairs_of_reduced_instances_exact(self, rng):
+        sinks_changed = 0
+        for instance in reduced_instances(37):
+            graph, n = instance.graph, instance.graph.vertex_count
+            # protect the vertices with sink leaves early, so repairs move the leaves
+            order = sorted(range(n), key=lambda v: (-len(graph.out_arcs[v]), float(rng.random())))
+            for kept, added in ((0, 1), (1, 2), (0, 3)):
+                parent_alloc = _vertices_alloc(order[:kept])
+                alloc = _vertices_alloc(order[: kept + added])
+                parent_outcome = compute_arrival_times(instance, parent_alloc)
+                repaired = compute_arrival_times(instance, alloc, parent=(parent_alloc, parent_outcome))
+                assert_repair_exact(instance, parent_alloc, parent_outcome, alloc, repaired)
+                sinks_changed += sum(1 for v in repaired.changed if not graph.out_arcs[v])
+        assert sinks_changed > 100
+
+
 def _vertices(*vertices):
     return Allocation(tuple(enumerate(vertices)))
 
@@ -334,10 +496,22 @@ def test_repair_never_pushes_an_infinite_label(heap_pops):
 
 
 def test_beam_heap_pops_pinned(heap_pops):
-    """Deterministic work gate on a fresh instance, free burn included:
-    2556 pops before beam repaired along shared combination prefixes and
-    the repair stopped pushing infinite labels."""
+    """Deterministic work gate on a generated instance: beam starts from
+    the free burn the generator ran and its graph kept (1781 pops while
+    beam ran the free burn itself, 2556 before beam repaired along shared
+    combination prefixes and the repair stopped pushing infinite labels)."""
     instance = generate_instance(GeneratorConfig(seed=0, n=20))
+    heap_pops[0] = 0
+    beam_search(instance, 2, 3)
+    assert heap_pops[0] == 1240
+
+
+def test_beam_heap_pops_pinned_on_a_fresh_graph(heap_pops):
+    """The same gate, free burn included: the instance on a new graph of
+    the same arcs, which has run nothing."""
+    generated = generate_instance(GeneratorConfig(seed=0, n=20))
+    graph = DirectedGraph(generated.graph.vertex_count, generated.graph.arcs)
+    instance = dataclasses.replace(generated, graph=graph)
     heap_pops[0] = 0
     beam_search(instance, 2, 3)
     assert heap_pops[0] == 1781

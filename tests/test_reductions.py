@@ -686,6 +686,30 @@ def test_verify_reductions_kernel_runs_pinned(monkeypatch):
     assert calls[0] == 364
 
 
+def test_verify_reductions_kernel_work_pinned(monkeypatch):
+    """Deterministic work gate beside the run pin, on the same 50 samples:
+    core._settle runs and heap pops (364 and 2480 while the kernel pushed
+    sinks and each call without delays ran in full; the kept unprotected
+    run is returned inside fire_arrivals, so the 364 calls stay)."""
+    settles, pops = [0], [0]
+    settle, heappop = core._settle, core.heappop
+
+    def counting_settle(*args):
+        settles[0] += 1
+        return settle(*args)
+
+    def counting_heappop(heap):
+        pops[0] += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(core, "_settle", counting_settle)
+    monkeypatch.setattr(core, "heappop", counting_heappop)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        assert verify_reductions(random_mvnp_instance(rng))["agree"]
+    assert (settles[0], pops[0]) == (264, 1694)
+
+
 def test_searches_leave_no_cyclic_garbage():
     """brute_force and the oracles free what they build by reference
     counting: nothing is left for the cyclic collector."""

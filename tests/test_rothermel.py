@@ -134,11 +134,15 @@ class TestAlbiniMultipliers:
 
     def test_reads_the_factor_functions(self, monkeypatch):
         # the multiplier takes phi_w and phi_s from wind_factor and slope_factor,
-        # the one owner of each formula
+        # the one owner of each formula; both are even, so each gets the magnitude
+        # (slope_factor squares its tangent) and runs once per distinct one
+        seen = []
         monkeypatch.setattr(rothermel, "wind_factor", lambda w: 10.0 * w)
-        monkeypatch.setattr(rothermel, "slope_factor", lambda t: 100.0 * t)
-        assert albini_multipliers([2.0, 2.0, -3.0, -1.0], [0.5, -0.1, 0.5, -1.0]).tolist() == [
-            1.0 + 20.0 + 50.0, 1.0 + 20.0 - -10.0, 1.0 + 50.0 - 30.0, 1.0]
+        monkeypatch.setattr(rothermel, "slope_factor", lambda t: seen.append(t) or 100.0 * t)
+        u, a = [2.0, 2.0, -3.0, 3.0, -1.0], [0.5, -0.1, 0.5, -0.5, -1.0]
+        assert albini_multipliers(u, a).tolist() == [
+            1.0 + 20.0 + 50.0, 1.0 + 20.0 - 10.0, 1.0 + 50.0 - 30.0, 1.0, 1.0]
+        assert seen == [0.1, 0.5]
 
 
 class TestRateOfSpread:
