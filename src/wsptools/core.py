@@ -302,9 +302,9 @@ def fire_arrivals(
 
     delays maps a vertex to the extra minutes on each of its outgoing
     arcs (a protected vertex).  Arc (u, v) costs (d + t_uv) + delays[u]
-    for u in delays and d + t_uv otherwise; see _settle.  A delay may be
-    +inf: the vertex's out-arcs then never finish, so no fire spreads
-    through it.
+    for u in delays and d + t_uv otherwise; see _settle.  A delay is
+    nonnegative and may be +inf: the vertex's out-arcs then never finish,
+    so no fire spreads through it.
 
     parent, if given, is (added, parent_outcome): a set of vertices in
     delays, and the outcome from the same source under delays without
@@ -312,24 +312,28 @@ def fire_arrivals(
     _repair), with the same bits as a full run, and the result's changed
     holds the vertices whose arrival differs from the parent's.
 
-    The graph keeps its last run with no parent and empty delays, which
-    the next such call from the same source returns; delays and repairs
-    neither read nor replace it.
+    The graph keeps its last full run (no parent) with empty delays and
+    its last with delays, each with its source and a copy of the delays:
+    a full run of equal source and delays returns the kept outcome, and
+    any other replaces the kept run of its kind.  Repairs neither read nor
+    replace either.
     """
     n = graph.vertex_count
     if not (0 <= source < n):
         raise StructuralError(f"source vertex {source} out of range")
-    for v in delays:
+    for v, d in delays.items():
         if not (0 <= v < n):
             raise StructuralError(f"protected vertex {v} out of range")
-    if parent is None:
-        if not delays and (kept := graph.__dict__.get("_free_run")) and kept[0] == source:
-            return kept[1]
+        if not d >= 0:  # NaN fails; +inf passes
+            raise StructuralError(f"protected vertex {v} delay {d} is negative or NaN")
+    if parent is None:  # in the graph's __dict__, as cached_property keeps out_arcs
+        slot = "_delayed_run" if delays else "_free_run"
+        if (kept := graph.__dict__.get(slot)) and kept[0] == source and kept[1] == delays:
+            return kept[2]
         dist = [INF] * n
         dist[source] = 0.0
         outcome = FireOutcome(tuple(_settle(graph.out_arcs, dist, [(0.0, source)], delays)))
-        if not delays:  # in the graph's __dict__, as cached_property keeps out_arcs
-            graph.__dict__["_free_run"] = (source, outcome)
+        graph.__dict__[slot] = (source, dict(delays), outcome)
         return outcome
     added, parent_outcome = parent
     if not added <= delays.keys():
@@ -349,25 +353,13 @@ def compute_arrival_times(
     vertex alloc protects.  parent, if given, is (parent_alloc,
     parent_outcome): an allocation whose protected vertices alloc protects
     too, and its outcome on this instance, to repair the arrivals from.
-    With neither, the result is instance.free_burn, the graph's kept run.
-    The instance keeps any other full run, with alloc.protected, until the
-    next one: the delay is uniform, so the same set again returns it, and
-    checking then scoring one allocation runs the kernel once.  Repairs
-    neither read nor replace it.
     """
     if parent is not None:
         if not parent[0].protected <= alloc.protected:
             raise StructuralError("the parent protects a vertex the allocation does not")
         parent = (alloc.protected - parent[0].protected, parent[1])
-    elif not alloc.assignments:
-        return instance.free_burn
-    elif (kept := instance.__dict__.get("_full_run")) and kept[0] == alloc.protected:
-        return kept[1]
     delays = dict.fromkeys(alloc.protected, instance.delay)
-    outcome = fire_arrivals(instance.graph, instance.ignition, delays, parent)
-    if parent is None:  # in the instance's __dict__, as the graph keeps its free run
-        instance.__dict__["_full_run"] = (alloc.protected, outcome)
-    return outcome
+    return fire_arrivals(instance.graph, instance.ignition, delays, parent)
 
 
 def single_source_distances(graph: DirectedGraph, source: int) -> list[float]:

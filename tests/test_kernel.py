@@ -139,73 +139,19 @@ class TestFireArrivals:
         with pytest.raises(StructuralError, match=message):
             fire_arrivals(figure_instance.graph, source, delays)
 
+    @pytest.mark.parametrize("delay", [math.nan, -1.0])
+    def test_rejects_negative_or_nan_delays(self, figure_instance, delay):
+        # NaN would cut vertex 1 as +inf does; a negative delay would break the repair
+        message = f"^protected vertex 1 delay {delay} is negative or NaN$"
+        with pytest.raises(StructuralError, match=message):
+            fire_arrivals(figure_instance.graph, 0, {3: 1.0, 1: delay})
 
-@pytest.fixture
-def kernel_runs(monkeypatch):
-    """The parent argument of every core.fire_arrivals call made so far:
-    None for a full run."""
-    parents, run = [], core.fire_arrivals
-
-    def counting(graph, source, delays, parent=None):
-        parents.append(parent)
-        return run(graph, source, delays, parent)
-
-    monkeypatch.setattr(core, "fire_arrivals", counting)
-    return parents
-
-
-class TestKeptFullRun:
-    """An instance keeps its last full run of a non-empty protected set."""
-
-    A = Allocation(((0, 2), (1, 4), (2, 6)))
-    B = Allocation(((0, 1),))
-
-    def test_scoring_twice_runs_once(self, figure_instance, kernel_runs):
-        first = compute_arrival_times(figure_instance, self.A)
-        assert compute_arrival_times(figure_instance, self.A) is first
-        assert kernel_runs == [None]
-
-    def test_alternating_sets_each_run_in_full(self, figure_instance, kernel_runs):
-        allocs = (self.A, self.B, self.A)
-        outcomes = [compute_arrival_times(figure_instance, alloc) for alloc in allocs]
-        assert kernel_runs == [None] * 3
-        assert outcomes[0].arrival != outcomes[1].arrival
-        for alloc, outcome in zip(allocs, outcomes):
-            fresh = dataclasses.replace(figure_instance)
-            assert outcome.arrival == compute_arrival_times(fresh, alloc).arrival
-            assert outcome.changed is None
-
-    def test_same_vertices_on_other_resources_share_the_run(self, figure_instance, kernel_runs):
-        kept = compute_arrival_times(figure_instance, self.A)
-        shuffled = Allocation(((0, 6), (1, 2), (2, 4)))
-        assert compute_arrival_times(figure_instance, shuffled) is kept
-        assert kernel_runs == [None]
-
-    def test_repairs_neither_read_nor_replace_it(self, figure_instance, kernel_runs):
-        free_burn = figure_instance.free_burn
-        kept = compute_arrival_times(figure_instance, self.A)
-        child = self.A.extended([(3, 7)])
-        compute_arrival_times(figure_instance, child, parent=(self.A, kept))
-        # a repair of the kept set itself is a repair, not the kept run
-        again = compute_arrival_times(figure_instance, self.A, parent=(EMPTY_ALLOCATION, free_burn))
-        assert again is not kept and again.arrival == kept.arrival
-        assert compute_arrival_times(figure_instance, self.A) is kept
-        assert [parent is None for parent in kernel_runs] == [True, True, False, False]
-
-    def test_check_then_score_runs_once(self, figure_instance, kernel_runs):
-        assert check_feasibility(figure_instance, self.A) == []
-        assert objective(figure_instance, self.A) == 6
-        assert kernel_runs == [None]
-
-    def test_evaluate_command_runs_once(self, figure_instance, kernel_runs, tmp_path, capsys):
-        save_instance(figure_instance, tmp_path / "inst.json")
-        (tmp_path / "sol.json").write_text(solution_to_json("figure", self.A, 6))
-        kernel_runs.clear()
-        assert cli.dispatch(["evaluate", "-i", str(tmp_path / "inst.json"),
-                             "-s", str(tmp_path / "sol.json")]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert (report["objective"], report["feasible"]) == (6, True)
-        assert kernel_runs == [None]
+    def test_infinite_delay_cuts_the_vertex(self, figure_instance):
+        # v2 is reached only through v1
+        alloc = Allocation(((0, 1),))
+        outcome = fire_arrivals(figure_instance.graph, 0, {1: INF})
+        assert outcome.arrival[2] == INF
+        assert outcome.arrival == reference_arrival_times(figure_instance, alloc, {1: INF})
 
 
 @pytest.fixture
@@ -219,6 +165,103 @@ def settle_runs(monkeypatch):
 
     monkeypatch.setattr(core, "_settle", counting)
     return runs
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch, settle_runs):
+    """kernel_runs(): the (full runs, repairs) made so far.  Each repair
+    settles once, so full runs are core._settle runs less core._repair runs."""
+    repairs, repair = [0], core._repair
+
+    def counting(*args):
+        repairs[0] += 1
+        return repair(*args)
+
+    monkeypatch.setattr(core, "_repair", counting)
+    return lambda: (settle_runs[0] - repairs[0], repairs[0])
+
+
+class TestKeptFullRun:
+    """The graph keeps its last full run with delays, with its source and
+    a copy of its delays; the instance adapter keeps nothing of its own."""
+
+    A = Allocation(((0, 2), (1, 4), (2, 6)))
+    B = Allocation(((0, 1),))
+
+    def test_scoring_twice_runs_once(self, figure_instance, kernel_runs):
+        first = compute_arrival_times(figure_instance, self.A)
+        assert compute_arrival_times(figure_instance, self.A) is first
+        assert kernel_runs() == (1, 0)
+
+    def test_alternating_sets_each_run_in_full(self, figure_instance, kernel_runs):
+        allocs = (self.A, self.B, self.A)
+        outcomes = [compute_arrival_times(figure_instance, alloc) for alloc in allocs]
+        assert kernel_runs() == (3, 0)
+        assert outcomes[0].arrival != outcomes[1].arrival
+        for alloc, outcome in zip(allocs, outcomes):
+            assert outcome.arrival == reference_arrival_times(figure_instance, alloc)
+            assert outcome.changed is None
+
+    def test_same_vertices_on_other_resources_share_the_run(self, figure_instance, kernel_runs):
+        kept = compute_arrival_times(figure_instance, self.A)
+        shuffled = Allocation(((0, 6), (1, 2), (2, 4)))
+        assert compute_arrival_times(figure_instance, shuffled) is kept
+        assert kernel_runs() == (1, 0)
+
+    def test_repairs_neither_read_nor_replace_it(self, figure_instance, kernel_runs):
+        free_burn = figure_instance.free_burn
+        kept = compute_arrival_times(figure_instance, self.A)
+        child = self.A.extended([(3, 7)])
+        compute_arrival_times(figure_instance, child, parent=(self.A, kept))
+        # a repair of the kept set itself is a repair, not the kept run
+        again = compute_arrival_times(figure_instance, self.A, parent=(EMPTY_ALLOCATION, free_burn))
+        assert again is not kept and again.arrival == kept.arrival
+        assert compute_arrival_times(figure_instance, self.A) is kept
+        assert kernel_runs() == (2, 2)
+
+    def test_check_then_score_runs_once(self, figure_instance, kernel_runs):
+        assert check_feasibility(figure_instance, self.A) == []
+        assert objective(figure_instance, self.A) == 6
+        assert kernel_runs() == (1, 0)
+
+    def test_evaluate_command_runs_once(self, figure_instance, kernel_runs, tmp_path, capsys):
+        save_instance(figure_instance, tmp_path / "inst.json")
+        (tmp_path / "sol.json").write_text(solution_to_json("figure", self.A, 6))
+        assert kernel_runs() == (0, 0)
+        assert cli.dispatch(["evaluate", "-i", str(tmp_path / "inst.json"),
+                             "-s", str(tmp_path / "sol.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["objective"], report["feasible"]) == (6, True)
+        assert kernel_runs() == (1, 0)
+
+    def test_instances_with_other_delays_on_one_graph(self, figure_instance, kernel_runs):
+        # the graph's kept run is keyed by the delays, not by the protected set
+        fast = dataclasses.replace(figure_instance, delay=0.5)
+        slow_run = compute_arrival_times(figure_instance, self.A)
+        fast_run = compute_arrival_times(fast, self.A)
+        assert kernel_runs() == (2, 0)
+        assert slow_run.arrival != fast_run.arrival
+        assert slow_run.arrival == reference_arrival_times(figure_instance, self.A)
+        assert fast_run.arrival == reference_arrival_times(fast, self.A)
+
+    def test_changing_the_delays_after_a_call(self, figure_instance, kernel_runs):
+        graph, delays = figure_instance.graph, {1: 2.0}
+        first = fire_arrivals(graph, 0, delays)
+        delays[1] = 5.0  # the kept run holds a copy, so it no longer matches
+        second = fire_arrivals(graph, 0, delays)
+        assert second is not first and second.arrival != first.arrival
+        assert first.arrival == reference_arrival_times(figure_instance, self.B, {1: 2.0})
+        assert second.arrival == reference_arrival_times(figure_instance, self.B, {1: 5.0})
+        assert fire_arrivals(graph, 0, {1: 5.0}) is second
+        assert kernel_runs() == (2, 0)
+
+    def test_free_and_delayed_runs_keep_their_own_slots(self, figure_instance, settle_runs):
+        graph = figure_instance.graph
+        free = fire_arrivals(graph, 0, {})
+        delayed = fire_arrivals(graph, 0, {1: 2.0})
+        assert fire_arrivals(graph, 0, {}) is free  # the delayed run left the free run
+        assert fire_arrivals(graph, 0, {1: 2.0}) is delayed  # and the free run the delayed one
+        assert settle_runs[0] == 2
 
 
 class TestKeptFreeRun:
