@@ -13,7 +13,7 @@ import time
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
 
-from wsptools.core import StructuralError, load_instance
+from wsptools.core import StructuralError, compute_arrival_times, load_instance
 from wsptools.solvers import SOLVERS, LimitExceeded, SolverBudget
 
 # Significance thresholds for pairwise rank-score differences at a
@@ -215,7 +215,7 @@ def run_benchmark(instances, algorithms, seeds, time_limit, out_path) -> list[Ru
         path, algorithm, seed = cell
         if path != loaded:
             loaded, instance = path, load_instance(path)
-            instance.free_burn  # computed once and kept by the graph
+            compute_arrival_times(instance)  # the free burn, kept by the graph
         start = time.monotonic()
         try:
             result = SOLVERS[algorithm](instance, budget, seed)

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 
 from wsptools import INSTANCE_FORMAT_VERSION
 
@@ -143,11 +144,6 @@ class WspInstance:
         """Release time of resource id (0-based)."""
         return self.schedule[self.release_point_of(resource)][0]
 
-    @property
-    def free_burn(self) -> FireOutcome:
-        """Fire arrivals with nothing protected, kept by the graph (see fire_arrivals)."""
-        return fire_arrivals(self.graph, self.ignition, {})
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -181,10 +177,15 @@ class FireOutcome:
     freed tuples of under 20 items stay on per-size free lists, and one
     of assorted size per evaluation grew the memory of a process running
     rs and beam on 20 x 20 grids by 4 MB over a thousand runs.
+
+    source and delays record the run that made it: its source and a
+    read-only copy of its delays, None for an outcome built by hand.
     """
 
     arrival: tuple[float, ...]
     changed: frozenset[int] | None = field(default=None, compare=False, repr=False)
+    source: int | None = field(default=None, compare=False, repr=False)
+    delays: MappingProxyType | None = field(default=None, compare=False, repr=False)
 
     def burned_count(self, t: float) -> int:
         return len([a for a in self.arrival if a < t])
@@ -224,12 +225,13 @@ def _settle(out_arcs, dist: list[float], heap: list, delays: dict[int, float]) -
 def _repair(
     graph: DirectedGraph,
     arrival: tuple[float, ...],
+    source: int,
     delays: dict[int, float],
-    added: frozenset[int],
+    added: set[int],
 ) -> FireOutcome:
-    """The outcome under delays, given the arrivals under the parent
-    delays, delays without the vertices added (Ramalingam & Reps 1996;
-    Frigioni, Marchetti-Spaccamela & Nanni 2000).
+    """The outcome from source under delays, given the arrivals under the
+    parent delays, delays without the vertices added (Ramalingam & Reps
+    1996; Frigioni, Marchetti-Spaccamela & Nanni 2000).
 
     Delays only raise arc costs, so arrivals only rise.  A vertex keeps
     its arrival a_v while an in-arc from a vertex w that keeps its own is
@@ -289,34 +291,34 @@ def _repair(
             heap.append((best, v))
     heapify(heap)
     _settle(out_arcs, dist, heap, delays)
-    return FireOutcome(tuple(dist), frozenset([v for v in affected if dist[v] != arrival[v]]))
+    changed = frozenset([v for v in affected if dist[v] != arrival[v]])
+    return FireOutcome(tuple(dist), changed, source, MappingProxyType(dict(delays)))
 
 
 def fire_arrivals(
     graph: DirectedGraph,
     source: int,
     delays: dict[int, float],
-    parent: tuple[frozenset[int], FireOutcome] | None = None,
+    parent: FireOutcome | None = None,
 ) -> FireOutcome:
     """Shortest-path fire arrival times from source; +inf if unreachable.
 
     delays maps a vertex to the extra minutes on each of its outgoing
     arcs (a protected vertex).  Arc (u, v) costs (d + t_uv) + delays[u]
-    for u in delays and d + t_uv otherwise; see _settle.  A delay is
-    nonnegative and may be +inf: the vertex's out-arcs then never finish,
-    so no fire spreads through it.
+    for u in delays and d + t_uv otherwise; see _settle.  A delay is an
+    int or a float, nonnegative, and may be +inf: the vertex's out-arcs
+    then never finish, so no fire spreads through it.
 
-    parent, if given, is (added, parent_outcome): a set of vertices in
-    delays, and the outcome from the same source under delays without
-    them.  The arrivals are then repaired from parent_outcome (see
-    _repair), with the same bits as a full run, and the result's changed
-    holds the vertices whose arrival differs from the parent's.
+    parent, if given, is an outcome of this kernel on this graph from the
+    same source, under delays that delays extends with equal values.  The
+    arrivals are then repaired from the parent's (see _repair), with the
+    same bits as a full run, and the result's changed holds the vertices
+    whose arrival differs from the parent's.  Any other parent is refused.
 
     The graph keeps its last full run (no parent) with empty delays and
-    its last with delays, each with its source and a copy of the delays:
-    a full run of equal source and delays returns the kept outcome, and
-    any other replaces the kept run of its kind.  Repairs neither read nor
-    replace either.
+    its last with delays: a full run of equal source and delays returns
+    the kept outcome, and any other replaces the kept run of its kind.
+    Repairs neither read nor replace either.
     """
     n = graph.vertex_count
     if not (0 <= source < n):
@@ -324,40 +326,37 @@ def fire_arrivals(
     for v, d in delays.items():
         if not (0 <= v < n):
             raise StructuralError(f"protected vertex {v} out of range")
+        if type(d) is not float:  # one type test on the common path, as for arc times
+            if type(d) is bool or not isinstance(d, (int, float)):
+                raise StructuralError(f"protected vertex {v} delay {d!r} is not a number")
+            _float(d, f"protected vertex {v} delay")
         if not d >= 0:  # NaN fails; +inf passes
             raise StructuralError(f"protected vertex {v} delay {d} is negative or NaN")
     if parent is None:  # in the graph's __dict__, as cached_property keeps out_arcs
         slot = "_delayed_run" if delays else "_free_run"
-        if (kept := graph.__dict__.get(slot)) and kept[0] == source and kept[1] == delays:
-            return kept[2]
+        if (kept := graph.__dict__.get(slot)) and kept.source == source and kept.delays == delays:
+            return kept
         dist = [INF] * n
         dist[source] = 0.0
-        outcome = FireOutcome(tuple(_settle(graph.out_arcs, dist, [(0.0, source)], delays)))
-        graph.__dict__[slot] = (source, dict(delays), outcome)
-        return outcome
-    added, parent_outcome = parent
-    if not added <= delays.keys():
-        raise StructuralError("an added vertex has no delay")
-    if len(parent_outcome.arrival) != n:
-        raise StructuralError("parent outcome length mismatch")
-    return _repair(graph, parent_outcome.arrival, delays, added)
+        arrival = tuple(_settle(graph.out_arcs, dist, [(0.0, source)], delays))
+        kept = FireOutcome(arrival, None, source, MappingProxyType(dict(delays)))
+        graph.__dict__[slot] = kept
+        return kept
+    if (parent.source != source or len(parent.arrival) != n
+            or not parent.delays.items() <= delays.items()):
+        raise StructuralError(f"the parent outcome is not a run from source {source} on {n} "
+                              "vertices under delays that these delays extend")
+    return _repair(graph, parent.arrival, source, delays, delays.keys() - parent.delays.keys())
 
 
 def compute_arrival_times(
     instance: WspInstance,
     alloc: Allocation = EMPTY_ALLOCATION,
     *,
-    parent: tuple[Allocation, FireOutcome] | None = None,
+    parent: FireOutcome | None = None,
 ) -> FireOutcome:
     """fire_arrivals from the ignition with the instance's delay on each
-    vertex alloc protects.  parent, if given, is (parent_alloc,
-    parent_outcome): an allocation whose protected vertices alloc protects
-    too, and its outcome on this instance, to repair the arrivals from.
-    """
-    if parent is not None:
-        if not parent[0].protected <= alloc.protected:
-            raise StructuralError("the parent protects a vertex the allocation does not")
-        parent = (alloc.protected - parent[0].protected, parent[1])
+    vertex alloc protects, repaired from parent if given."""
     delays = dict.fromkeys(alloc.protected, instance.delay)
     return fire_arrivals(instance.graph, instance.ignition, delays, parent)
 

@@ -149,8 +149,8 @@ def random_search(instance: WspInstance, budget: SolverBudget, seed: int = 0) ->
                 continue
             chosen = rng.choice(len(candidates), size=take, replace=False)
             pairs = [(first + i, candidates[c]) for i, c in enumerate(sorted(chosen.tolist()))]
-            child = alloc.extended(pairs)
-            alloc, outcome = child, compute_arrival_times(instance, child, parent=(alloc, outcome))
+            alloc = alloc.extended(pairs)
+            outcome = compute_arrival_times(instance, alloc, parent=outcome)
         obj = outcome.burned_count(horizon)
         if obj < best_obj:
             best_alloc, best_obj = alloc, obj
@@ -252,7 +252,7 @@ def beam_search(
                         continue
                     burned_h, burned_next, p_alloc, p_outcome = prefixes[combo[:size]]
                     node = p_alloc.extended([(first + size, v)])
-                    node_outcome = compute_arrival_times(instance, node, parent=(p_alloc, p_outcome))
+                    node_outcome = compute_arrival_times(instance, node, parent=p_outcome)
                     old, new = p_outcome.arrival, node_outcome.arrival
                     for u in node_outcome.changed:
                         burned_h += (new[u] < horizon) - (old[u] < horizon)

@@ -113,7 +113,7 @@ def child_by_child_beam(instance: WspInstance, beam_width, expansions_per_node):
                 combos = itertools.islice(combos, expansions)
             for combo in combos:
                 child = alloc.extended([(first + i, v) for i, v in enumerate(combo)])
-                child_outcome = compute_arrival_times(instance, child, parent=(alloc, outcome))
+                child_outcome = compute_arrival_times(instance, child, parent=outcome)
                 key = (
                     child_outcome.burned_count(horizon),
                     child_outcome.burned_count(next_time),

@@ -21,6 +21,7 @@ from wsptools.core import (
     INF,
     Allocation,
     DirectedGraph,
+    FireOutcome,
     StructuralError,
     WspInstance,
     check_feasibility,
@@ -103,8 +104,7 @@ class TestFireArrivals:
             parent_delays = {v: d for v, d in delays.items() if rng.random() < 0.5}
             parent_outcome = fire_arrivals(graph, source, parent_delays)
             full = fire_arrivals(graph, source, delays)
-            added = delays.keys() - parent_delays.keys()
-            repaired = fire_arrivals(graph, source, delays, (added, parent_outcome))
+            repaired = fire_arrivals(graph, source, delays, parent_outcome)
             assert repaired.arrival == full.arrival
             assert repaired.changed == {
                 v for v, (a, b) in enumerate(zip(parent_outcome.arrival, full.arrival)) if a != b
@@ -122,7 +122,7 @@ class TestFireArrivals:
     def test_free_burn_is_computed_once(self, rng):
         for _ in range(20):
             instance = random_wsp_instance(rng, max_vertices=30)
-            free_burn = instance.free_burn
+            free_burn = compute_arrival_times(instance)
             assert compute_arrival_times(instance) is free_burn
             assert compute_arrival_times(instance, EMPTY_ALLOCATION) is free_burn
             assert free_burn == fire_arrivals(instance.graph, instance.ignition, {})
@@ -145,6 +145,19 @@ class TestFireArrivals:
         message = f"^protected vertex 1 delay {delay} is negative or NaN$"
         with pytest.raises(StructuralError, match=message):
             fire_arrivals(figure_instance.graph, 0, {3: 1.0, 1: delay})
+
+    @pytest.mark.parametrize("delay", [None, "1", True])
+    def test_rejects_delays_that_are_not_numbers(self, figure_instance, delay):
+        # a bool is an int, yet True is no delay of one minute
+        message = f"^protected vertex 1 delay {delay!r} is not a number$"
+        with pytest.raises(StructuralError, match=message):
+            fire_arrivals(figure_instance.graph, 0, {3: 1.0, 1: delay})
+
+    def test_int_delays(self, figure_instance):
+        graph = figure_instance.graph
+        assert fire_arrivals(graph, 0, {1: 2}).arrival == fire_arrivals(graph, 0, {1: 2.0}).arrival
+        with pytest.raises(StructuralError, match="^protected vertex 1 delay is too large"):
+            fire_arrivals(graph, 0, {1: 10**400})
 
     def test_infinite_delay_cuts_the_vertex(self, figure_instance):
         # v2 is reached only through v1
@@ -209,12 +222,12 @@ class TestKeptFullRun:
         assert kernel_runs() == (1, 0)
 
     def test_repairs_neither_read_nor_replace_it(self, figure_instance, kernel_runs):
-        free_burn = figure_instance.free_burn
+        free_burn = compute_arrival_times(figure_instance)
         kept = compute_arrival_times(figure_instance, self.A)
         child = self.A.extended([(3, 7)])
-        compute_arrival_times(figure_instance, child, parent=(self.A, kept))
+        compute_arrival_times(figure_instance, child, parent=kept)
         # a repair of the kept set itself is a repair, not the kept run
-        again = compute_arrival_times(figure_instance, self.A, parent=(EMPTY_ALLOCATION, free_burn))
+        again = compute_arrival_times(figure_instance, self.A, parent=free_burn)
         assert again is not kept and again.arrival == kept.arrival
         assert compute_arrival_times(figure_instance, self.A) is kept
         assert kernel_runs() == (2, 2)
@@ -299,10 +312,10 @@ class TestKeptFreeRun:
         delayed = fire_arrivals(graph, 0, {1: 5.0})
         assert delayed.arrival == (0.0, 1.0, 4.0, 5.0)
         assert settle_runs[0] == 3
-        repaired = fire_arrivals(graph, 0, {1: 5.0}, (frozenset({1}), kept))
+        repaired = fire_arrivals(graph, 0, {1: 5.0}, kept)
         assert repaired.arrival == delayed.arrival and repaired.changed == {2, 3}
         # a repair under empty delays is a repair, not the kept run
-        unchanged = fire_arrivals(graph, 0, {}, (frozenset(), kept))
+        unchanged = fire_arrivals(graph, 0, {}, kept)
         assert unchanged is not kept and unchanged.changed == frozenset()
         assert fire_arrivals(graph, 0, {}) is kept
 
@@ -314,18 +327,19 @@ class TestKeptFreeRun:
         assert fire_arrivals(graph, 0, {}).arrival == (0.0, 1.0, 3.0, 4.0)
 
     def test_free_burn_is_the_graphs_run(self, figure_instance, settle_runs):
-        free_burn = figure_instance.free_burn
-        assert figure_instance.free_burn is free_burn
+        free_burn = compute_arrival_times(figure_instance)
+        assert compute_arrival_times(figure_instance) is free_burn
         assert fire_arrivals(figure_instance.graph, 0, {}) is free_burn
-        assert "free_burn" not in figure_instance.__dict__  # the instance keeps no copy
+        # the instance keeps no copy
+        assert all(value is not free_burn for value in vars(figure_instance).values())
         # an instance on the same graph shares it
-        assert dataclasses.replace(figure_instance, delay=1.0).free_burn is free_burn
+        assert compute_arrival_times(dataclasses.replace(figure_instance, delay=1.0)) is free_burn
         assert settle_runs[0] == 1
 
     def test_instances_on_one_graph_with_two_ignitions(self, figure_instance, settle_runs):
         other = dataclasses.replace(figure_instance, ignition=3)
         for instance in (figure_instance, other, figure_instance):
-            assert instance.free_burn.arrival == reference_arrival_times(instance)
+            assert compute_arrival_times(instance).arrival == reference_arrival_times(instance)
         assert settle_runs[0] == 3  # each ignition replaces the other's run
 
     def test_generated_instance_runs_no_free_burn(self, settle_runs):
@@ -334,7 +348,7 @@ class TestKeptFreeRun:
         settle_runs[0] = 0
         free_burn = compute_arrival_times(instance)
         assert settle_runs[0] == 0
-        assert free_burn is instance.free_burn
+        assert free_burn is fire_arrivals(instance.graph, instance.ignition, {})
         assert free_burn.arrival == reference_arrival_times(instance)
 
 
@@ -404,8 +418,8 @@ class TestSinks:
                 parent_alloc = _vertices_alloc(order[:kept])
                 alloc = _vertices_alloc(order[: kept + added])
                 parent_outcome = compute_arrival_times(instance, parent_alloc)
-                repaired = compute_arrival_times(instance, alloc, parent=(parent_alloc, parent_outcome))
-                assert_repair_exact(instance, parent_alloc, parent_outcome, alloc, repaired)
+                repaired = compute_arrival_times(instance, alloc, parent=parent_outcome)
+                assert_repair_exact(instance, parent_outcome, alloc, repaired)
                 sinks_changed += sum(1 for v in repaired.changed if not graph.out_arcs[v])
         assert sinks_changed > 100
 
@@ -469,7 +483,7 @@ def test_brute_force_results_pinned(grid, assignments, objective):
 # give the original kernel's arrivals bit for bit.
 
 
-def assert_repair_exact(instance, parent_alloc, parent_outcome, alloc, repaired):
+def assert_repair_exact(instance, parent_outcome, alloc, repaired):
     expected = reference_arrival_times(instance, alloc)
     assert repaired.arrival == expected
     assert repaired.changed == {
@@ -483,14 +497,14 @@ def _vertices_alloc(vertices):
 
 @pytest.fixture
 def repairs(monkeypatch):
-    """(instance, parent_alloc, parent_outcome, alloc, outcome) of every
-    repaired evaluation the solvers make."""
+    """(instance, parent_outcome, alloc, outcome) of every repaired
+    evaluation the solvers make."""
     recorded, evaluate = [], compute_arrival_times
 
     def recording_evaluate(instance, alloc=EMPTY_ALLOCATION, *, parent=None):
         outcome = evaluate(instance, alloc, parent=parent)
         if parent is not None:
-            recorded.append((instance, *parent, alloc, outcome))
+            recorded.append((instance, parent, alloc, outcome))
         return outcome
 
     monkeypatch.setattr(solvers, "compute_arrival_times", recording_evaluate)
@@ -532,7 +546,7 @@ def test_repair_never_pushes_an_infinite_label(heap_pops):
     graph = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
     parent = fire_arrivals(graph, 0, {})
     heap_pops[0] = 0
-    repaired = fire_arrivals(graph, 0, {1: INF}, (frozenset({1}), parent))
+    repaired = fire_arrivals(graph, 0, {1: INF}, parent)
     assert repaired.arrival == (0.0, 1.0, INF)
     assert repaired.changed == {2}
     assert heap_pops[0] == 1
@@ -577,13 +591,13 @@ def test_random_repairs_bitwise(rng):
         parent_alloc = _vertices_alloc(order[:kept])
         alloc = _vertices_alloc(order[: kept + added])
         parent_outcome = compute_arrival_times(instance, parent_alloc)
-        repaired = compute_arrival_times(instance, alloc, parent=(parent_alloc, parent_outcome))
-        assert_repair_exact(instance, parent_alloc, parent_outcome, alloc, repaired)
+        repaired = compute_arrival_times(instance, alloc, parent=parent_outcome)
+        assert_repair_exact(instance, parent_outcome, alloc, repaired)
         # a repaired outcome is itself a valid parent
         grandchild = _vertices_alloc(order[: kept + added + 1])
         assert_repair_exact(
-            instance, alloc, repaired, grandchild,
-            compute_arrival_times(instance, grandchild, parent=(alloc, repaired)),
+            instance, repaired, grandchild,
+            compute_arrival_times(instance, grandchild, parent=repaired),
         )
 
 
@@ -608,10 +622,9 @@ def test_repair_with_equal_arrival_tight_arcs():
     assert parent_outcome.arrival == (0.0, 50.0, 100.0, 100.0, 100.0, 100.0)
     for protected in [(1,), (1, 4), (1, 2), (1, 3), (4, 1, 2, 3)]:
         alloc = _vertices_alloc(protected)
-        repaired = compute_arrival_times(instance, alloc, parent=(EMPTY_ALLOCATION, parent_outcome))
-        assert_repair_exact(instance, EMPTY_ALLOCATION, parent_outcome, alloc, repaired)
-    repaired = compute_arrival_times(instance, _vertices_alloc((1,)),
-                                     parent=(EMPTY_ALLOCATION, parent_outcome))
+        repaired = compute_arrival_times(instance, alloc, parent=parent_outcome)
+        assert_repair_exact(instance, parent_outcome, alloc, repaired)
+    repaired = compute_arrival_times(instance, _vertices_alloc((1,)), parent=parent_outcome)
     assert repaired.arrival == (0.0, 50.0, 110.0, 110.0, 100.0, 100.0)
     assert repaired.changed == {2, 3}
 
@@ -630,7 +643,7 @@ def test_protection_at_or_after_t_keeps_earlier_arrivals():
                 itertools.combinations(open_at_t, size) for size in range(len(open_at_t) + 1)):
             alloc = _vertices_alloc(protected)
             for after in (compute_arrival_times(instance, alloc),
-                          compute_arrival_times(instance, alloc, parent=(EMPTY_ALLOCATION, root))):
+                          compute_arrival_times(instance, alloc, parent=root)):
                 assert [b for a, b in zip(root.arrival, after.arrival) if a < t] == \
                     [a for a in root.arrival if a < t]
                 for later in times[i:]:
@@ -640,35 +653,85 @@ def test_protection_at_or_after_t_keeps_earlier_arrivals():
                             and v not in protected] == open_later
 
 
+# the one message for a parent that is not a run this repair may start from
+REFUSED = "^the parent outcome is not a run from source"
+
+
 class TestRepairInputs:
     def test_parent_must_protect_a_subset(self, figure_instance):
-        parent_alloc = _vertices_alloc((2, 4))
-        parent_outcome = compute_arrival_times(figure_instance, parent_alloc)
-        with pytest.raises(StructuralError, match="parent"):
-            compute_arrival_times(figure_instance, _vertices_alloc((2, 5)),
-                                  parent=(parent_alloc, parent_outcome))
+        parent_outcome = compute_arrival_times(figure_instance, _vertices_alloc((2, 4)))
+        with pytest.raises(StructuralError, match=REFUSED):
+            compute_arrival_times(figure_instance, _vertices_alloc((2, 5)), parent=parent_outcome)
 
     def test_rejects_added_vertex_without_a_delay(self, figure_instance):
         graph, source = figure_instance.graph, figure_instance.ignition
         delays = {2: 1.0, 4: 3.0, 5: 1.0}
+        # a parent delay that delays lacks, or holds with another value
+        for parent_delays in ({2: 1.0, 4: 3.0, 3: 1.0}, {2: 1.0, 4: 2.0}):
+            with pytest.raises(StructuralError, match=REFUSED):
+                fire_arrivals(graph, source, delays, fire_arrivals(graph, source, parent_delays))
         parent_outcome = fire_arrivals(graph, source, {2: 1.0, 4: 3.0})
-        # a vertex of the graph, or one out of its range, that delays lacks
-        for added in ({3, 5}, {5, 9}):
-            with pytest.raises(StructuralError, match="added vertex has no delay"):
-                fire_arrivals(graph, source, delays, (frozenset(added), parent_outcome))
-        repaired = fire_arrivals(graph, source, delays, (frozenset({5}), parent_outcome))
+        repaired = fire_arrivals(graph, source, delays, parent_outcome)
         assert repaired.arrival == fire_arrivals(graph, source, delays).arrival
 
     def test_rejects_outcome_of_another_size(self, figure_instance):
-        with pytest.raises(StructuralError, match="length"):
+        with pytest.raises(StructuralError, match=REFUSED):
             compute_arrival_times(figure_instance, _vertices_alloc((2,)),
-                                  parent=(EMPTY_ALLOCATION, compute_arrival_times(
-                                      random_grid_instance(np.random.default_rng(0), 2))))
+                                  parent=compute_arrival_times(
+                                      random_grid_instance(np.random.default_rng(0), 2)))
+
+    def test_rejects_a_parent_under_other_delays(self):
+        # taken as the run under {}, the parent gave 14 of 36 arrivals unlike a full run
+        instance = generate_instance(GeneratorConfig(seed=1, n=6))
+        graph, source = instance.graph, instance.ignition
+        parent = fire_arrivals(graph, source, {15: 500.0})
+        with pytest.raises(StructuralError, match=REFUSED):
+            fire_arrivals(graph, source, {20: 500.0}, parent)
+        repaired = fire_arrivals(graph, source, {15: 500.0, 20: 500.0}, parent)
+        assert repaired == fire_arrivals(graph, source, {15: 500.0, 20: 500.0})
+
+    def test_rejects_a_parent_of_another_instance_delay(self):
+        # same graph, same protected set: one arrival came out wrong
+        instance = generate_instance(GeneratorConfig(seed=1, n=6))
+        faster = dataclasses.replace(instance, delay=instance.delay / 10)
+        parent_alloc = _vertices_alloc((7,))
+        alloc = parent_alloc.extended([(1, 0)])
+        with pytest.raises(StructuralError, match=REFUSED):
+            compute_arrival_times(instance, alloc,
+                                  parent=compute_arrival_times(faster, parent_alloc))
+        repaired = compute_arrival_times(instance, alloc,
+                                         parent=compute_arrival_times(instance, parent_alloc))
+        assert repaired == compute_arrival_times(instance, alloc)
+
+    def test_rejects_a_parent_from_another_source(self, figure_instance):
+        graph = figure_instance.graph
+        parent = fire_arrivals(graph, 3, {})
+        with pytest.raises(StructuralError, match=REFUSED):
+            fire_arrivals(graph, 0, {1: 2.0}, parent)
+        assert fire_arrivals(graph, 3, {1: 2.0}, parent) == fire_arrivals(graph, 3, {1: 2.0})
+
+    def test_rejects_an_outcome_built_by_hand(self, figure_instance):
+        # it records no run, even with the arrivals of one
+        parent = FireOutcome(compute_arrival_times(figure_instance).arrival)
+        with pytest.raises(StructuralError, match=REFUSED):
+            compute_arrival_times(figure_instance, _vertices_alloc((2,)), parent=parent)
+
+    def test_parent_keeps_the_delays_it_ran_under(self, figure_instance):
+        graph, delays = figure_instance.graph, {2: 1.0}
+        parent = fire_arrivals(graph, 0, delays)
+        delays[2] = 5.0  # the caller's dict changes after the run; the parent's copy does not
+        assert parent.delays == {2: 1.0}
+        with pytest.raises(TypeError):
+            parent.delays[2] = 5.0
+        with pytest.raises(StructuralError, match=REFUSED):
+            fire_arrivals(graph, 0, delays, parent)
+        delays[2], delays[4] = 1.0, 3.0
+        assert fire_arrivals(graph, 0, delays, parent) == fire_arrivals(graph, 0, delays)
 
     def test_same_protection_changes_nothing(self, figure_instance):
         alloc = _vertices_alloc((2, 4))
         outcome = compute_arrival_times(figure_instance, alloc)
-        repaired = compute_arrival_times(figure_instance, alloc, parent=(alloc, outcome))
+        repaired = compute_arrival_times(figure_instance, alloc, parent=outcome)
         assert repaired.arrival == outcome.arrival
         assert repaired.changed == frozenset()
 
@@ -677,7 +740,7 @@ class TestRepairInputs:
         parent_alloc = _vertices_alloc((3,))
         parent = compute_arrival_times(figure_instance, parent_alloc)
         alloc = _vertices_alloc((3, 1))
-        repaired = compute_arrival_times(figure_instance, alloc, parent=(parent_alloc, parent))
+        repaired = compute_arrival_times(figure_instance, alloc, parent=parent)
         old, new = parent.arrival, repaired.arrival
         for t in sorted(set(parent.arrival) | {0.0, 0.5, 1e9, INF}):
             delta = sum((new[v] < t) - (old[v] < t) for v in repaired.changed)

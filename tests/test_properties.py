@@ -127,7 +127,7 @@ def test_more_protection_never_lowers_arrivals_and_repair_is_exact(case):
     parent = compute_arrival_times(instance, parent_alloc)
     full = compute_arrival_times(instance, alloc)
     assert all(a <= b for a, b in zip(parent.arrival, full.arrival))
-    repaired = compute_arrival_times(instance, alloc, parent=(parent_alloc, parent))
+    repaired = compute_arrival_times(instance, alloc, parent=parent)
     assert repaired.arrival == full.arrival
     assert repaired.changed == {
         v for v, (a, b) in enumerate(zip(parent.arrival, full.arrival)) if a != b
@@ -183,7 +183,7 @@ def test_protecting_at_or_after_t_keeps_earlier_arrivals(case, data):
                       else st.just([]))
     child = alloc.extended((n + i, v) for i, v in enumerate(added))
     for after in (compute_arrival_times(instance, child),
-                  compute_arrival_times(instance, child, parent=(alloc, outcome))):
+                  compute_arrival_times(instance, child, parent=outcome)):
         assert [b for a, b in zip(arrival, after.arrival) if a < t] == \
             [a for a in arrival if a < t]
         later = data.draw(st.sampled_from([t, math.nextafter(t, math.inf)])

@@ -622,7 +622,7 @@ class TestFirstWitness:
         burned = [outcome.burned_count(wsp.horizon)
                   for _, outcome in solvers.complete_allocations(wsp)]
         assert (budget, burned) == (4, [8, 2, 3])
-        # fresh instances: the root outcome is instance.free_burn, kept once run
+        # fresh instances: the root outcome is the free burn, kept by the graph once run
         wsp, budget = mvnp_to_wsp(two_route_mvnp())
         kernel_runs[0] = 0
         assert decide_wsp_brute(wsp, budget) is True

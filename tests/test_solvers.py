@@ -497,7 +497,8 @@ class TestBeamWork:
         # the root's count at H; every other count comes from a carried open
         # list or a repair's changed vertices
         assert len(counted) == 1
-        assert all(outcome is instance.free_burn for outcome in counted)
+        root = compute_arrival_times(instance)  # the free burn the graph keeps
+        assert all(outcome is root for outcome in counted)
 
     def test_perimeter_candidates_runs_once_per_expanded_parent(self, monkeypatch):
         instance = self.instance()

@@ -28,7 +28,7 @@ PACKAGE = PERFBENCH.parent / "src" / "wsptools"
 
 # Non-blank lines of src/wsptools/*.py. A change that needs more raises this
 # in its own diff and gives the reason in CHANGES.md.
-LINE_BUDGET = 2461
+LINE_BUDGET = 2460
 
 
 def load_by_path(name):
