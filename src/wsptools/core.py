@@ -52,11 +52,8 @@ class DirectedGraph:
                 raise StructuralError(f"self-loop at vertex {tail}")
             if head == last_head and tail == last_tail:
                 raise StructuralError(f"duplicate arc ({tail},{head})")
-            if type(time) is not float:  # one type test on the common path; the kernel and
-                # the writer take ints in float range and floats, as instance files hold
-                if type(time) is bool or not isinstance(time, (int, float)):
-                    raise StructuralError(f"arc ({tail},{head}) travel time {time!r} is not a number")
-                _float(time, f"arc ({tail},{head}) travel time")
+            if type(time) is not float:  # one type test on the common path; files hold ints too
+                _number(time, f"arc ({tail},{head}) travel time")
             if not 0 < time < INF:  # NaN fails
                 raise StructuralError(f"arc ({tail},{head}) travel time {time} is not finite and positive")
             last_tail, last_head = tail, head
@@ -102,8 +99,7 @@ class WspInstance:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if not (0 <= self.ignition < self.graph.vertex_count):
-            raise StructuralError(f"ignition vertex {self.ignition} out of range")
+        _vertex(self.ignition, self.graph.vertex_count, "ignition vertex")
         if not self.horizon > 0:
             raise StructuralError("horizon must be positive")
         if not (math.isfinite(self.delay) and self.delay >= 0):
@@ -178,12 +174,13 @@ class FireOutcome:
     of assorted size per evaluation grew the memory of a process running
     rs and beam on 20 x 20 grids by 4 MB over a thousand runs.
 
-    source and delays record the run that made it: its source and a
-    read-only copy of its delays, None for an outcome built by hand.
+    out_arcs (not the graph, which keeps runs: that makes a cycle), source
+    and a read-only copy of delays record the run; None if built by hand.
     """
 
     arrival: tuple[float, ...]
     changed: frozenset[int] | None = field(default=None, compare=False, repr=False)
+    out_arcs: tuple | None = field(default=None, compare=False, repr=False)
     source: int | None = field(default=None, compare=False, repr=False)
     delays: MappingProxyType | None = field(default=None, compare=False, repr=False)
 
@@ -292,7 +289,7 @@ def _repair(
     heapify(heap)
     _settle(out_arcs, dist, heap, delays)
     changed = frozenset([v for v in affected if dist[v] != arrival[v]])
-    return FireOutcome(tuple(dist), changed, source, MappingProxyType(dict(delays)))
+    return FireOutcome(tuple(dist), changed, out_arcs, source, MappingProxyType(dict(delays)))
 
 
 def fire_arrivals(
@@ -321,15 +318,11 @@ def fire_arrivals(
     Repairs neither read nor replace either.
     """
     n = graph.vertex_count
-    if not (0 <= source < n):
-        raise StructuralError(f"source vertex {source} out of range")
+    _vertex(source, n, "source vertex")
     for v, d in delays.items():
-        if not (0 <= v < n):
-            raise StructuralError(f"protected vertex {v} out of range")
+        _vertex(v, n, "protected vertex")
         if type(d) is not float:  # one type test on the common path, as for arc times
-            if type(d) is bool or not isinstance(d, (int, float)):
-                raise StructuralError(f"protected vertex {v} delay {d!r} is not a number")
-            _float(d, f"protected vertex {v} delay")
+            _number(d, f"protected vertex {v} delay")
         if not d >= 0:  # NaN fails; +inf passes
             raise StructuralError(f"protected vertex {v} delay {d} is negative or NaN")
     if parent is None:  # in the graph's __dict__, as cached_property keeps out_arcs
@@ -339,13 +332,13 @@ def fire_arrivals(
         dist = [INF] * n
         dist[source] = 0.0
         arrival = tuple(_settle(graph.out_arcs, dist, [(0.0, source)], delays))
-        kept = FireOutcome(arrival, None, source, MappingProxyType(dict(delays)))
+        kept = FireOutcome(arrival, None, graph.out_arcs, source, MappingProxyType(dict(delays)))
         graph.__dict__[slot] = kept
         return kept
-    if (parent.source != source or len(parent.arrival) != n
+    if (parent.out_arcs is not graph.out_arcs or parent.source != source
             or not parent.delays.items() <= delays.items()):
-        raise StructuralError(f"the parent outcome is not a run from source {source} on {n} "
-                              "vertices under delays that these delays extend")
+        raise StructuralError(f"the parent outcome is not a run from source {source} on this "
+                              "graph under delays that these delays extend")
     return _repair(graph, parent.arrival, source, delays, delays.keys() - parent.delays.keys())
 
 
@@ -462,6 +455,21 @@ def _float(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise StructuralError(f"{what} is too large to convert to float") from None
+
+
+def _number(value, what: str) -> None:
+    """Refuse, naming what, a value not an int or float (bool is not) or past float range."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise StructuralError(f"{what} {value!r} is not a number")
+    _float(value, what)
+
+
+def _vertex(value, n: int, what: str) -> None:
+    """Refuse, naming what, a vertex id not an int (bool, numpy ints are not) in [0, n)."""
+    if type(value) is not int:
+        raise StructuralError(f"{what} {value!r} is of type {type(value).__name__}, not int")
+    if not 0 <= value < n:
+        raise StructuralError(f"{what} {value} out of range")
 
 
 def _json_float(doc: dict, key: str) -> float:

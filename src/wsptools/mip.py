@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from wsptools.core import DirectedGraph, StructuralError, WspInstance, _float
+from wsptools.core import DirectedGraph, StructuralError, WspInstance, _float, _vertex
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -156,8 +156,7 @@ def _per_vertex(name: str, values, n: int) -> list:
 def _propagation_rows(graph, ignition, a, digits, tail_terms, rhs=None) -> list[Constraint]:
     """Ignition row a_s = 0, then per arc (u, v) in the graph's order the spread
     row a_v - a_u + tail_terms[u] <= rhs[u] (the travel time when rhs is None)."""
-    if not 0 <= ignition < len(a):
-        raise StructuralError(f"ignition vertex {ignition} out of range")
+    _vertex(ignition, len(a), "ignition vertex")
     rows = [Constraint("ignition", ((1.0, a[ignition]),), EQ, 0.0)]
     for u, v, t in graph.arcs:
         terms = ((1.0, a[v]), (-1.0, a[u]), *tail_terms[u])
@@ -241,8 +240,7 @@ def build_hof_model(
         raise StructuralError("at least one target vertex required")
     n = graph.vertex_count
     for t in targets:
-        if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 0 <= t < n:
-            raise StructuralError(f"target {t!r} is not a vertex id in [0, {n})")
+        _vertex(t, n, "target")
     if len(set(targets)) < len(targets):
         raise StructuralError(f"target {max(targets, key=targets.count)} is listed twice")
     alpha = _per_vertex("alpha", alpha, n)

@@ -16,6 +16,7 @@ from wsptools.core import (
     DirectedGraph,
     StructuralError,
     WspInstance,
+    _vertex,
     fire_arrivals,
     single_source_distances,
 )
@@ -33,9 +34,8 @@ class MvnpInstance:
     h: float
 
     def __post_init__(self):
-        n = self.graph.vertex_count
-        if not (0 <= self.source < n and 0 <= self.sink < n):
-            raise StructuralError(f"source {self.source} or sink {self.sink} out of range")
+        _vertex(self.source, self.graph.vertex_count, "source")
+        _vertex(self.sink, self.graph.vertex_count, "sink")
         if self.source == self.sink:
             raise StructuralError("source and sink must differ")
         if self.k < 0 or not self.h > 0:
@@ -59,8 +59,7 @@ class WwspInstance:
 
     def __post_init__(self):
         n = self.graph.vertex_count
-        if not 0 <= self.ignition < n:
-            raise StructuralError(f"ignition vertex {self.ignition} out of range")
+        _vertex(self.ignition, n, "ignition vertex")
         if len(self.weights) != n:
             raise StructuralError(
                 f"weights must have one entry per vertex ({n}), got {len(self.weights)}"
@@ -91,12 +90,11 @@ class HwspInstance:
         for u, arcs in enumerate(self.graph.out_arcs):
             if len({t for _, _, t in arcs}) > 1:
                 raise StructuralError(f"vertex {u} has heterogeneous outgoing arc costs")
-        if not 0 <= self.ignition < n:
-            raise StructuralError(f"ignition vertex {self.ignition} out of range")
+        _vertex(self.ignition, n, "ignition vertex")
         if not self.targets:
             raise StructuralError("at least one target vertex required")
-        if not all(0 <= v < n for v in self.targets):
-            raise StructuralError(f"targets {sorted(self.targets)} not all in [0, {n})")
+        for v in self.targets:
+            _vertex(v, n, "target")
         if self.k < 0:
             raise StructuralError(f"k must be nonnegative, got {self.k}")
         if len(self.vertex_delays) != n:
@@ -228,9 +226,9 @@ def evaluate_hwsp(instance: HwspInstance, protected) -> float:
     protected = frozenset(protected)
     if len(protected) > instance.k:
         raise StructuralError("allocation exceeds the resource budget")
-    extra = instance.vertex_delays
-    # a vertex out of range gets a stand-in delay, and fire_arrivals rejects it
-    delays = {v: extra[v] if 0 <= v < len(extra) else 0.0 for v in protected}
+    for v in protected:
+        _vertex(v, instance.graph.vertex_count, "protected vertex")
+    delays = {v: instance.vertex_delays[v] for v in protected}
     outcome = fire_arrivals(instance.graph, instance.ignition, delays)
     return min(outcome.arrival[v] for v in instance.targets)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from operator import itemgetter
 
 import numpy as np
@@ -27,6 +28,17 @@ from wsptools.core import (
 from wsptools.mip import EQ, GE, LE, LinearModel, _arrival_upper_bound, _vname
 from wsptools.solvers import SolverResult, perimeter_candidates
 from wsptools.testkit import random_digraph
+
+
+# Vertex ids that are not ints, each with its type's name: the bool and the
+# numpy integer compare and index as ints, the float compares as one
+NOT_VERTEX_IDS = [(True, "bool"), (1.0, "float"), (None, "NoneType"), ("1", "str"),
+                  (np.int64(1), "int64")]
+
+
+def not_int(what: str, value, kind: str) -> str:
+    """The whole message of core._vertex refusing value, as a regex."""
+    return f"^{re.escape(f'{what} {value!r} is of type {kind}, not int')}$"
 
 
 def random_wsp_instance(rng: np.random.Generator, max_vertices: int = 60) -> WspInstance:

@@ -26,7 +26,7 @@ from wsptools.core import (
 from wsptools.generator import GeneratorConfig, generate_instance
 from wsptools.reductions import MvnpInstance, mvnp_to_wsp
 
-from helpers import random_allocation, random_wsp_instance
+from helpers import NOT_VERTEX_IDS, not_int, random_allocation, random_wsp_instance
 
 
 def bellman_ford_arrivals(instance, alloc):
@@ -531,6 +531,23 @@ class TestInstanceValidation:
         WspInstance(**fields)
         with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
             WspInstance(**dict(fields, **change))
+
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    def test_rejects_ignition_not_int(self, value, kind):
+        graph = DirectedGraph(2, ((0, 1, 1.0),))
+        with pytest.raises(StructuralError, match=not_int("ignition vertex", value, kind)):
+            WspInstance(graph, value, horizon=5.0, delay=0.0, schedule=((1.0, 1),))
+
+    def test_every_accepted_ignition_round_trips(self):
+        # True was accepted, then written as true, which the reader refuses;
+        # np.int64(1) was accepted, then the writer raised TypeError
+        graph = DirectedGraph(2, ((0, 1, 1.0),))
+        for ignition in (0, 1):
+            instance = WspInstance(graph, ignition, horizon=5.0, delay=0.0, schedule=((1.0, 1),))
+            assert instance_from_json(instance_to_json(instance)) == instance
+        text = instance_to_json(WspInstance(graph, 1, horizon=5.0, delay=0.0, schedule=()))
+        with pytest.raises(StructuralError, match="^ignition must be an integer, got True$"):
+            instance_from_json(text.replace('"ignition": 1', '"ignition": true'))
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
     def test_horizon_must_be_positive(self, horizon):

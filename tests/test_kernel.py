@@ -37,7 +37,13 @@ from wsptools.reductions import mvnp_to_wsp
 from wsptools.solvers import SolverBudget, beam_search, brute_force, random_search
 from wsptools.testkit import random_mvnp_instance
 
-from helpers import random_allocation, random_grid_instance, random_wsp_instance
+from helpers import (
+    NOT_VERTEX_IDS,
+    not_int,
+    random_allocation,
+    random_grid_instance,
+    random_wsp_instance,
+)
 
 
 def reference_arrival_times(instance, alloc=EMPTY_ALLOCATION, vertex_delays=None):
@@ -138,6 +144,23 @@ class TestFireArrivals:
     def test_rejects_vertices_out_of_range(self, figure_instance, source, delays, message):
         with pytest.raises(StructuralError, match=message):
             fire_arrivals(figure_instance.graph, source, delays)
+
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    def test_rejects_a_source_not_int(self, figure_instance, value, kind):
+        # True and 1.0 ran from vertex 1
+        with pytest.raises(StructuralError, match=not_int("source vertex", value, kind)):
+            fire_arrivals(figure_instance.graph, value, {})
+
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    def test_rejects_a_delay_key_not_int(self, figure_instance, value, kind):
+        # True, 1.0 and np.int64(1) ran as vertex 1; None and '1' raised a bare TypeError
+        with pytest.raises(StructuralError, match=not_int("protected vertex", value, kind)):
+            fire_arrivals(figure_instance.graph, 0, {3: 1.0, value: 1.0})
+
+    def test_rejects_an_allocation_of_a_bool_vertex(self, figure_instance):
+        alloc = Allocation(((0, True),))
+        with pytest.raises(StructuralError, match=not_int("protected vertex", True, "bool")):
+            compute_arrival_times(figure_instance, alloc)
 
     @pytest.mark.parametrize("delay", [math.nan, -1.0])
     def test_rejects_negative_or_nan_delays(self, figure_instance, delay):
@@ -702,6 +725,28 @@ class TestRepairInputs:
         repaired = compute_arrival_times(instance, alloc,
                                          parent=compute_arrival_times(instance, parent_alloc))
         assert repaired == compute_arrival_times(instance, alloc)
+
+    def test_rejects_a_parent_on_another_graph_of_the_same_size(self):
+        # repaired from g1's run, g2 gave (0.0, 1.0, 2.0) where a full run gives (0.0, 5.0, 12.0)
+        g1 = DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+        g2 = DirectedGraph(3, ((0, 1, 5.0), (1, 2, 5.0), (0, 2, 20.0)))
+        with pytest.raises(StructuralError, match=REFUSED + r" 0 on this graph under"):
+            fire_arrivals(g2, 0, {1: 2.0}, fire_arrivals(g1, 0, {}))
+        assert fire_arrivals(g2, 0, {1: 2.0}, fire_arrivals(g2, 0, {})).arrival == (0.0, 5.0, 12.0)
+
+    def test_rejects_a_parent_on_an_equal_graph(self):
+        # the parent's record is its graph's own out_arcs, not an equal value
+        g1, g2 = (DirectedGraph(3, ((0, 1, 1.0), (1, 2, 1.0))) for _ in range(2))
+        assert g1 == g2
+        with pytest.raises(StructuralError, match=REFUSED):
+            fire_arrivals(g2, 0, {1: 2.0}, fire_arrivals(g1, 0, {}))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rejects_a_parent_on_another_graph_without_arcs(self, n):
+        # such graphs all hold the one empty arcs tuple, yet differ in size
+        parent = fire_arrivals(DirectedGraph(4, ()), 0, {})
+        with pytest.raises(StructuralError, match=REFUSED):
+            fire_arrivals(DirectedGraph(n, ()), 0, {1: 2.0}, parent)
 
     def test_rejects_a_parent_from_another_source(self, figure_instance):
         graph = figure_instance.graph

@@ -30,8 +30,10 @@ from wsptools.mip import (
 from wsptools.solvers import brute_force
 
 from helpers import (
+    NOT_VERTEX_IDS,
     allocation_to_assignment,
     evaluate_objective,
+    not_int,
     random_grid_instance,
     validate_assignment,
 )
@@ -873,6 +875,22 @@ class TestBuilderInputs:
         args.update(change)
         with pytest.raises(StructuralError):
             build_hof_model(**args)
+
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    @pytest.mark.parametrize("field, what", [("ignition", "ignition vertex"),
+                                             ("targets", "target")])
+    def test_hof_rejects_a_vertex_not_int(self, graph, field, what, value, kind):
+        # np.int64(1) was taken as a target; a float ignition named no type
+        args = dict(graph=graph, ignition=0, targets=[2], alpha=[1.0] * 3,
+                    beta=[1.0] * 3, k=1.0)
+        args[field] = [2, value] if field == "targets" else value
+        with pytest.raises(StructuralError, match=not_int(what, value, kind)):
+            build_hof_model(**args)
+
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    def test_wei_rejects_an_ignition_not_int(self, graph, value, kind):
+        with pytest.raises(StructuralError, match=not_int("ignition vertex", value, kind)):
+            build_wei_model(graph, value, 5.0, 1.0, [1.0] * 3, [0.0] * 3, 1.0, 1)
 
     def test_hof_names_a_repeated_target(self, graph):
         # the second row earliest_1 was refused as a repeated constraint name

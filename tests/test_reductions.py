@@ -35,7 +35,7 @@ from wsptools.reductions import (
 from wsptools.solvers import LimitExceeded, SolverResult, brute_force, subsets_up_to
 from wsptools.testkit import random_digraph, random_mvnp_instance
 
-from helpers import random_grid_instance, random_wsp_instance
+from helpers import NOT_VERTEX_IDS, not_int, random_grid_instance, random_wsp_instance
 
 
 def triangle_mvnp():
@@ -51,6 +51,14 @@ class TestMvnpBasics:
             MvnpInstance(graph, 0, 0, 1, 1.0)
         with pytest.raises(StructuralError):
             MvnpInstance(graph, 0, 1, -1, 1.0)
+
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    @pytest.mark.parametrize("end", ["source", "sink"])
+    def test_rejects_an_end_not_int(self, end, value, kind):
+        # a float source went on to a TypeError in decide_mvnp
+        fields = dict(graph=triangle_mvnp().graph, source=0, sink=2, k=1, h=3.0)
+        with pytest.raises(StructuralError, match=not_int(end, value, kind)):
+            MvnpInstance(**dict(fields, **{end: value}))
 
     def test_rejects_infinite_h(self):
         # the reductions would write h into their outputs as an Infinity token
@@ -345,6 +353,12 @@ class TestHomogeneousReduction:
         with pytest.raises(StructuralError, match=f"protected vertex {vertex} out of range"):
             evaluate_hwsp(instance, [vertex])
 
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    def test_protected_vertex_not_int(self, value, kind):
+        instance, _ = mvnp_to_hwsp(triangle_mvnp())
+        with pytest.raises(StructuralError, match=not_int("protected vertex", value, kind)):
+            evaluate_hwsp(instance, [value])
+
     def test_budget_enforced(self):
         instance, _ = mvnp_to_hwsp(triangle_mvnp())
         with pytest.raises(StructuralError, match="^allocation exceeds the resource budget$"):
@@ -439,7 +453,7 @@ class TestReducedInstanceChecks:
 
     @pytest.mark.parametrize("change, message", [
         ({"targets": frozenset()}, "at least one target vertex required"),
-        ({"targets": frozenset({2, 9})}, "targets [2, 9] not all in [0, 3)"),
+        ({"targets": frozenset({2, 9})}, "target 9 out of range"),
         ({"k": -1}, "k must be nonnegative, got -1"),
         ({"vertex_delays": (0.0, math.nan, 0.0)}, "vertex delays must be nonnegative"),
         ({"vertex_delays": (0.0, -1.0, 0.0)}, "vertex delays must be nonnegative"),
@@ -451,6 +465,23 @@ class TestReducedInstanceChecks:
                       vertex_delays=(0.0, 3.0, 0.0))
         HwspInstance(**fields)
         with pytest.raises(StructuralError, match=re.escape(message)):
+            HwspInstance(**dict(fields, **change))
+
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    def test_wwsp_rejects_an_ignition_not_int(self, value, kind):
+        fields = dict(graph=self.PATH, weights=(0.0, 0.0, 1.0), ignition=value, k=1,
+                      forbidden=frozenset({0, 2}), delay=2.0, horizon=3.0)
+        with pytest.raises(StructuralError, match=not_int("ignition vertex", value, kind)):
+            WwspInstance(**fields)
+
+    @pytest.mark.parametrize("value, kind", NOT_VERTEX_IDS)
+    @pytest.mark.parametrize("field, what", [("ignition", "ignition vertex"),
+                                             ("targets", "target")])
+    def test_hwsp_rejects_a_vertex_not_int(self, field, what, value, kind):
+        fields = dict(graph=self.PATH, ignition=0, targets=frozenset({2}), k=1,
+                      vertex_delays=(0.0, 3.0, 0.0))
+        change = {field: frozenset({2, value}) if field == "targets" else value}
+        with pytest.raises(StructuralError, match=not_int(what, value, kind)):
             HwspInstance(**dict(fields, **change))
 
 

@@ -6,8 +6,8 @@ of those names goes.  perfbench/workloads.py checks every solve,
 generate and export request against the digests in references.json.
 These tests load both modules by path and leave perfbench/ as it is.
 
-The last tests hold the package to its line budget and to no unused
-import, and run README's library example.
+The last tests hold the package to its line budget, to no unused import
+and to one owner of the vertex-id rule, and run README's library example.
 """
 
 import ast
@@ -146,6 +146,29 @@ def test_package_imports_only_what_it_uses():
                     if name not in loaded:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_one_owner_of_the_vertex_id_rule():
+    # a raise whose f-string says "out of range" or "not int" is a copy of
+    # core._vertex, bar DirectedGraph's per-arc check, kept inline for speed
+    owners = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                texts = [part.value for string in ast.walk(child.exc)
+                         if isinstance(string, ast.JoinedStr) for part in string.values
+                         if isinstance(part, ast.Constant)]
+                if any("out of range" in text or "not int" in text for text in texts):
+                    owners.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    assert owners == {"core._vertex", "core.DirectedGraph.__post_init__"}
 
 
 def test_readme_python_blocks_run():
